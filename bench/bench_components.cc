@@ -4,9 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <deque>
-#include <unordered_set>
-
 #include "chain/block.h"
 #include "chain/txpool.h"
 #include "obs/memtrack.h"
@@ -20,7 +17,6 @@
 #include "storage/memkv.h"
 #include "storage/merkle_tree.h"
 #include "storage/patricia_trie.h"
-#include "util/perf.h"
 #include "util/random.h"
 #include "util/sha256.h"
 #include "vm/assembler.h"
@@ -52,10 +48,7 @@ void BM_MerkleTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleTreeBuild)->Arg(100)->Arg(500)->Arg(2000);
 
-// --- Raw-speed campaign pairs ------------------------------------------------
-// Each optimized benchmark is paired with a *Legacy twin that runs the
-// seed-equivalent slow path (scalar SHA, no memoization, AoS pool), so CI
-// can gate on the ratio within one run — immune to machine differences.
+// --- Chain primitives ---------------------------------------------------------
 
 chain::Transaction BenchTx(uint64_t id) {
   chain::Transaction tx;
@@ -65,126 +58,40 @@ chain::Transaction BenchTx(uint64_t id) {
   tx.function = "update";
   tx.args = {vm::Value("user" + std::to_string(id)),
              vm::Value(std::string(100, 'v'))};
+  tx.Seal();
   return tx;
 }
 
-chain::Block BenchBlock(size_t n_txs) {
+chain::BlockPtr BenchBlock(size_t n_txs) {
   chain::Block b;
   for (size_t i = 0; i < n_txs; ++i) b.txs.push_back(BenchTx(i + 1));
   b.SealTxRoot();
   b.header.height = 7;
   b.header.proposer = 3;
-  return b;
+  return chain::Seal(std::move(b));
 }
 
 // Repeated HashOf on a sealed block: the consensus hot pattern (pbft
 // digest checks, fork-choice comparisons, commit bookkeeping).
 void BM_BlockHashCached(benchmark::State& state) {
-  chain::Block b = BenchBlock(64);
+  chain::BlockPtr b = BenchBlock(64);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(b.HashOf());
+    benchmark::DoNotOptimize(b->HashOf());
   }
 }
 BENCHMARK(BM_BlockHashCached);
 
-void BM_BlockHashLegacy(benchmark::State& state) {
-  perf::ScopedLegacyMode legacy;
-  chain::Block b = BenchBlock(64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(b.HashOf());
-  }
-}
-BENCHMARK(BM_BlockHashLegacy);
-
-void DigestBatchBench(benchmark::State& state) {
-  const size_t n = size_t(state.range(0));
-  std::vector<std::string> msgs(n);
-  std::vector<Slice> slices(n);
-  for (size_t i = 0; i < n; ++i) {
-    msgs[i] = BenchTx(i + 1).Serialize();
-    slices[i] = Slice(msgs[i]);
-  }
-  std::vector<Hash256> out(n);
-  for (auto _ : state) {
-    Sha256::DigestBatch(slices.data(), n, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
-}
-
-void BM_DigestBatch(benchmark::State& state) { DigestBatchBench(state); }
-BENCHMARK(BM_DigestBatch)->Arg(64)->Arg(512);
-
-void BM_DigestBatchLegacy(benchmark::State& state) {
-  perf::ScopedLegacyMode legacy;
-  DigestBatchBench(state);
-}
-BENCHMARK(BM_DigestBatchLegacy)->Arg(64)->Arg(512);
-
-// The seed pool, kept verbatim for the ratio gate: deque of whole
-// transactions with unordered_set membership tracking.
-class LegacyTxPool {
- public:
-  bool Add(chain::Transaction tx) {
-    if (!seen_.insert(tx.id).second) return false;
-    in_queue_.insert(tx.id);
-    queue_.push_back(std::move(tx));
-    return true;
-  }
-  std::vector<chain::Transaction> TakeBatch(size_t max_count,
-                                            size_t max_bytes = 0) {
-    std::vector<chain::Transaction> batch;
-    size_t bytes = 0;
-    while (!queue_.empty() && batch.size() < max_count) {
-      chain::Transaction& next = queue_.front();
-      size_t tx_bytes = next.Serialize().size();  // seed recomputed sizes
-      if (max_bytes != 0 && !batch.empty() && bytes + tx_bytes > max_bytes) {
-        break;
-      }
-      bytes += tx_bytes;
-      in_queue_.erase(next.id);
-      batch.push_back(std::move(next));
-      queue_.pop_front();
-    }
-    return batch;
-  }
-  void RemoveCommitted(const std::vector<chain::Transaction>& txs) {
-    std::unordered_set<uint64_t> committed;
-    for (const auto& tx : txs) {
-      seen_.insert(tx.id);
-      if (in_queue_.count(tx.id)) committed.insert(tx.id);
-    }
-    if (committed.empty()) return;
-    std::deque<chain::Transaction> kept;
-    for (auto& tx : queue_) {
-      if (committed.count(tx.id)) {
-        in_queue_.erase(tx.id);
-      } else {
-        kept.push_back(std::move(tx));
-      }
-    }
-    queue_ = std::move(kept);
-  }
-
- private:
-  std::deque<chain::Transaction> queue_;
-  std::unordered_set<uint64_t> seen_;
-  std::unordered_set<uint64_t> in_queue_;
-};
-
 // Admission -> batch-take -> peer-commit churn, the pool's simulation
-// life-cycle: every admitted tx has its wire size queried for gossip
-// (the node does this before broadcasting), proposers take FIFO batches,
-// and replicas remove still-pending txs when a peer's block commits —
-// with standing queue depth, as on a loaded node. Template over the pool
-// type so both variants run the exact same driver.
-template <typename Pool>
-void TxPoolChurn(benchmark::State& state) {
+// life-cycle: every tx is created and sealed, its wire size is queried
+// for gossip (the node does this before broadcasting), proposers take
+// FIFO batches, and replicas remove still-pending txs when a peer's
+// block commits — with standing queue depth, as on a loaded node.
+void BM_TxPoolTakeBatch(benchmark::State& state) {
   const size_t kBatch = 200;
   const int kRounds = 20;
   for (auto _ : state) {
     state.PauseTiming();
-    Pool pool;
+    chain::TxPool pool;
     uint64_t next_id = 1;
     uint64_t commit_cursor = 1;  // pending ids are [commit_cursor, next_id)
     state.ResumeTiming();
@@ -212,17 +119,7 @@ void TxPoolChurn(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * kRounds *
                           int64_t(kBatch + kBatch / 2));
 }
-
-void BM_TxPoolTakeBatch(benchmark::State& state) {
-  TxPoolChurn<chain::TxPool>(state);
-}
 BENCHMARK(BM_TxPoolTakeBatch);
-
-void BM_TxPoolTakeBatchLegacy(benchmark::State& state) {
-  perf::ScopedLegacyMode legacy;  // also disables tx size memoization
-  TxPoolChurn<LegacyTxPool>(state);
-}
-BENCHMARK(BM_TxPoolTakeBatchLegacy);
 
 void BM_TriePut(benchmark::State& state) {
   storage::MemKv kv;

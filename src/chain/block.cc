@@ -2,7 +2,6 @@
 
 #include "storage/merkle_tree.h"
 #include "util/codec.h"
-#include "util/perf.h"
 #include "obs/profiler.h"
 
 namespace bb::chain {
@@ -26,67 +25,20 @@ std::string BlockHeader::Serialize() const {
 
 Hash256 BlockHeader::HashOf() const { return Sha256::Digest(Serialize()); }
 
-Block::Block(const Block& other)
-    : header(other.header),
-      txs(other.txs),
-      hash_witness_(other.hash_witness_),
-      cached_hash_(other.cached_hash_),
-      hash_valid_(other.hash_valid_),
-      cached_size_(other.cached_size_),
-      size_witness_(other.size_witness_),
-      size_valid_(other.size_valid_) {
-  BB_PROF_ALLOC(txs.empty() ? 0 : 1, 0);
-  BB_PROF_COPY(other.SizeBytes());
-}
-
-Block& Block::operator=(const Block& other) {
-  if (this != &other) {
-    BB_PROF_ALLOC(other.txs.empty() ? 0 : 1, 0);
-    BB_PROF_COPY(other.SizeBytes());
-    header = other.header;
-    txs = other.txs;
-    hash_witness_ = other.hash_witness_;
-    cached_hash_ = other.cached_hash_;
-    hash_valid_ = other.hash_valid_;
-    cached_size_ = other.cached_size_;
-    size_witness_ = other.size_witness_;
-    size_valid_ = other.size_valid_;
-  }
-  return *this;
-}
-
-Hash256 Block::HashOf() const {
-  const bool legacy = perf::LegacyMode();
-  if (!legacy && hash_valid_ && hash_witness_ == header) return cached_hash_;
-  BB_PROF_SCOPE("hash.block_hash");
-  Hash256 h = header.HashOf();
-  if (!legacy) {
-    cached_hash_ = h;
-    hash_witness_ = header;
-    hash_valid_ = true;
-  }
-  return h;
-}
-
 void Block::SealTxRoot() {
   BB_PROF_SCOPE("hash.seal_tx_root");
   std::vector<Hash256> leaves;
-  Transaction::HashAll(txs, &leaves);
+  leaves.reserve(txs.size());
+  for (const auto& tx : txs) leaves.push_back(tx.HashOf());
   header.tx_root = storage::MerkleTree(std::move(leaves)).root();
 }
 
-size_t Block::SizeBytes() const {
-  const bool legacy = perf::LegacyMode();
-  if (!legacy && size_valid_ && size_witness_ == txs.size())
-    return cached_size_;
-  size_t n = kHeaderWireBytes;
-  for (const auto& tx : txs) n += tx.SizeBytes();
-  if (!legacy) {
-    cached_size_ = n;
-    size_witness_ = txs.size();
-    size_valid_ = true;
-  }
-  return n;
+BlockPtr Seal(Block block) {
+  BB_PROF_SCOPE("hash.block_hash");
+  block.hash_ = block.header.HashOf();
+  block.size_ = kHeaderWireBytes;
+  for (const auto& tx : block.txs) block.size_ += tx.SizeBytes();
+  return std::make_shared<const Block>(std::move(block));
 }
 
 }  // namespace bb::chain

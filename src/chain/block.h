@@ -4,7 +4,9 @@
 #ifndef BLOCKBENCH_CHAIN_BLOCK_H_
 #define BLOCKBENCH_CHAIN_BLOCK_H_
 
+#include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "chain/transaction.h"
@@ -32,43 +34,46 @@ struct BlockHeader {
   bool operator==(const BlockHeader&) const = default;
 };
 
+struct Block;
+/// Shared immutable block handle, the unit of the zero-copy message path.
+using BlockPtr = std::shared_ptr<const Block>;
+
+/// A block is assembled mutably (header fields, txs, SealTxRoot), then
+/// handed to Seal(), which computes its hash and wire size exactly once
+/// and freezes it behind a BlockPtr. Move-only: blocks travel as
+/// BlockPtr, so a copy is never needed.
 struct Block {
   BlockHeader header;
+  /// Sealed transactions (Transaction::Seal).
   std::vector<Transaction> txs;
 
   Block() = default;
-  /// Copying a block is the expense the zero-copy BlockPtr plumbing
-  /// exists to avoid; the remaining copies are charged to the wall
-  /// profiler so they stay visible (wire-size bytes, one alloc for the
-  /// tx vector). Declared out of line in block.cc.
-  Block(const Block& other);
-  Block& operator=(const Block& other);
   Block(Block&&) = default;
   Block& operator=(Block&&) = default;
 
-  /// Content hash. Memoized: the digest is witnessed by a full copy of the
-  /// header, so any header mutation (SealTxRoot, consensus engines stamping
-  /// proposer/timestamp/nonce after BuildBlock) naturally invalidates it on
-  /// the next call. perf::LegacyMode() bypasses the cache entirely.
-  Hash256 HashOf() const;
+  /// Header hash computed by Seal().
+  Hash256 HashOf() const {
+    assert(size_ != 0 && "block not sealed");
+    return hash_;
+  }
+  /// Wire size of the whole block, computed by Seal().
+  size_t SizeBytes() const {
+    assert(size_ != 0 && "block not sealed");
+    return size_;
+  }
 
-  /// Computes and installs the Merkle root over txs into the header
-  /// (batch-hashing the transactions; see Transaction::HashAll).
+  /// Installs the Merkle root over the txs' hashes into the header.
   void SealTxRoot();
 
-  /// Wire size of the whole block. Memoized, witnessed by the tx count —
-  /// blocks only ever grow/shrink their tx list, never swap same-count
-  /// payloads in place.
-  size_t SizeBytes() const;
-
  private:
-  mutable BlockHeader hash_witness_;
-  mutable Hash256 cached_hash_;
-  mutable bool hash_valid_ = false;
-  mutable size_t cached_size_ = 0;
-  mutable size_t size_witness_ = 0;
-  mutable bool size_valid_ = false;
+  friend BlockPtr Seal(Block block);
+  Hash256 hash_;
+  size_t size_ = 0;
 };
+
+/// The one place a block's hash and size are computed: stamp every
+/// header field first, then seal.
+BlockPtr Seal(Block block);
 
 }  // namespace bb::chain
 

@@ -6,12 +6,12 @@ namespace bb::chain {
 
 ChainStore::ChainStore(Block genesis) {
   genesis.header.height = 0;
-  Hash256 h = genesis.HashOf();
+  BlockPtr sealed = Seal(std::move(genesis));
+  Hash256 h = sealed->HashOf();
   genesis_ = h;
   head_ = h;
-  stored_bytes_ += genesis.SizeBytes();
-  entries_.emplace(h,
-                   Entry{std::make_shared<const Block>(std::move(genesis)), 0});
+  stored_bytes_ += sealed->SizeBytes();
+  entries_.emplace(h, Entry{std::move(sealed), 0});
   canonical_.push_back(h);
 }
 

@@ -21,11 +21,9 @@
 
 namespace bb::chain {
 
-/// Shared immutable block handle, the unit of the zero-copy message path.
-using BlockPtr = std::shared_ptr<const Block>;
-
 class ChainStore {
  public:
+  /// Seals `genesis` at height 0.
   explicit ChainStore(Block genesis);
 
   struct AddResult {
@@ -39,10 +37,8 @@ class ChainStore {
   };
 
   AddResult AddBlock(BlockPtr block);
-  /// Convenience for by-value callers (tests, genesis bootstrap).
-  AddResult AddBlock(Block block) {
-    return AddBlock(std::make_shared<const Block>(std::move(block)));
-  }
+  /// Convenience for by-value callers (tests): seals, then adds.
+  AddResult AddBlock(Block block) { return AddBlock(Seal(std::move(block))); }
 
   bool Contains(const Hash256& hash) const { return entries_.count(hash) > 0; }
   /// Null when unknown.

@@ -1,7 +1,7 @@
 #include "chain/transaction.h"
 
+#include "obs/profiler.h"
 #include "util/codec.h"
-#include "util/perf.h"
 
 namespace bb::chain {
 
@@ -40,65 +40,15 @@ Result<Transaction> Transaction::Deserialize(Slice data) {
     if (!val.ok()) return val.status();
     tx.args.push_back(std::move(*val));
   }
+  tx.Seal();
   return tx;
 }
 
-Hash256 Transaction::HashOf() const {
-  const bool legacy = perf::LegacyMode();
-  if (!legacy && hash_valid_ && hash_witness_ == id) return cached_hash_;
-  Hash256 h = Sha256::Digest(Serialize());
-  if (!legacy) {
-    cached_hash_ = h;
-    hash_witness_ = id;
-    hash_valid_ = true;
-  }
-  return h;
-}
-
-size_t Transaction::SizeBytes() const {
-  const bool legacy = perf::LegacyMode();
-  if (!legacy && size_valid_ && size_witness_ == id) return cached_size_;
-  size_t n = Serialize().size() + kSignatureEnvelopeBytes;
-  if (!legacy) {
-    cached_size_ = n;
-    size_witness_ = id;
-    size_valid_ = true;
-  }
-  return n;
-}
-
-void Transaction::HashAll(const std::vector<Transaction>& txs,
-                          std::vector<Hash256>* out) {
-  out->resize(txs.size());
-  if (perf::LegacyMode()) {
-    for (size_t i = 0; i < txs.size(); ++i) (*out)[i] = txs[i].HashOf();
-    return;
-  }
-
-  // Serve warm caches directly; serialize + batch-digest the rest.
-  std::vector<std::string> bufs;
-  std::vector<Slice> slices;
-  std::vector<size_t> cold;
-  for (size_t i = 0; i < txs.size(); ++i) {
-    const Transaction& tx = txs[i];
-    if (tx.hash_valid_ && tx.hash_witness_ == tx.id) {
-      (*out)[i] = tx.cached_hash_;
-    } else {
-      bufs.push_back(tx.Serialize());
-      cold.push_back(i);
-    }
-  }
-  slices.reserve(bufs.size());
-  for (const auto& b : bufs) slices.push_back(Slice(b));
-  std::vector<Hash256> hashed(cold.size());
-  Sha256::DigestBatch(slices.data(), slices.size(), hashed.data());
-  for (size_t j = 0; j < cold.size(); ++j) {
-    const Transaction& tx = txs[cold[j]];
-    (*out)[cold[j]] = hashed[j];
-    tx.cached_hash_ = hashed[j];
-    tx.hash_witness_ = tx.id;
-    tx.hash_valid_ = true;
-  }
+void Transaction::Seal() {
+  BB_PROF_SCOPE("hash.tx_seal");
+  const std::string buf = Serialize();
+  hash_ = Sha256::Digest(buf);
+  size_ = buf.size() + kSignatureEnvelopeBytes;
 }
 
 }  // namespace bb::chain

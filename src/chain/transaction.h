@@ -3,6 +3,7 @@
 #ifndef BLOCKBENCH_CHAIN_TRANSACTION_H_
 #define BLOCKBENCH_CHAIN_TRANSACTION_H_
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,31 +31,28 @@ struct Transaction {
   /// transaction Merkle root). Excludes submit_time, so latency restamping
   /// never changes the hash.
   std::string Serialize() const;
+  /// Decodes and seals.
   static Result<Transaction> Deserialize(Slice data);
 
-  /// Content hash. Memoized, witnessed by `id`: ids are unique
-  /// system-wide and the only field rewritten on copies after creation
-  /// (the sharding coordinator re-tags ids), so an id mismatch is the
-  /// invalidation signal. perf::LegacyMode() bypasses the cache.
-  Hash256 HashOf() const;
-  /// Wire size: serialized payload plus a signature envelope. Memoized
-  /// with the same id witness as HashOf().
-  size_t SizeBytes() const;
+  /// Computes the hash and wire size from one serialization. Call once
+  /// every serialized field is final; copies carry the sealed values.
+  void Seal();
 
-  /// out[i] = txs[i].HashOf(), computed as one batch: cold caches are
-  /// serialized up front and digested via Sha256::DigestBatch (8-wide on
-  /// CPUs without SHA-NI), then stored back into each tx's cache. This is
-  /// the admission/seal-time path that amortizes per-tx digest cost.
-  static void HashAll(const std::vector<Transaction>& txs,
-                      std::vector<Hash256>* out);
+  /// Content hash computed by Seal().
+  Hash256 HashOf() const {
+    assert(size_ != 0 && "transaction not sealed");
+    return hash_;
+  }
+  /// Wire size computed by Seal(): serialized payload plus a signature
+  /// envelope.
+  size_t SizeBytes() const {
+    assert(size_ != 0 && "transaction not sealed");
+    return size_;
+  }
 
  private:
-  mutable Hash256 cached_hash_;
-  mutable uint64_t hash_witness_ = 0;
-  mutable bool hash_valid_ = false;
-  mutable size_t cached_size_ = 0;
-  mutable uint64_t size_witness_ = 0;
-  mutable bool size_valid_ = false;
+  Hash256 hash_;
+  size_t size_ = 0;
 };
 
 }  // namespace bb::chain

@@ -50,7 +50,9 @@ class ConsensusHost {
   /// a not-yet-executed proposal — PBFT pipelines batches) at height
   /// parent_height + 1, from the local tx pool. Returns nullopt when the
   /// pool is empty and !allow_empty. *build_cpu receives the CPU seconds
-  /// spent assembling/executing.
+  /// spent assembling/executing. The header arrives stamped with parent,
+  /// height, proposer, timestamp and tx root; the engine sets only its
+  /// nonce (and weight, if not 1), then calls chain::Seal.
   virtual std::optional<chain::Block> BuildBlock(const Hash256& parent,
                                                  uint64_t parent_height,
                                                  bool allow_empty,

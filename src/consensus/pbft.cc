@@ -127,12 +127,9 @@ bool Pbft::ProposeOne() {
   if (!block.has_value()) return false;
   host_->ChargeBackground(build_cpu);
 
-  block->header.proposer = host_->node_id();
-  block->header.timestamp = host_->HostNow();
   uint64_t seq = block->header.height;
   block->header.nonce = seq;
-  block->header.weight = 1;
-  auto ptr = std::make_shared<const chain::Block>(std::move(*block));
+  auto ptr = chain::Seal(std::move(*block));
   ++blocks_proposed_;
 
   Instance& inst = instances_[seq];

@@ -43,13 +43,11 @@ void ProofOfAuthority::OnStep(uint64_t step) {
                                  host_->chain_store().head_height(),
                                  config_.seal_empty_blocks, &build_cpu);
   if (block.has_value()) {
-    block->header.proposer = host_->node_id();
-    block->header.timestamp = host_->HostNow();
+    // Weight stays 1: fork choice degenerates to longest chain.
     block->header.nonce = step;
-    block->header.weight = 1;  // fork choice degenerates to longest chain
     ++blocks_sealed_;
-    // Wrap once; the store and every peer share the same instance.
-    auto ptr = std::make_shared<const chain::Block>(std::move(*block));
+    // Seal once; the store and every peer share the same instance.
+    auto ptr = chain::Seal(std::move(*block));
     double commit_cpu = 0;
     host_->CommitBlock(ptr, &commit_cpu);
     host_->ChargeBackground(build_cpu + commit_cpu);

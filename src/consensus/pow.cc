@@ -50,8 +50,6 @@ void ProofOfWork::OnMined(uint64_t epoch) {
                                  host_->chain_store().head_height(),
                                  config_.mine_empty_blocks, &build_cpu);
   if (block.has_value()) {
-    block->header.proposer = host_->node_id();
-    block->header.timestamp = host_->HostNow();
     block->header.nonce = rng_.Next();
     // Weight models accumulated difficulty; constant within a run since
     // difficulty is fixed by the genesis configuration.
@@ -66,8 +64,8 @@ void ProofOfWork::OnMined(uint64_t epoch) {
       rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pow.mine",
                  block->header.height);
     }
-    // Wrap once; the store and every peer share the same instance.
-    auto ptr = std::make_shared<const chain::Block>(std::move(*block));
+    // Seal once; the store and every peer share the same instance.
+    auto ptr = chain::Seal(std::move(*block));
     double commit_cpu = 0;
     host_->CommitBlock(ptr, &commit_cpu);
     host_->ChargeBackground(build_cpu + commit_cpu);

@@ -152,11 +152,8 @@ void Raft::MaybePropose() {
                                  &build_cpu);
   if (!block.has_value()) return;
   host_->ChargeBackground(build_cpu);
-  block->header.proposer = host_->node_id();
-  block->header.timestamp = host_->HostNow();
   block->header.nonce = term_;
-  block->header.weight = 1;
-  auto ptr = std::make_shared<const chain::Block>(std::move(*block));
+  auto ptr = chain::Seal(std::move(*block));
   pending_log_[tail + 1] = ptr;
   if (host_->host_sim()->tracer() != nullptr) {
     propose_time_[tail + 1] = host_->HostNow();

@@ -86,11 +86,8 @@ void Tendermint::MaybePropose() {
                                  /*allow_empty=*/false, &build_cpu);
   if (!block.has_value()) return;
   host_->ChargeBackground(build_cpu);
-  block->header.proposer = host_->node_id();
-  block->header.timestamp = host_->HostNow();
   block->header.nonce = (h << 16) | round_;
-  block->header.weight = 1;
-  auto ptr = std::make_shared<const chain::Block>(std::move(*block));
+  auto ptr = chain::Seal(std::move(*block));
   ++blocks_proposed_;
   last_proposal_time_ = host_->HostNow();
 

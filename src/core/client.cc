@@ -49,6 +49,7 @@ void DriverClient::GenerateOne() {
   chain::Transaction tx = workload_->NextTransaction(client_index_, rng_);
   tx.id = MakeTxId(client_index_, next_seq_++);
   tx.sender = "client" + std::to_string(client_index_);
+  tx.Seal();
   TrySubmit(std::move(tx));
 }
 

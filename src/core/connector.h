@@ -65,8 +65,9 @@ class BlockchainConnector {
   using BlocksCallback = std::function<void(const LatestBlocks&)>;
   using RejectCallback = std::function<void(uint64_t tx_id)>;
 
-  /// Fire-and-forget submission; rejections surface via the callback
-  /// registered with set_on_reject.
+  /// Fire-and-forget submission of a sealed transaction
+  /// (Transaction::Seal); rejections surface via the callback registered
+  /// with set_on_reject.
   virtual void SubmitTransaction(const chain::Transaction& tx) = 0;
   /// getLatestBlock(h): requests confirmed blocks with height > h.
   virtual void RequestLatestBlocks(uint64_t from_height,

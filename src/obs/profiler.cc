@@ -420,7 +420,7 @@ Status Profiler::WriteJson(const std::string& path) const {
   return writer.Close();
 }
 
-// --- Report rendering (shared by prof_report and bench_raw_speed) ------------
+// --- Report rendering (prof_report) ------------------------------------------
 
 std::string RenderProfileAttribution(const util::Json& profile) {
   std::string out;

@@ -446,8 +446,7 @@ class Profiler {
 };
 
 /// Renders the subsystem attribution table for one profile document
-/// (parsed blockbench-profile-v1). Shared by tools/prof_report and
-/// bench_raw_speed so the PR-facing tables are identical.
+/// (parsed blockbench-profile-v1), as tools/prof_report prints it.
 std::string RenderProfileAttribution(const util::Json& profile);
 
 /// Renders the profile diff table (before vs after): per-subsystem self

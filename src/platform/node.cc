@@ -74,7 +74,7 @@ Status PlatformNode::DirectCommit(const std::vector<chain::Transaction>& txs) {
   b.txs = txs;
   b.SealTxRoot();
   double cpu = 0;
-  if (!CommitBlock(std::make_shared<const chain::Block>(std::move(b)), &cpu)) {
+  if (!CommitBlock(chain::Seal(std::move(b)), &cpu)) {
     return Status::Internal("direct commit failed");
   }
   SyncMemGauges();
@@ -94,7 +94,10 @@ void PlatformNode::HostBroadcast(const std::string& type, std::any payload,
                                  uint64_t size_bytes) {
   // Consensus traffic flows only among this node's consensus group
   // (clients and other shards' servers live outside [peer_base_,
-  // peer_base_ + num_peers_)).
+  // peer_base_ + num_peers_)). Each Send boxes its own copy of `payload`
+  // in a fresh std::any: the live per-recipient copy on the broadcast
+  // path (block and tx payloads are shared pointers, so the copy is a
+  // refcount bump plus the box).
   for (sim::NodeId to = peer_base_; to < peer_base_ + num_peers_; ++to) {
     if (to == id()) continue;
     Send(to, type, payload, size_bytes);
@@ -364,14 +367,16 @@ std::optional<chain::Block> PlatformNode::BuildBlock(const Hash256& parent,
   chain::Block b;
   b.header.parent = parent;
   b.header.height = parent_height + 1;
+  b.header.proposer = uint32_t(id());
+  b.header.timestamp = Now();
   b.txs = std::move(batch);
   b.SealTxRoot();
   ++blocks_produced_;
   if (auto* rec = sim()->recorder()) {
     // 48-bit prefix: record aux values must survive the JSON double
-    // round-trip losslessly. The header hash is not final here (the
-    // engine still fills proposer/nonce), so the tx root identifies the
-    // sealed content.
+    // round-trip losslessly. The header hash does not exist yet (the
+    // engine still sets the nonce, then seals), so the tx root
+    // identifies the block's content.
     rec->Seal(uint32_t(id()), Now(), b.header.height,
               b.header.tx_root.Prefix64() >> 16);
   }

@@ -71,6 +71,7 @@ chain::Transaction ShardCoordinator::MakeRecord(const Entry& e,
   rec.function = phase;
   rec.args = {vm::Value(ParticipantsCsv(e.shards))};
   rec.submit_time = Now();
+  rec.Seal();
   return rec;
 }
 

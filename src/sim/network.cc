@@ -127,24 +127,6 @@ bool Network::Send(Message msg) {
   return true;
 }
 
-void Network::Broadcast(NodeId from, const std::string& type, std::any payload,
-                        uint64_t size_bytes) {
-  BB_PROF_SCOPE("serialize.broadcast");
-  for (NodeId to = 0; to < nodes_.size(); ++to) {
-    if (to == from) continue;
-    Message m;
-    m.from = from;
-    m.to = to;
-    m.type = type;
-    // Per-recipient std::any re-box — the copy source ROADMAP's next
-    // raw-speed round wants gone; count it so the profile names it.
-    BB_PROF_ALLOC(payload.has_value() ? 1 : 0, size_bytes);
-    m.payload = payload;
-    m.size_bytes = size_bytes;
-    Send(std::move(m));
-  }
-}
-
 void Network::Crash(NodeId id) {
   assert(id < nodes_.size());
   crashed_[id] = true;

@@ -74,9 +74,6 @@ class Network {
   /// fault state. Returns false if the message was dropped at send time
   /// (partition, crash, random drop, inbox overflow).
   bool Send(Message msg);
-  /// Sends to every other live node (gossip-style broadcast).
-  void Broadcast(NodeId from, const std::string& type, std::any payload,
-                 uint64_t size_bytes);
 
   // --- Fault & attack injection -------------------------------------------
   /// Crash-stops a node. It stops receiving and its pending work is void.

@@ -76,9 +76,4 @@ bool Node::Send(NodeId to, const std::string& type, std::any payload,
   return network_->Send(std::move(m));
 }
 
-void Node::Broadcast(const std::string& type, std::any payload,
-                     uint64_t size_bytes) {
-  network_->Broadcast(id_, type, std::move(payload), size_bytes);
-}
-
 }  // namespace bb::sim

@@ -58,11 +58,9 @@ class Node {
   void ChargeBackgroundCpu(double cost) { meter_.AddCpu(Now(), cost); }
 
  protected:
-  /// Convenience wrappers.
+  /// Convenience wrapper.
   bool Send(NodeId to, const std::string& type, std::any payload,
             uint64_t size_bytes);
-  void Broadcast(const std::string& type, std::any payload,
-                 uint64_t size_bytes);
 
  private:
   void ProcessNext();

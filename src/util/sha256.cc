@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "util/hex.h"
-#include "util/perf.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define BB_SHA256_X86 1
@@ -287,75 +286,6 @@ __attribute__((target("avx2"))) void Avx2Extract(const __m256i st[8],
   }
 }
 
-// Digests 8 messages of arbitrary length in lockstep. Each lane owns a
-// ≤128-byte tail buffer holding its final partial block plus padding;
-// shorter lanes that finish early re-run a dummy block and blend their
-// previous state back in.
-__attribute__((target("avx2"))) void Avx2Digest8(const Slice in[8],
-                                                Hash256* out8[8]) {
-  uint8_t tail[8][128];
-  size_t data_blocks[8];
-  size_t total_blocks[8];
-  size_t max_blocks = 0;
-
-  for (int l = 0; l < 8; ++l) {
-    const size_t len = in[l].size();
-    const size_t rem = len % 64;
-    data_blocks[l] = len / 64;
-    const size_t tail_blocks = rem >= 56 ? 2 : 1;
-    total_blocks[l] = data_blocks[l] + tail_blocks;
-    max_blocks = total_blocks[l] > max_blocks ? total_blocks[l] : max_blocks;
-
-    std::memset(tail[l], 0, sizeof(tail[l]));
-    if (rem > 0) {
-      std::memcpy(tail[l],
-                  reinterpret_cast<const uint8_t*>(in[l].data()) +
-                      data_blocks[l] * 64,
-                  rem);
-    }
-    tail[l][rem] = 0x80;
-    const uint64_t bits = uint64_t(len) * 8;
-    uint8_t* len_be = tail[l] + tail_blocks * 64 - 8;
-    for (int i = 0; i < 8; ++i) len_be[i] = uint8_t(bits >> (56 - i * 8));
-  }
-
-  __m256i st[8];
-  for (int i = 0; i < 8; ++i) st[i] = _mm256_set1_epi32(int(kIv[i]));
-
-  for (size_t blk = 0; blk < max_blocks; ++blk) {
-    const uint8_t* ptr[8];
-    bool all_active = true;
-    alignas(32) int32_t mask[8];
-    for (int l = 0; l < 8; ++l) {
-      if (blk < data_blocks[l]) {
-        ptr[l] = reinterpret_cast<const uint8_t*>(in[l].data()) + blk * 64;
-        mask[l] = -1;
-      } else if (blk < total_blocks[l]) {
-        ptr[l] = tail[l] + (blk - data_blocks[l]) * 64;
-        mask[l] = -1;
-      } else {
-        ptr[l] = tail[l];  // dummy — result blended away below
-        mask[l] = 0;
-        all_active = false;
-      }
-    }
-
-    if (all_active) {
-      Avx2Block8(st, ptr);
-    } else {
-      __m256i saved[8];
-      for (int i = 0; i < 8; ++i) saved[i] = st[i];
-      Avx2Block8(st, ptr);
-      const __m256i m =
-          _mm256_load_si256(reinterpret_cast<const __m256i*>(mask));
-      for (int i = 0; i < 8; ++i)
-        st[i] = _mm256_blendv_epi8(saved[i], st[i], m);
-    }
-  }
-
-  Avx2Extract(st, out8);
-}
-
 // Merkle combining: every message is exactly 64 data bytes (two child
 // digests) plus one constant padding block — no masks, no tail buffers.
 __attribute__((target("avx2"))) void Avx2DigestPairs8(const Hash256* nodes,
@@ -412,7 +342,6 @@ std::atomic<int> g_backend{int(Sha256::Backend::kAuto)};
 
 // The implementation for single-message digests under the current backend.
 Isa SingleIsa() {
-  if (perf::LegacyMode()) return Isa::kScalar;
   switch (Sha256::Backend(g_backend.load(std::memory_order_relaxed))) {
     case Sha256::Backend::kShaNi:
       return Isa::kShaNi;
@@ -425,11 +354,10 @@ Isa SingleIsa() {
   }
 }
 
-// The implementation for DigestBatch/DigestPairs under the current backend.
+// The implementation for DigestPairs under the current backend.
 // SHA-NI single-stream throughput beats the 8-wide AVX2 schedule, so kAuto
 // prefers it even for batches.
 Isa BatchIsa() {
-  if (perf::LegacyMode()) return Isa::kScalar;
   switch (Sha256::Backend(g_backend.load(std::memory_order_relaxed))) {
     case Sha256::Backend::kShaNi:
       return Isa::kShaNi;
@@ -560,22 +488,6 @@ Hash256 Sha256::Digest2(Slice a, Slice b) {
   h.Update(a);
   h.Update(b);
   return h.Finish();
-}
-
-void Sha256::DigestBatch(const Slice* in, size_t n, Hash256* out) {
-#if BB_SHA256_X86
-  if (BatchIsa() == Isa::kAvx2) {
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      Hash256* out8[8];
-      for (int l = 0; l < 8; ++l) out8[l] = &out[i + l];
-      Avx2Digest8(in + i, out8);
-    }
-    for (; i < n; ++i) out[i] = Digest(in[i]);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) out[i] = Digest(in[i]);
 }
 
 void Sha256::DigestPairs(const Hash256* nodes, size_t n_pairs, Hash256* out) {

@@ -5,8 +5,8 @@
 // deterministic cryptographic hash, which this provides.
 //
 // The compression function is runtime-dispatched: on x86-64 CPUs with the
-// SHA extensions the rounds run on _mm_sha256rnds2_epu32, and the batch
-// entry points (DigestBatch / DigestPairs) additionally know an 8-wide
+// SHA extensions the rounds run on _mm_sha256rnds2_epu32, and the Merkle
+// pair-combining entry point (DigestPairs) additionally knows an 8-wide
 // block-interleaved AVX2 schedule for CPUs without SHA-NI. Every backend
 // produces byte-identical digests (tests/util_test.cc cross-checks them);
 // only wall-clock speed differs, so golden simulation digests are
@@ -52,10 +52,10 @@ class Sha256 {
  public:
   /// Which compression-function implementation to use.
   enum class Backend {
-    kAuto,    ///< Best available: SHA-NI > AVX2 (batches only) > scalar.
+    kAuto,    ///< Best available: SHA-NI > AVX2 (Merkle pairs only) > scalar.
     kScalar,  ///< Portable FIPS 180-4 rounds everywhere.
     kShaNi,   ///< x86 SHA extensions for every digest.
-    kAvx2,    ///< Scalar single digests, 8-wide AVX2 batch digests.
+    kAvx2,    ///< Scalar single digests, 8-wide AVX2 Merkle pairs.
   };
 
   Sha256() { Reset(); }
@@ -71,19 +71,15 @@ class Sha256 {
   /// Hash of the concatenation of two slices (Merkle node combining).
   static Hash256 Digest2(Slice a, Slice b);
 
-  /// out[i] = Digest(in[i]) for i < n. On AVX2-only CPUs the messages are
-  /// scheduled block-interleaved across 8 SIMD lanes; with SHA-NI each
-  /// message runs on the hardware rounds. Any n (including 0) is valid.
-  static void DigestBatch(const Slice* in, size_t n, Hash256* out);
   /// out[i] = Digest(nodes[2i] || nodes[2i+1]) for i < n_pairs — Merkle
-  /// level combining. Fixed two-block messages, so the batch schedule
-  /// needs no per-lane masking.
+  /// level combining. On AVX2-only CPUs the pairs are scheduled across 8
+  /// SIMD lanes; fixed two-block messages need no per-lane masking.
   static void DigestPairs(const Hash256* nodes, size_t n_pairs, Hash256* out);
 
   /// Forces an implementation (testing/benchmarks). Returns false — and
   /// leaves the backend unchanged — when the CPU lacks the requested
-  /// extension. Thread-safe but process-wide; perf::LegacyMode() forces
-  /// scalar regardless of this setting.
+  /// extension. Thread-safe but process-wide. kScalar is the reference
+  /// the cross-backend tests compare against.
   static bool SetBackend(Backend b);
   static Backend backend();
   /// True when this CPU supports `b` (kAuto/kScalar are always true).

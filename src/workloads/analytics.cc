@@ -54,6 +54,7 @@ Status SetupAnalyticsChain(platform::Platform* platform,
         tx.contract = AccountName(to);
         tx.value = value;
       }
+      tx.Seal();
       txs.push_back(std::move(tx));
     }
     BB_RETURN_IF_ERROR(platform->PreloadBlock(txs));

@@ -20,18 +20,17 @@ namespace bb::chain {
 namespace {
 
 // Builds a random block tree of `n` blocks over a genesis, with forks.
-std::vector<Block> RandomBlockTree(Rng& rng, size_t n) {
-  Block genesis;
-  std::vector<Block> all{genesis};
+std::vector<BlockPtr> RandomBlockTree(Rng& rng, size_t n) {
+  std::vector<BlockPtr> all{Seal(Block())};
   for (size_t i = 0; i < n; ++i) {
-    const Block& parent = all[rng.Uniform(all.size())];
+    const Block& parent = *all[rng.Uniform(all.size())];
     Block b;
     b.header.parent = parent.HashOf();
     b.header.height = parent.header.height + 1;
     b.header.nonce = rng.Next();
     b.header.weight = 1 + rng.Uniform(3);
     b.SealTxRoot();
-    all.push_back(std::move(b));
+    all.push_back(Seal(std::move(b)));
   }
   all.erase(all.begin());  // genesis is supplied by the store
   return all;
@@ -41,7 +40,7 @@ class ForkChoiceConvergenceTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(ForkChoiceConvergenceTest, DeliveryOrderIrrelevant) {
   Rng rng(GetParam());
-  std::vector<Block> blocks = RandomBlockTree(rng, 60);
+  std::vector<BlockPtr> blocks = RandomBlockTree(rng, 60);
 
   // Reference: insert in creation (parent-first) order.
   ChainStore ref((Block()));
@@ -49,7 +48,7 @@ TEST_P(ForkChoiceConvergenceTest, DeliveryOrderIrrelevant) {
   ASSERT_EQ(ref.pending_orphans(), 0u);
 
   for (int shuffle = 0; shuffle < 5; ++shuffle) {
-    std::vector<Block> shuffled = blocks;
+    std::vector<BlockPtr> shuffled = blocks;
     for (size_t i = shuffled.size(); i > 1; --i) {
       std::swap(shuffled[i - 1], shuffled[rng.Uniform(i)]);
     }
@@ -142,6 +141,7 @@ TEST_P(PoolChurnTest, NoTransactionLostOrDuplicated) {
       case 0: {  // new transaction
         Transaction tx;
         tx.id = next_id++;
+        tx.Seal();
         if (pool.Add(tx)) ++added;
         break;
       }

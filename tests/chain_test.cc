@@ -4,12 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "chain/block.h"
 #include "chain/chain_store.h"
 #include "chain/state_db.h"
 #include "chain/txpool.h"
 #include "storage/memkv.h"
-#include "util/perf.h"
 #include "util/random.h"
 
 namespace bb::chain {
@@ -23,6 +24,7 @@ Transaction MakeTx(uint64_t id, const std::string& fn = "f") {
   tx.function = fn;
   tx.args = {vm::Value(int64_t(id)), vm::Value("payload")};
   tx.value = int64_t(id * 10);
+  tx.Seal();
   return tx;
 }
 
@@ -56,6 +58,10 @@ TEST(TransactionTest, DeserializeRejectsTruncation) {
 
 // --- Block -----------------------------------------------------------------------
 
+static_assert(!std::is_copy_constructible_v<Block>,
+              "a sealed block is shared through BlockPtr, never copied");
+static_assert(std::is_nothrow_move_constructible_v<Block>);
+
 TEST(BlockTest, TxRootCommitsToTransactions) {
   Block b1, b2;
   b1.txs = {MakeTx(1), MakeTx(2)};
@@ -63,86 +69,66 @@ TEST(BlockTest, TxRootCommitsToTransactions) {
   b1.SealTxRoot();
   b2.SealTxRoot();
   EXPECT_NE(b1.header.tx_root, b2.header.tx_root);
-  EXPECT_NE(b1.HashOf(), b2.HashOf());
+  EXPECT_NE(Seal(std::move(b1))->HashOf(), Seal(std::move(b2))->HashOf());
 }
 
 TEST(BlockTest, SizeGrowsWithTxs) {
+  size_t empty = Seal(Block())->SizeBytes();
   Block b;
-  size_t empty = b.SizeBytes();
   b.txs.push_back(MakeTx(1));
-  EXPECT_GT(b.SizeBytes(), empty);
+  EXPECT_GT(Seal(std::move(b))->SizeBytes(), empty);
 }
 
-// --- Hash memoization ------------------------------------------------------------
+// --- Seal contract ---------------------------------------------------------------
 
-// Every digest below is cross-checked against legacy mode, which bypasses
-// the caches and recomputes from scratch — pinning the memoized results to
-// the golden serialize-then-hash values.
-Hash256 LegacyBlockHash(const Block& b) {
-  perf::ScopedLegacyMode legacy;
-  return b.HashOf();
-}
+// Seal computes each hash and size once; these pin the sealed values to
+// the serialize-then-hash definitions every golden digest depends on.
 
-TEST(BlockTest, HashCacheInvalidatesOnHeaderMutation) {
+TEST(BlockTest, SealedHashIsHeaderHash) {
   Block b;
   b.txs = {MakeTx(1), MakeTx(2)};
   b.SealTxRoot();
   b.header.height = 3;
-  Hash256 h1 = b.HashOf();
-  EXPECT_EQ(h1, b.HashOf());  // cached readback
-  EXPECT_EQ(h1, LegacyBlockHash(b));
-  b.header.height = 4;  // any header field mutation must invalidate
-  Hash256 h2 = b.HashOf();
-  EXPECT_NE(h2, h1);
-  EXPECT_EQ(h2, LegacyBlockHash(b));
+  b.header.proposer = 2;
+  b.header.timestamp = 1.25;
   b.header.nonce = 77;
-  EXPECT_EQ(b.HashOf(), LegacyBlockHash(b));
+  BlockPtr sealed = Seal(std::move(b));
+  EXPECT_EQ(sealed->HashOf(), sealed->header.HashOf());
 }
 
-TEST(BlockTest, HashCacheInvalidatesOnReseal) {
+TEST(BlockTest, SealedSizeIsHeaderPlusTxSizes) {
   Block b;
-  b.txs = {MakeTx(1)};
-  b.SealTxRoot();
-  Hash256 h1 = b.HashOf();
-  b.txs.push_back(MakeTx(2));
-  b.SealTxRoot();  // new tx_root -> header changed -> cache invalid
-  Hash256 h2 = b.HashOf();
-  EXPECT_NE(h2, h1);
-  EXPECT_EQ(h2, LegacyBlockHash(b));
-  EXPECT_EQ(b.SizeBytes(), [&] {
-    perf::ScopedLegacyMode legacy;
-    return b.SizeBytes();
-  }());
+  b.txs = {MakeTx(1), MakeTx(2, "aLongerFunctionName")};
+  BlockPtr sealed = Seal(std::move(b));
+  size_t want = 200;
+  for (const auto& tx : sealed->txs) want += tx.SizeBytes();
+  EXPECT_EQ(sealed->SizeBytes(), want);
 }
 
-TEST(TransactionTest, HashCacheFollowsIdRewrite) {
+TEST(TransactionTest, SealedHashAndSizeFollowSerialization) {
+  Transaction tx = MakeTx(9, "doStuff");
+  EXPECT_EQ(tx.HashOf(), Sha256::Digest(tx.Serialize()));
+  EXPECT_EQ(tx.SizeBytes(), tx.Serialize().size() + 97);
+}
+
+TEST(TransactionTest, DeserializeSeals) {
+  Transaction tx = MakeTx(5);
+  auto back = Transaction::Deserialize(tx.Serialize());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->HashOf(), tx.HashOf());
+  EXPECT_EQ(back->SizeBytes(), tx.SizeBytes());
+}
+
+TEST(TransactionTest, ResealFollowsIdRewrite) {
   Transaction tx = MakeTx(9);
-  Hash256 h1 = tx.HashOf();
-  // Copies carry the cache; rewriting the id (as the sharding router does)
-  // must invalidate it.
+  // Copies carry the sealed values; a rewritten id (as the sharding
+  // coordinator's records have) is sealed again.
   Transaction copy = tx;
+  EXPECT_EQ(copy.HashOf(), tx.HashOf());
   copy.id = 10;
-  Hash256 h2 = copy.HashOf();
-  EXPECT_NE(h2, h1);
-  {
-    perf::ScopedLegacyMode legacy;
-    EXPECT_EQ(h2, copy.HashOf());
-    EXPECT_EQ(h1, tx.HashOf());
-  }
-  EXPECT_NE(tx.SizeBytes(), 0u);
-}
-
-TEST(TransactionTest, HashAllMatchesPerTxHashes) {
-  std::vector<Transaction> txs;
-  for (uint64_t id = 1; id <= 19; ++id) txs.push_back(MakeTx(id));
-  txs[3].HashOf();  // warm one cache so HashAll mixes warm and cold
-  std::vector<Hash256> batched;
-  Transaction::HashAll(txs, &batched);
-  ASSERT_EQ(batched.size(), txs.size());
-  perf::ScopedLegacyMode legacy;
-  for (size_t i = 0; i < txs.size(); ++i) {
-    EXPECT_EQ(batched[i], txs[i].HashOf()) << i;
-  }
+  copy.Seal();
+  EXPECT_NE(copy.HashOf(), tx.HashOf());
+  EXPECT_EQ(copy.HashOf(), Sha256::Digest(copy.Serialize()));
 }
 
 // --- TxPool ----------------------------------------------------------------------
@@ -256,15 +242,15 @@ TEST(TxPoolTest, LifoTakesNewestFirstThroughDeadEntries) {
 
 // --- ChainStore -------------------------------------------------------------------
 
-Block MakeBlock(const Hash256& parent, uint64_t height, uint64_t nonce,
-                uint64_t weight = 1) {
+BlockPtr MakeBlock(const Hash256& parent, uint64_t height, uint64_t nonce,
+                   uint64_t weight = 1) {
   Block b;
   b.header.parent = parent;
   b.header.height = height;
   b.header.nonce = nonce;
   b.header.weight = weight;
   b.SealTxRoot();
-  return b;
+  return Seal(std::move(b));
 }
 
 TEST(ChainStoreTest, GenesisIsHead) {
@@ -290,7 +276,7 @@ TEST(ChainStoreTest, LinearExtension) {
 
 TEST(ChainStoreTest, DuplicateIgnored) {
   ChainStore cs((Block()));
-  Block b = MakeBlock(cs.head(), 1, 1);
+  BlockPtr b = MakeBlock(cs.head(), 1, 1);
   cs.AddBlock(b);
   auto r = cs.AddBlock(b);
   EXPECT_TRUE(r.duplicate);
@@ -300,13 +286,13 @@ TEST(ChainStoreTest, DuplicateIgnored) {
 TEST(ChainStoreTest, HeavierForkWins) {
   ChainStore cs((Block()));
   Hash256 genesis = cs.head();
-  Block light = MakeBlock(genesis, 1, 1, 10);
-  Block heavy = MakeBlock(genesis, 1, 2, 20);
+  BlockPtr light = MakeBlock(genesis, 1, 1, 10);
+  BlockPtr heavy = MakeBlock(genesis, 1, 2, 20);
   cs.AddBlock(light);
-  EXPECT_EQ(cs.head(), light.HashOf());
+  EXPECT_EQ(cs.head(), light->HashOf());
   auto r = cs.AddBlock(heavy);
   EXPECT_TRUE(r.head_changed);
-  EXPECT_EQ(cs.head(), heavy.HashOf());
+  EXPECT_EQ(cs.head(), heavy->HashOf());
   EXPECT_EQ(cs.orphaned_blocks(), 1u);
   EXPECT_EQ(cs.reorgs(), 1u);
 }
@@ -314,25 +300,25 @@ TEST(ChainStoreTest, HeavierForkWins) {
 TEST(ChainStoreTest, LongerChainWinsAtEqualWeight) {
   ChainStore cs((Block()));
   Hash256 genesis = cs.head();
-  Block a1 = MakeBlock(genesis, 1, 1);
-  Block b1 = MakeBlock(genesis, 1, 2);
-  Block b2 = MakeBlock(b1.HashOf(), 2, 3);
+  BlockPtr a1 = MakeBlock(genesis, 1, 1);
+  BlockPtr b1 = MakeBlock(genesis, 1, 2);
+  BlockPtr b2 = MakeBlock(b1->HashOf(), 2, 3);
   cs.AddBlock(a1);
   cs.AddBlock(b1);
-  EXPECT_EQ(cs.head(), a1.HashOf());  // first seen wins ties
+  EXPECT_EQ(cs.head(), a1->HashOf());  // first seen wins ties
   cs.AddBlock(b2);
-  EXPECT_EQ(cs.head(), b2.HashOf());
+  EXPECT_EQ(cs.head(), b2->HashOf());
   EXPECT_EQ(cs.head_height(), 2u);
-  EXPECT_TRUE(cs.IsCanonical(b1.HashOf()));
-  EXPECT_FALSE(cs.IsCanonical(a1.HashOf()));
+  EXPECT_TRUE(cs.IsCanonical(b1->HashOf()));
+  EXPECT_FALSE(cs.IsCanonical(a1->HashOf()));
 }
 
 TEST(ChainStoreTest, OrphanBufferAttachesOutOfOrder) {
   ChainStore cs((Block()));
   Hash256 genesis = cs.head();
-  Block b1 = MakeBlock(genesis, 1, 1);
-  Block b2 = MakeBlock(b1.HashOf(), 2, 2);
-  Block b3 = MakeBlock(b2.HashOf(), 3, 3);
+  BlockPtr b1 = MakeBlock(genesis, 1, 1);
+  BlockPtr b2 = MakeBlock(b1->HashOf(), 2, 2);
+  BlockPtr b3 = MakeBlock(b2->HashOf(), 3, 3);
   auto r3 = cs.AddBlock(b3);
   EXPECT_FALSE(r3.attached);
   EXPECT_EQ(cs.pending_orphans(), 1u);
@@ -342,7 +328,7 @@ TEST(ChainStoreTest, OrphanBufferAttachesOutOfOrder) {
   EXPECT_TRUE(r1.attached);
   EXPECT_TRUE(r1.head_changed);
   EXPECT_EQ(cs.head_height(), 3u);
-  EXPECT_EQ(cs.head(), b3.HashOf());
+  EXPECT_EQ(cs.head(), b3->HashOf());
   EXPECT_EQ(cs.pending_orphans(), 0u);
 }
 
@@ -351,8 +337,8 @@ TEST(ChainStoreTest, CanonicalRangeReturnsOrderedBlocks) {
   Hash256 h = cs.head();
   std::vector<Hash256> hashes;
   for (int i = 1; i <= 10; ++i) {
-    Block b = MakeBlock(h, uint64_t(i), uint64_t(i));
-    hashes.push_back(b.HashOf());
+    BlockPtr b = MakeBlock(h, uint64_t(i), uint64_t(i));
+    hashes.push_back(b->HashOf());
     cs.AddBlock(b);
     h = cs.head();
   }
@@ -373,18 +359,18 @@ TEST(ChainStoreTest, DeepReorg) {
   // Build chain A of length 3.
   Hash256 h = genesis;
   for (int i = 0; i < 3; ++i) {
-    Block b = MakeBlock(h, uint64_t(i + 1), uint64_t(100 + i));
+    BlockPtr b = MakeBlock(h, uint64_t(i + 1), uint64_t(100 + i));
     cs.AddBlock(b);
-    h = b.HashOf();
+    h = b->HashOf();
   }
   EXPECT_EQ(cs.head_height(), 3u);
   // Build hidden chain B of length 5 from genesis (the partition /
   // selfish-mining scenario).
   Hash256 hb = genesis;
   for (int i = 0; i < 5; ++i) {
-    Block b = MakeBlock(hb, uint64_t(i + 1), uint64_t(200 + i));
+    BlockPtr b = MakeBlock(hb, uint64_t(i + 1), uint64_t(200 + i));
     cs.AddBlock(b);
-    hb = b.HashOf();
+    hb = b->HashOf();
   }
   EXPECT_EQ(cs.head_height(), 5u);
   EXPECT_EQ(cs.head(), hb);

@@ -49,10 +49,13 @@ class MockHost : public ConsensusHost {
     chain::Block b;
     b.header.parent = parent;
     b.header.height = parent_height + 1;
+    b.header.proposer = id_;
+    b.header.timestamp = sim_->Now();
     size_t take = std::min<uint64_t>(pending_supply, 100);
     for (size_t i = 0; i < take; ++i) {
       chain::Transaction tx;
       tx.id = next_tx_id++;
+      tx.Seal();
       b.txs.push_back(std::move(tx));
     }
     pending_supply -= take;
@@ -156,7 +159,7 @@ TEST(PowTest, RestartsRaceOnReceivedHead) {
   msg.from = 1;
   msg.to = 0;
   msg.type = "pow_block";
-  msg.payload = std::make_shared<const chain::Block>(b);
+  msg.payload = chain::Seal(std::move(b));
   double cpu = 0;
   EXPECT_TRUE(pow.HandleMessage(msg, &cpu));
   EXPECT_EQ(host.chain_store().head_height(), 1u);
@@ -173,7 +176,7 @@ TEST(PowTest, CorruptedBlockRejected) {
   msg.to = 0;
   msg.type = "pow_block";
   msg.corrupted = true;
-  msg.payload = std::make_shared<const chain::Block>(chain::Block{});
+  msg.payload = chain::Seal(chain::Block{});
   double cpu = 0;
   EXPECT_TRUE(pow.HandleMessage(msg, &cpu));
   EXPECT_EQ(host.chain_store().head_height(), 0u);
@@ -212,12 +215,12 @@ TEST(PoaTest, CrashStopsSealing) {
 
 // --- PBFT ----------------------------------------------------------------------
 
-chain::Block MakeChild(const chain::ChainStore& cs, uint64_t height) {
+chain::BlockPtr MakeChild(const chain::ChainStore& cs, uint64_t height) {
   chain::Block b;
   b.header.parent = cs.head();
   b.header.height = height;
   b.SealTxRoot();
-  return b;
+  return chain::Seal(std::move(b));
 }
 
 TEST(PbftTest, QuorumMatchesFabricCertificates) {
@@ -273,8 +276,7 @@ TEST(PbftTest, ReplicaPreparesThenCommitsThenExecutes) {
   Pbft pbft((PbftConfig()));
   pbft.Start(&host);
 
-  chain::Block b = MakeChild(host.chain_store(), 1);
-  auto ptr = std::make_shared<const chain::Block>(b);
+  chain::BlockPtr ptr = MakeChild(host.chain_store(), 1);
   Hash256 digest = ptr->HashOf();
 
   double cpu = 0;
@@ -321,13 +323,12 @@ TEST(PbftTest, RejectsPrePrepareFromNonLeader) {
   MockHost host(&sim, 1, 4);
   Pbft pbft((PbftConfig()));
   pbft.Start(&host);
-  chain::Block b = MakeChild(host.chain_store(), 1);
+  chain::BlockPtr b = MakeChild(host.chain_store(), 1);
   sim::Message pp;
   pp.from = 2;  // not the view-0 leader
   pp.to = 1;
   pp.type = "pbft_preprepare";
-  pp.payload =
-      Pbft::PrePrepareMsg{0, 1, std::make_shared<const chain::Block>(b)};
+  pp.payload = Pbft::PrePrepareMsg{0, 1, b};
   double cpu = 0;
   pbft.HandleMessage(pp, &cpu);
   for (const auto& bc : host.broadcasts) {
@@ -482,7 +483,7 @@ TEST(TendermintTest, FullPhaseFlowCommits) {
   b.header.height = 1;
   b.header.proposer = proposer;
   b.SealTxRoot();
-  auto ptr = std::make_shared<const chain::Block>(b);
+  auto ptr = chain::Seal(std::move(b));
   Hash256 digest = ptr->HashOf();
 
   double cpu = 0;
@@ -541,8 +542,7 @@ TEST(TendermintTest, RejectsProposalFromWrongProposer) {
   prop.from = wrong;
   prop.to = 1;
   prop.type = "tm_proposal";
-  prop.payload = Tendermint::ProposalMsg{
-      1, 0, std::make_shared<const chain::Block>(b)};
+  prop.payload = Tendermint::ProposalMsg{1, 0, chain::Seal(std::move(b))};
   double cpu = 0;
   tm.HandleMessage(prop, &cpu);
   for (const auto& bc : host.broadcasts) {
@@ -760,7 +760,7 @@ TEST(RaftTest, VoteDeniedToStaleLog) {
     b.header.height = h;
     b.SealTxRoot();
     double c = 0;
-    host.CommitBlock(std::make_shared<const chain::Block>(std::move(b)), &c);
+    host.CommitBlock(chain::Seal(std::move(b)), &c);
   }
   double cpu = 0;
   sim::Message rv;
@@ -843,7 +843,7 @@ TEST(RaftTest, AppendRejectsInconsistentPrev) {
   ae.type = "raft_append";
   ae.payload = Raft::AppendEntriesMsg{
       1, 0, Sha256::Digest("wrong-prev"),
-      std::make_shared<const chain::Block>(b), 0};
+      chain::Seal(std::move(b)), 0};
   raft.HandleMessage(ae, &cpu);
   ASSERT_FALSE(host.sends.empty());
   EXPECT_EQ(host.sends.back().type, "raft_appendreply");

@@ -207,15 +207,6 @@ TEST(NetworkTest, BandwidthDelaysLargeMessages) {
   EXPECT_NEAR(t.b.receive_times_[0], 1.001, 1e-9);
 }
 
-TEST(NetworkTest, BroadcastReachesAllButSender) {
-  TestNet t;
-  t.net.Broadcast(0, "test", std::any{}, 10);
-  t.sim.RunToCompletion();
-  EXPECT_EQ(t.a.received_, 0);
-  EXPECT_EQ(t.b.received_, 1);
-  EXPECT_EQ(t.c.received_, 1);
-}
-
 TEST(NetworkTest, CrashedNodeGetsNothing) {
   TestNet t;
   t.net.Crash(1);

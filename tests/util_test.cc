@@ -13,7 +13,6 @@
 #include "util/flat_id_table.h"
 #include "util/hex.h"
 #include "util/histogram.h"
-#include "util/perf.h"
 #include "util/random.h"
 #include "util/sha256.h"
 #include "util/slice.h"
@@ -451,32 +450,6 @@ TEST(Sha256BackendTest, AllBackendsMatchScalarSingles) {
   Sha256::SetBackend(Sha256::Backend::kAuto);
 }
 
-TEST(Sha256BatchTest, DigestBatchMatchesIndependentDigests) {
-  Rng rng(2026);
-  for (auto backend : AvailableBackends()) {
-    ScopedBackend guard(backend);
-    // Batch sizes around the 8-lane kernel width, with random lengths
-    // including empty and multi-block messages.
-    for (size_t n : {size_t(1), size_t(5), size_t(8), size_t(9), size_t(23)}) {
-      std::vector<std::string> msgs(n);
-      std::vector<Slice> slices(n);
-      for (size_t i = 0; i < n; ++i) {
-        size_t len = rng.Uniform(200);
-        msgs[i].resize(len);
-        for (auto& c : msgs[i]) c = char(rng.Uniform(256));
-        slices[i] = Slice(msgs[i]);
-      }
-      if (n >= 8) msgs[2].clear(), slices[2] = Slice(msgs[2]);
-      std::vector<Hash256> got(n);
-      Sha256::DigestBatch(slices.data(), n, got.data());
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(got[i], Sha256::Digest(msgs[i]))
-            << "backend=" << int(backend) << " n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(Sha256BatchTest, DigestPairsMatchesConcatenatedDigest) {
   Rng rng(7);
   for (auto backend : AvailableBackends()) {
@@ -499,12 +472,6 @@ TEST(Sha256BatchTest, DigestPairsMatchesConcatenatedDigest) {
       }
     }
   }
-}
-
-TEST(Sha256BackendTest, LegacyModeForcesScalarWithIdenticalDigests) {
-  Hash256 fast = Sha256::Digest("legacy-mode probe");
-  perf::ScopedLegacyMode legacy;
-  EXPECT_EQ(Sha256::Digest("legacy-mode probe"), fast);
 }
 
 // --- FlatIdSet / FlatIdMap / SeenIdWindow ------------------------------------

@@ -15,16 +15,6 @@
 // when NUM/DEN exceeds MAX. Comparing two benchmarks of one run instead
 // of a committed snapshot keeps the gate meaningful across machines —
 // see docs/BENCHMARKING.md.
-//
-// --gate-events-ratio=BENCH:K=V1/K=V2:MIN (repeatable) compares
-// sim.events_per_sec between two rows of the sweep named BENCH, selected
-// by label (e.g. raw_speed:variant=optimized/variant=legacy:1.8), and
-// fails when the ratio falls BELOW MIN — a same-run speedup floor.
-//
-// --gate-events-vs-baseline=FILE:K=V:MIN (repeatable) reads a committed
-// sweep snapshot, locates the row matching the label selector in both
-// the snapshot and the current inputs, and fails when
-// current/baseline sim.events_per_sec falls below MIN.
 
 #include <cstdio>
 #include <cstdlib>
@@ -66,15 +56,7 @@ bb::Status ValidateSweep(const Json& doc, const std::string& path) {
 
 // Spec grammar and selector matching live in report_common.h, shared
 // with prof_report and mem_report.
-using bb::tools::BaselineGateSpec;
 using bb::tools::RatioGateSpec;
-using bb::tools::SelectorRatioGateSpec;
-
-/// sim.events_per_sec of the first row in `rows` matching the selector;
-/// negative when absent.
-double EventsPerSecOf(const Json& rows, const std::string& sel) {
-  return bb::tools::SweepRowMetric(rows, sel, "sim", "events_per_sec");
-}
 
 bb::Status ValidateMicro(const Json& doc, const std::string& path) {
   const Json* benchmarks = doc.Get("benchmarks");
@@ -96,13 +78,9 @@ int main(int argc, char** argv) {
       bb::util::FlagValue(argc, argv, "--out").value_or("BENCH.json");
   const char* usage =
       "usage: bench_report [--out=PATH] "
-      "[--gate-ratio=NUM_NAME/DEN_NAME:MAX]... "
-      "[--gate-events-ratio=BENCH:K=V1/K=V2:MIN]... "
-      "[--gate-events-vs-baseline=FILE:K=V:MIN]... FILE.json...\n";
+      "[--gate-ratio=NUM_NAME/DEN_NAME:MAX]... FILE.json...\n";
   std::vector<std::string> inputs;
   std::vector<RatioGateSpec> gates;
-  std::vector<SelectorRatioGateSpec> events_gates;
-  std::vector<BaselineGateSpec> baseline_gates;
   for (int i = 1; i < argc; ++i) {
     std::string s = argv[i];
     if (s.rfind("--", 0) == 0) {
@@ -115,28 +93,6 @@ int main(int argc, char** argv) {
           return 2;
         }
         gates.push_back(std::move(g));
-        continue;
-      }
-      if (s.rfind("--gate-events-ratio=", 0) == 0) {
-        SelectorRatioGateSpec g;
-        if (!bb::tools::ParseSelectorRatioGateSpec(
-                s.substr(sizeof("--gate-events-ratio=") - 1), &g)) {
-          std::fprintf(stderr, "bench_report: bad gate spec %s\n", s.c_str());
-          std::fprintf(stderr, "%s", usage);
-          return 2;
-        }
-        events_gates.push_back(std::move(g));
-        continue;
-      }
-      if (s.rfind("--gate-events-vs-baseline=", 0) == 0) {
-        BaselineGateSpec g;
-        if (!bb::tools::ParseBaselineGateSpec(
-                s.substr(sizeof("--gate-events-vs-baseline=") - 1), &g)) {
-          std::fprintf(stderr, "bench_report: bad gate spec %s\n", s.c_str());
-          std::fprintf(stderr, "%s", usage);
-          return 2;
-        }
-        baseline_gates.push_back(std::move(g));
         continue;
       }
       if (s.rfind("--out=", 0) != 0) {
@@ -229,68 +185,6 @@ int main(int argc, char** argv) {
     }
     if (!bb::tools::CheckGate("bench_report", g.num + "/" + g.den,
                               num->second / den->second, g.bound)) {
-      return 1;
-    }
-  }
-
-  for (const SelectorRatioGateSpec& g : events_gates) {
-    double num = -1, den = -1;
-    for (const Json& entry : macro.items()) {
-      const Json* bench = entry.Get("bench");
-      if (bench == nullptr || !bench->is_string() ||
-          bench->AsString() != g.name) {
-        continue;
-      }
-      const Json* rows = entry.Get("rows");
-      if (rows == nullptr) continue;
-      if (num < 0) num = EventsPerSecOf(*rows, g.num_sel);
-      if (den < 0) den = EventsPerSecOf(*rows, g.den_sel);
-    }
-    if (num < 0 || den <= 0) {
-      std::fprintf(stderr,
-                   "bench_report: gate rows missing: %s (%s / %s)\n",
-                   g.name.c_str(), g.num_sel.c_str(), g.den_sel.c_str());
-      return 1;
-    }
-    if (!bb::tools::CheckGate(
-            "bench_report",
-            "events " + g.name + " " + g.num_sel + "/" + g.den_sel, num / den,
-            g.bound, /*is_floor=*/true)) {
-      return 1;
-    }
-  }
-
-  for (const BaselineGateSpec& g : baseline_gates) {
-    auto doc = bb::tools::LoadJson(g.file);
-    if (!doc.ok()) {
-      std::fprintf(stderr, "bench_report: baseline: %s\n",
-                   doc.status().ToString().c_str());
-      return 1;
-    }
-    if (doc->Get("rows") == nullptr) {
-      std::fprintf(stderr, "bench_report: baseline %s is not a sweep document\n",
-                   g.file.c_str());
-      return 1;
-    }
-    double baseline = EventsPerSecOf(*doc->Get("rows"), g.sel);
-    double current = -1;
-    for (const Json& entry : macro.items()) {
-      const Json* rows = entry.Get("rows");
-      if (rows == nullptr) continue;
-      current = EventsPerSecOf(*rows, g.sel);
-      if (current >= 0) break;
-    }
-    if (baseline <= 0 || current < 0) {
-      std::fprintf(stderr,
-                   "bench_report: baseline gate rows missing: %s in %s\n",
-                   g.sel.c_str(), g.file.c_str());
-      return 1;
-    }
-    if (!bb::tools::CheckGate("bench_report",
-                              "events-vs-baseline " + g.sel + " (" + g.file +
-                                  ")",
-                              current / baseline, g.bound,
-                              /*is_floor=*/true)) {
       return 1;
     }
   }

@@ -8,9 +8,8 @@
 //
 //   prof_report --diff BEFORE.json AFTER.json
 //       Attribute a throughput regression or win: per-subsystem self
-//       time / allocation / copy deltas, largest absolute delta first.
-//       The same table bench_raw_speed prints inline, so a profile-diff
-//       can ride along with every raw-speed PR.
+//       time / allocation / copy deltas, largest absolute delta first,
+//       so a profile-diff can ride along with every performance PR.
 //
 //   prof_report --min-attributed=PCT PROFILE.json...
 //       Additionally require that at least PCT% of each profile's wall

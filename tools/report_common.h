@@ -80,11 +80,10 @@ inline bool SplitArgs(int argc, char** argv,
 
 // --- --gate-* flag grammar ---------------------------------------------------
 //
-// Every report tool gates with the same three spec shapes; parsing them
+// Every report tool gates with the same two spec shapes; parsing them
 // here keeps bench_report / prof_report / mem_report byte-for-byte
 // consistent on selectors and bounds:
 //   * "NUM/DEN:BOUND"        two benchmark names and a ratio bound
-//   * "NAME:SEL1/SEL2:BOUND" two row selectors inside one sweep
 //   * "FILE:SEL:BOUND"       a committed snapshot + one row selector
 // Row selectors are "key=value" pairs against a sweep row's labels
 // object; comma-separate pairs ("platform=hyperledger,n=16") to require
@@ -98,7 +97,7 @@ inline bool ParsePositiveDouble(const std::string& s, double* out) {
 }
 
 /// "NUM_NAME/DEN_NAME:BOUND". Benchmark names may themselves contain
-/// '/' (google-benchmark args, e.g. BM_DigestBatch/64), so split at the
+/// '/' (google-benchmark args, e.g. BM_Sha256/64), so split at the
 /// '/' that starts the denominator's "BM_" prefix; fall back to the
 /// first '/' for names that don't follow the convention.
 struct RatioGateSpec {
@@ -118,30 +117,6 @@ inline bool ParseRatioGateSpec(const std::string& v, RatioGateSpec* g) {
   g->den = v.substr(slash + 1, colon - slash - 1);
   return !g->num.empty() && !g->den.empty() &&
          ParsePositiveDouble(v.substr(colon + 1), &g->bound);
-}
-
-/// "NAME:SEL1/SEL2:BOUND" — two rows of the sweep named NAME.
-struct SelectorRatioGateSpec {
-  std::string name;
-  std::string num_sel, den_sel;
-  double bound = 0;
-};
-
-inline bool ParseSelectorRatioGateSpec(const std::string& v,
-                                       SelectorRatioGateSpec* g) {
-  size_t first_colon = v.find(':');
-  size_t last_colon = v.rfind(':');
-  if (first_colon == std::string::npos || last_colon == first_colon) {
-    return false;
-  }
-  g->name = v.substr(0, first_colon);
-  std::string pair = v.substr(first_colon + 1, last_colon - first_colon - 1);
-  size_t slash = pair.find('/');
-  if (slash == std::string::npos) return false;
-  g->num_sel = pair.substr(0, slash);
-  g->den_sel = pair.substr(slash + 1);
-  return !g->name.empty() && !g->num_sel.empty() && !g->den_sel.empty() &&
-         ParsePositiveDouble(v.substr(last_colon + 1), &g->bound);
 }
 
 /// "FILE:SEL:BOUND" — current inputs vs a committed snapshot's row.
