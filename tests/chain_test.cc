@@ -11,6 +11,7 @@
 #include "chain/state_db.h"
 #include "chain/txpool.h"
 #include "storage/memkv.h"
+#include "storage/merkle_tree.h"
 #include "util/random.h"
 
 namespace bb::chain {
@@ -70,6 +71,17 @@ TEST(BlockTest, TxRootCommitsToTransactions) {
   b2.SealTxRoot();
   EXPECT_NE(b1.header.tx_root, b2.header.tx_root);
   EXPECT_NE(Seal(std::move(b1))->HashOf(), Seal(std::move(b2))->HashOf());
+}
+
+TEST(BlockTest, TxRootIsMerkleRootOfTxHashes) {
+  Block b;
+  b.txs = {MakeTx(1), MakeTx(2), MakeTx(3, "other")};
+  b.SealTxRoot();
+  // The leaves are the serialize-then-hash digests, not just whatever the
+  // sealed transactions carry.
+  std::vector<Hash256> leaves;
+  for (const auto& tx : b.txs) leaves.push_back(Sha256::Digest(tx.Serialize()));
+  EXPECT_EQ(b.header.tx_root, storage::MerkleTree(std::move(leaves)).root());
 }
 
 TEST(BlockTest, SizeGrowsWithTxs) {

@@ -251,6 +251,46 @@ TEST(MerkleTreeTest, OrderMatters) {
   EXPECT_NE(MerkleTree(a).root(), MerkleTree(b).root());
 }
 
+// Reference fold: one SHA-256 over each concatenated pair, the odd tail
+// paired with itself, no batching.
+Hash256 NaiveMerkleRoot(std::vector<Hash256> level) {
+  while (level.size() > 1) {
+    std::vector<Hash256> next;
+    for (size_t i = 0; i < level.size(); i += 2) {
+      const Hash256& r = i + 1 < level.size() ? level[i + 1] : level[i];
+      std::string concat;
+      concat.append(reinterpret_cast<const char*>(level[i].bytes.data()), 32);
+      concat.append(reinterpret_cast<const char*>(r.bytes.data()), 32);
+      next.push_back(Sha256::Digest(concat));
+    }
+    level = std::move(next);
+  }
+  return level[0];
+}
+
+TEST(MerkleTreeTest, BatchedLevelsMatchNaiveFoldOnEveryBackend) {
+  std::vector<Sha256::Backend> backends = {Sha256::Backend::kScalar};
+  for (auto b : {Sha256::Backend::kShaNi, Sha256::Backend::kAvx2}) {
+    if (Sha256::BackendAvailable(b)) backends.push_back(b);
+  }
+  // Leaf counts around the 8-lane pair kernel width, odd and even.
+  for (size_t n : {size_t(2), size_t(5), size_t(8), size_t(9), size_t(16),
+                   size_t(17), size_t(23)}) {
+    std::vector<Hash256> leaves;
+    for (size_t i = 0; i < n; ++i) {
+      leaves.push_back(Sha256::Digest("leaf" + std::to_string(i)));
+    }
+    Sha256::SetBackend(Sha256::Backend::kScalar);
+    Hash256 want = NaiveMerkleRoot(leaves);
+    for (auto b : backends) {
+      Sha256::SetBackend(b);
+      EXPECT_EQ(MerkleTree(leaves).root(), want)
+          << "n=" << n << " backend=" << int(b);
+    }
+  }
+  Sha256::SetBackend(Sha256::Backend::kAuto);
+}
+
 class MerkleProofTest : public testing::TestWithParam<size_t> {};
 
 TEST_P(MerkleProofTest, AllProofsVerify) {
