@@ -15,6 +15,7 @@ void Node::set_crashed(bool c) {
   if (crashed_ == c) return;
   crashed_ = c;
   if (c) {
+    ++crash_epoch_;  // voids the in-flight handler's continuation
     inbox_.clear();
     class_queued_ = 0;
     processing_ = false;
@@ -61,8 +62,11 @@ void Node::ProcessNext() {
   double cost = HandleMessage(msg);
   assert(cost >= 0);
   meter_.AddCpu(Now(), cost);
-  // The node is busy for `cost`; the next queued message starts after.
-  sim()->After(cost, [this] { ProcessNext(); });
+  // The node is busy for `cost`; the next queued message starts after,
+  // unless a crash in between voided this chain.
+  sim()->After(cost, [this, epoch = crash_epoch_] {
+    if (epoch == crash_epoch_) ProcessNext();
+  });
 }
 
 bool Node::Send(NodeId to, const std::string& type, std::any payload,

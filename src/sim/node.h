@@ -69,6 +69,9 @@ class Node {
   Network* network_;
   bool crashed_ = false;
   bool processing_ = false;
+  /// Bumped on every crash; a ProcessNext continuation scheduled in an
+  /// earlier epoch is a no-op, so a restart starts one fresh chain.
+  uint64_t crash_epoch_ = 0;
   std::deque<Message> inbox_;
   ResourceMeter meter_;
   std::string class_prefix_;

@@ -376,5 +376,27 @@ TEST(NodeTest, CrashClearsInbox) {
   EXPECT_EQ(t.b.received_, before);  // queued messages voided
 }
 
+TEST(NodeTest, RestartDuringBusyWindowKeepsProcessingSerial) {
+  // A handler continuation scheduled before a crash must not run after
+  // the restart, or the node would process two messages at once.
+  NetworkConfig cfg;
+  cfg.base_latency = 0.001;
+  cfg.jitter = 0;
+  cfg.bandwidth_bytes_per_sec = 0;
+  TestNet t(cfg, /*cost=*/1.0);
+  t.net.Send(Msg(0, 1));  // arrives 0.001, CPU busy until 1.001
+  t.sim.At(0.1, [&t] { t.net.Crash(1); });
+  t.sim.At(0.2, [&t] { t.net.Restart(1); });
+  t.sim.At(0.5, [&t] {
+    t.net.Send(Msg(0, 1));  // both arrive 0.501
+    t.net.Send(Msg(0, 1));
+  });
+  t.sim.RunToCompletion();
+  ASSERT_EQ(t.b.received_, 3);
+  EXPECT_NEAR(t.b.receive_times_[1], 0.501, 1e-9);
+  // The third message waits for the second's full second of CPU.
+  EXPECT_NEAR(t.b.receive_times_[2], 1.501, 1e-9);
+}
+
 }  // namespace
 }  // namespace bb::sim
