@@ -5,8 +5,6 @@
 // cores, ~80-90%); Hyperledger uses CPU sparingly but far more network
 // (PBFT broadcasts); Parity has low footprints on both.
 
-#include <map>
-
 #include "common.h"
 
 using namespace bb;
@@ -17,7 +15,7 @@ int main(int argc, char** argv) {
   double duration = 100;
 
   std::vector<std::vector<double>> cpu(3), mbps(3);
-  std::vector<std::map<std::string, uint64_t>> msgs(3);
+  std::vector<sim::MsgCounts> msgs(3);
   // Ethereum at saturation (CPU-bound mining); Hyperledger at ~60% load,
   // where the paper's low-CPU / high-network contrast is visible.
   double sat_rate[3] = {256, 64, 100};
@@ -34,7 +32,7 @@ int main(int argc, char** argv) {
     c.labels = {{"platform", kPlatforms[pi]}};
     std::vector<double>* cpu_out = &cpu[size_t(pi)];
     std::vector<double>* mbps_out = &mbps[size_t(pi)];
-    std::map<std::string, uint64_t>* msgs_out = &msgs[size_t(pi)];
+    sim::MsgCounts* msgs_out = &msgs[size_t(pi)];
     c.after = [cpu_out, mbps_out, msgs_out, duration](
                   MacroRun& run, const core::BenchReport&) {
       const auto& meter = run.rplatform().node(1).meter();
@@ -68,7 +66,7 @@ int main(int argc, char** argv) {
     for (const auto& [type, n] : msgs[size_t(pi)]) total += n;
     std::printf(" total %8llu |", (unsigned long long)total);
     for (const auto& [type, n] : msgs[size_t(pi)]) {
-      std::printf(" %s=%llu", type.c_str(), (unsigned long long)n);
+      std::printf(" %s=%llu", type, (unsigned long long)n);
     }
     std::printf("\n");
   }

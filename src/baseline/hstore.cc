@@ -5,6 +5,8 @@
 
 namespace bb::baseline {
 
+using sim::MsgKind;
+
 namespace {
 
 struct PrepareMsg {
@@ -102,7 +104,7 @@ void HStoreSite::Rollback(std::vector<UndoEntry>& undo) {
 }
 
 double HStoreSite::HandleClientTxn(const sim::Message& msg) {
-  const auto& txn = std::any_cast<const HsTransaction&>(msg.payload);
+  const auto& txn = msg.payload.As<HsTransaction>();
   double cpu = options_.txn_fixed_cpu;
 
   // Split ops by owning partition.
@@ -114,7 +116,7 @@ double HStoreSite::HandleClientTxn(const sim::Message& msg) {
   if (per_site.size() == 1 && per_site.begin()->first == id()) {
     // Single-partition fast path: no coordination at all.
     cpu += ExecuteOps(txn.ops);
-    Send(msg.from, "hs_done", TxnIdMsg{txn.id}, 40);
+    Send(msg.from, MsgKind::kHsDone, TxnIdMsg{txn.id}, 40);
     return cpu;
   }
 
@@ -130,11 +132,11 @@ double HStoreSite::HandleClientTxn(const sim::Message& msg) {
       p.waiting_prepare.insert(site);
       p.waiting_ack.insert(site);
       p.per_site_ops[site] = ops;
-      Send(site, "hs_prepare", PrepareMsg{txn.id, ops}, OpsBytes(ops));
+      Send(site, MsgKind::kHsPrepare, PrepareMsg{txn.id, ops}, OpsBytes(ops));
     }
   }
   if (p.waiting_prepare.empty()) {
-    Send(msg.from, "hs_done", TxnIdMsg{txn.id}, 40);
+    Send(msg.from, MsgKind::kHsDone, TxnIdMsg{txn.id}, 40);
     return cpu;
   }
   coordinating_.emplace(txn.id, std::move(p));
@@ -142,59 +144,61 @@ double HStoreSite::HandleClientTxn(const sim::Message& msg) {
 }
 
 double HStoreSite::HandleMessage(const sim::Message& msg) {
-  if (msg.type == "hs_txn") return HandleClientTxn(msg);
+  if (msg.kind == MsgKind::kHsTxn) return HandleClientTxn(msg);
 
-  if (msg.type == "hs_prepare") {
-    const auto& m = std::any_cast<const PrepareMsg&>(msg.payload);
+  if (msg.kind == MsgKind::kHsPrepare) {
+    const auto& m = msg.payload.As<PrepareMsg>();
     if (vote_abort_) {
-      Send(msg.from, "hs_vote_abort", TxnIdMsg{m.txn_id}, 40);
+      Send(msg.from, MsgKind::kHsVoteAbort, TxnIdMsg{m.txn_id}, 40);
       return options_.twopc_msg_cpu;
     }
     std::vector<UndoEntry> undo;
     double cpu = options_.twopc_msg_cpu + ExecuteOps(m.ops, &undo);
     prepared_[m.txn_id] = std::move(undo);
-    Send(msg.from, "hs_prepared", TxnIdMsg{m.txn_id}, 40);
+    Send(msg.from, MsgKind::kHsPrepared, TxnIdMsg{m.txn_id}, 40);
     return cpu;
   }
 
-  if (msg.type == "hs_prepared") {
-    const auto& m = std::any_cast<const TxnIdMsg&>(msg.payload);
+  if (msg.kind == MsgKind::kHsPrepared) {
+    const auto& m = msg.payload.As<TxnIdMsg>();
     auto it = coordinating_.find(m.txn_id);
     if (it == coordinating_.end()) return options_.twopc_msg_cpu;
     it->second.waiting_prepare.erase(msg.from);
     if (it->second.waiting_prepare.empty()) {
       for (sim::NodeId site : it->second.waiting_ack) {
-        Send(site, "hs_commit", TxnIdMsg{m.txn_id}, 40);
+        Send(site, MsgKind::kHsCommit, TxnIdMsg{m.txn_id}, 40);
       }
     }
     return options_.twopc_msg_cpu;
   }
 
-  if (msg.type == "hs_vote_abort") {
+  if (msg.kind == MsgKind::kHsVoteAbort) {
     // One participant said no: roll back everywhere and tell the client.
-    const auto& m = std::any_cast<const TxnIdMsg&>(msg.payload);
+    const auto& m = msg.payload.As<TxnIdMsg>();
     auto it = coordinating_.find(m.txn_id);
     if (it == coordinating_.end()) return options_.twopc_msg_cpu;
     Pending2pc& p = it->second;
     for (const auto& [site, ops] : p.per_site_ops) {
-      if (site != msg.from) Send(site, "hs_abort", TxnIdMsg{m.txn_id}, 40);
+      if (site != msg.from) {
+        Send(site, MsgKind::kHsAbort, TxnIdMsg{m.txn_id}, 40);
+      }
     }
     Rollback(p.local_undo);
     ++aborted_txns_;
-    Send(p.client, "hs_aborted", TxnIdMsg{m.txn_id}, 40);
+    Send(p.client, MsgKind::kHsAborted, TxnIdMsg{m.txn_id}, 40);
     coordinating_.erase(it);
     return options_.twopc_msg_cpu;
   }
 
-  if (msg.type == "hs_commit") {
-    const auto& m = std::any_cast<const TxnIdMsg&>(msg.payload);
+  if (msg.kind == MsgKind::kHsCommit) {
+    const auto& m = msg.payload.As<TxnIdMsg>();
     prepared_.erase(m.txn_id);  // decision is commit: drop the undo log
-    Send(msg.from, "hs_ack", TxnIdMsg{m.txn_id}, 40);
+    Send(msg.from, MsgKind::kHsAck, TxnIdMsg{m.txn_id}, 40);
     return options_.twopc_msg_cpu;
   }
 
-  if (msg.type == "hs_abort") {
-    const auto& m = std::any_cast<const TxnIdMsg&>(msg.payload);
+  if (msg.kind == MsgKind::kHsAbort) {
+    const auto& m = msg.payload.As<TxnIdMsg>();
     auto it = prepared_.find(m.txn_id);
     if (it != prepared_.end()) {
       Rollback(it->second);
@@ -203,13 +207,13 @@ double HStoreSite::HandleMessage(const sim::Message& msg) {
     return options_.twopc_msg_cpu;
   }
 
-  if (msg.type == "hs_ack") {
-    const auto& m = std::any_cast<const TxnIdMsg&>(msg.payload);
+  if (msg.kind == MsgKind::kHsAck) {
+    const auto& m = msg.payload.As<TxnIdMsg>();
     auto it = coordinating_.find(m.txn_id);
     if (it == coordinating_.end()) return options_.twopc_msg_cpu;
     it->second.waiting_ack.erase(msg.from);
     if (it->second.waiting_ack.empty()) {
-      Send(it->second.client, "hs_done", TxnIdMsg{m.txn_id}, 40);
+      Send(it->second.client, MsgKind::kHsDone, TxnIdMsg{m.txn_id}, 40);
       coordinating_.erase(it);
     }
     return options_.twopc_msg_cpu;
@@ -243,21 +247,21 @@ void HStoreClient::Tick() {
   outstanding_.emplace(txn.id, txn.submit_time);
   stats_->RecordSubmit(Now());
   size_t coord = cluster_->CoordinatorOf(txn);
-  Send(sim::NodeId(coord), "hs_txn", std::move(txn), 200);
+  Send(sim::NodeId(coord), MsgKind::kHsTxn, std::move(txn), 200);
   sim()->After(1.0 / request_rate_, [this] { Tick(); });
 }
 
 double HStoreClient::HandleMessage(const sim::Message& msg) {
-  if (msg.type == "hs_done") {
-    const auto& m = std::any_cast<const TxnIdMsg&>(msg.payload);
+  if (msg.kind == MsgKind::kHsDone) {
+    const auto& m = msg.payload.As<TxnIdMsg>();
     auto it = outstanding_.find(m.txn_id);
     if (it != outstanding_.end()) {
       stats_->RecordCommit(Now(), Now() - it->second);
       outstanding_.erase(it);
     }
   }
-  if (msg.type == "hs_aborted") {
-    const auto& m = std::any_cast<const TxnIdMsg&>(msg.payload);
+  if (msg.kind == MsgKind::kHsAborted) {
+    const auto& m = msg.payload.As<TxnIdMsg>();
     if (outstanding_.erase(m.txn_id) > 0) stats_->RecordReject(Now());
   }
   return 0;

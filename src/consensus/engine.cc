@@ -13,7 +13,8 @@ void Engine::RequestSync(ConsensusHost* host, sim::NodeId from) {
   last_sync_request_ = now;
   uint64_t head = host->chain_store().head_height();
   uint64_t from_height = head > sync_window_ ? head - sync_window_ : 0;
-  host->HostSend(from, "sync_fetchreq", SyncFetchReq{from_height}, 60);
+  host->HostSend(from, sim::MsgKind::kSyncFetchReq, SyncFetchReq{from_height},
+                 60);
   // The fork point may be deeper than the current window; widen for the
   // next attempt until something attaches.
   if (sync_window_ < (uint64_t(1) << 20)) sync_window_ *= 2;
@@ -21,9 +22,9 @@ void Engine::RequestSync(ConsensusHost* host, sim::NodeId from) {
 
 bool Engine::HandleSync(ConsensusHost* host, const sim::Message& msg,
                         double* cpu) {
-  if (msg.type == "sync_fetchreq") {
+  if (msg.kind == sim::MsgKind::kSyncFetchReq) {
     if (msg.corrupted) return true;
-    const auto& m = std::any_cast<const SyncFetchReq&>(msg.payload);
+    const auto& m = msg.payload.As<SyncFetchReq>();
     SyncBlocks reply;
     uint64_t bytes = 80;
     uint64_t to = std::min(host->chain_store().head_height(),
@@ -31,13 +32,14 @@ bool Engine::HandleSync(ConsensusHost* host, const sim::Message& msg,
     reply.blocks = host->chain_store().CanonicalRangePtr(m.from_height, to);
     for (const auto& b : reply.blocks) bytes += b->SizeBytes();
     if (!reply.blocks.empty()) {
-      host->HostSend(msg.from, "sync_blocks", std::move(reply), bytes);
+      host->HostSend(msg.from, sim::MsgKind::kSyncBlocks, std::move(reply),
+                     bytes);
     }
     return true;
   }
-  if (msg.type == "sync_blocks") {
+  if (msg.kind == sim::MsgKind::kSyncBlocks) {
     if (msg.corrupted) return true;
-    const auto& m = std::any_cast<const SyncBlocks&>(msg.payload);
+    const auto& m = msg.payload.As<SyncBlocks>();
     bool progressed = false;
     for (const auto& b : m.blocks) {
       bool known = host->chain_store().Contains(b->HashOf());

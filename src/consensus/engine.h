@@ -8,7 +8,6 @@
 #ifndef BLOCKBENCH_CONSENSUS_ENGINE_H_
 #define BLOCKBENCH_CONSENSUS_ENGINE_H_
 
-#include <any>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -41,10 +40,12 @@ class ConsensusHost {
   virtual sim::Simulation* host_sim() = 0;
   virtual double HostNow() const = 0;
 
-  virtual void HostBroadcast(const std::string& type, std::any payload,
+  /// Sends to every other node of the group; all recipients share the
+  /// one payload.
+  virtual void HostBroadcast(sim::MsgKind kind, sim::Payload payload,
                              uint64_t size_bytes) = 0;
-  virtual bool HostSend(sim::NodeId to, const std::string& type,
-                        std::any payload, uint64_t size_bytes) = 0;
+  virtual bool HostSend(sim::NodeId to, sim::MsgKind kind,
+                        sim::Payload payload, uint64_t size_bytes) = 0;
 
   /// Assembles a candidate block extending `parent` (which may itself be
   /// a not-yet-executed proposal — PBFT pipelines batches) at height
@@ -81,8 +82,8 @@ class Engine {
   virtual ~Engine() = default;
 
   virtual void Start(ConsensusHost* host) = 0;
-  /// Handles a consensus message. Returns false when the type is not a
-  /// consensus message. *cpu accumulates processing cost.
+  /// Handles a consensus message. Returns false when the kind is not
+  /// one of this engine's. *cpu accumulates processing cost.
   virtual bool HandleMessage(const sim::Message& msg, double* cpu) = 0;
   /// Called by the node when new transactions entered the pool.
   virtual void OnNewTransactions() {}
@@ -127,7 +128,7 @@ class Engine {
   /// healed partition), ask the sender for the canonical blocks above
   /// our head. Rate-limited to one outstanding request.
   void RequestSync(ConsensusHost* host, sim::NodeId from);
-  /// Handles "sync_fetchreq" / "sync_blocks"; returns true if consumed.
+  /// Handles kSyncFetchReq / kSyncBlocks; returns true if consumed.
   bool HandleSync(ConsensusHost* host, const sim::Message& msg, double* cpu);
 
   struct SyncFetchReq {

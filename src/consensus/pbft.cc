@@ -8,6 +8,8 @@
 
 namespace bb::consensus {
 
+using sim::MsgKind;
+
 namespace {
 constexpr uint64_t kPhaseMsgBytes = 120;    // view, seq, digest, signature
 constexpr uint64_t kControlMsgBytes = 100;  // view-change / new-view / status
@@ -52,7 +54,7 @@ void Pbft::BatchPoll() {
 
 void Pbft::StatusTick() {
   if (!active_) return;
-  host_->HostBroadcast("pbft_status", StatusMsg{ExecHeight(), view_},
+  host_->HostBroadcast(MsgKind::kPbftStatus, StatusMsg{ExecHeight(), view_},
                        kControlMsgBytes);
   host_->host_sim()->After(config_.status_interval, [this] { StatusTick(); });
 }
@@ -151,38 +153,55 @@ bool Pbft::ProposeOne() {
     rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pbft.propose",
                seq, view_);
   }
-  host_->HostBroadcast("pbft_preprepare", PrePrepareMsg{view_, seq, ptr},
-                       ptr->SizeBytes());
+  host_->HostBroadcast(MsgKind::kPbftPrePrepare,
+                       PrePrepareMsg{view_, seq, ptr}, ptr->SizeBytes());
   return true;
 }
 
 bool Pbft::HandleMessage(const sim::Message& msg, double* cpu) {
   BB_PROF_SCOPE("consensus.pbft.handle");
-  if (!msg.type.starts_with("pbft_")) return false;
-  *cpu += config_.per_message_cpu;
-  if (!active_) return true;
-  if (msg.corrupted) return true;  // fails MAC/signature verification
-
-  if (msg.type == "pbft_preprepare") {
-    OnPrePrepare(msg.from, std::any_cast<PrePrepareMsg>(msg.payload), cpu);
-  } else if (msg.type == "pbft_prepare") {
-    OnPrepare(msg.from, std::any_cast<PhaseMsg>(msg.payload));
-    MaybeExecute(cpu);
-  } else if (msg.type == "pbft_commit") {
-    OnCommit(msg.from, std::any_cast<PhaseMsg>(msg.payload));
-    MaybeExecute(cpu);
-  } else if (msg.type == "pbft_viewchange") {
-    OnViewChange(msg.from, std::any_cast<ViewChangeMsg>(msg.payload));
-  } else if (msg.type == "pbft_newview") {
-    OnNewView(msg.from, std::any_cast<NewViewMsg>(msg.payload));
-  } else if (msg.type == "pbft_status") {
-    OnStatus(msg.from, std::any_cast<StatusMsg>(msg.payload));
-  } else if (msg.type == "pbft_fetchreq") {
-    OnFetchReq(msg.from, std::any_cast<FetchReqMsg>(msg.payload));
-  } else if (msg.type == "pbft_blocks") {
-    OnBlocks(std::any_cast<BlocksMsg>(msg.payload), cpu);
+  // Every PBFT message costs its signature check; a crashed-and-idle
+  // replica or a corrupted message (fails MAC verification) stops there.
+  const auto accept = [&] {
+    *cpu += config_.per_message_cpu;
+    return active_ && !msg.corrupted;
+  };
+  switch (msg.kind) {
+    case MsgKind::kPbftPrePrepare:
+      if (accept()) {
+        OnPrePrepare(msg.from, msg.payload.As<PrePrepareMsg>(), cpu);
+      }
+      return true;
+    case MsgKind::kPbftPrepare:
+      if (accept()) {
+        OnPrepare(msg.from, msg.payload.As<PhaseMsg>());
+        MaybeExecute(cpu);
+      }
+      return true;
+    case MsgKind::kPbftCommit:
+      if (accept()) {
+        OnCommit(msg.from, msg.payload.As<PhaseMsg>());
+        MaybeExecute(cpu);
+      }
+      return true;
+    case MsgKind::kPbftViewChange:
+      if (accept()) OnViewChange(msg.from, msg.payload.As<ViewChangeMsg>());
+      return true;
+    case MsgKind::kPbftNewView:
+      if (accept()) OnNewView(msg.from, msg.payload.As<NewViewMsg>());
+      return true;
+    case MsgKind::kPbftStatus:
+      if (accept()) OnStatus(msg.from, msg.payload.As<StatusMsg>());
+      return true;
+    case MsgKind::kPbftFetchReq:
+      if (accept()) OnFetchReq(msg.from, msg.payload.As<FetchReqMsg>());
+      return true;
+    case MsgKind::kPbftBlocks:
+      if (accept()) OnBlocks(msg.payload.As<BlocksMsg>(), cpu);
+      return true;
+    default:
+      return false;
   }
-  return true;
 }
 
 void Pbft::OnPrePrepare(sim::NodeId from, const PrePrepareMsg& m,
@@ -204,8 +223,8 @@ void Pbft::OnPrePrepare(sim::NodeId from, const PrePrepareMsg& m,
   if (!inst.sent_prepare) {
     inst.sent_prepare = true;
     inst.prepares.insert(host_->node_id());
-    host_->HostBroadcast("pbft_prepare", PhaseMsg{view_, m.seq, inst.digest},
-                         kPhaseMsgBytes);
+    host_->HostBroadcast(MsgKind::kPbftPrepare,
+                         PhaseMsg{view_, m.seq, inst.digest}, kPhaseMsgBytes);
   }
   MaybeSendCommit(m.seq);
 }
@@ -243,7 +262,7 @@ void Pbft::MaybeSendCommit(uint64_t seq) {
     rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pbft.prepare",
                seq, view_);
   }
-  host_->HostBroadcast("pbft_commit", PhaseMsg{view_, seq, inst.digest},
+  host_->HostBroadcast(MsgKind::kPbftCommit, PhaseMsg{view_, seq, inst.digest},
                        kPhaseMsgBytes);
 }
 
@@ -312,7 +331,7 @@ void Pbft::StartViewChange(uint64_t target_view) {
   DiscardInflight();
   ViewChangeMsg m{target_view, ExecHeight()};
   view_change_votes_[target_view].insert(host_->node_id());
-  host_->HostBroadcast("pbft_viewchange", m, kControlMsgBytes);
+  host_->HostBroadcast(MsgKind::kPbftViewChange, m, kControlMsgBytes);
   // A solo quorum (N <= 1 is degenerate) or pre-existing votes may
   // already satisfy the target.
   OnViewChange(host_->node_id(), m);
@@ -331,7 +350,7 @@ void Pbft::OnViewChange(sim::NodeId from, const ViewChangeMsg& m) {
   }
   if (votes.size() >= Quorum()) {
     if (LeaderOf(m.new_view) == host_->node_id()) {
-      host_->HostBroadcast("pbft_newview", NewViewMsg{m.new_view},
+      host_->HostBroadcast(MsgKind::kPbftNewView, NewViewMsg{m.new_view},
                            kControlMsgBytes);
       EnterView(m.new_view);
       TryPropose();
@@ -384,7 +403,7 @@ void Pbft::DiscardInflight() {
 void Pbft::OnStatus(sim::NodeId from, const StatusMsg& m) {
   if (m.height > ExecHeight() && !fetch_outstanding_) {
     fetch_outstanding_ = true;
-    host_->HostSend(from, "pbft_fetchreq", FetchReqMsg{ExecHeight()},
+    host_->HostSend(from, MsgKind::kPbftFetchReq, FetchReqMsg{ExecHeight()},
                     kControlMsgBytes);
     // Clear the flag after a grace period even if the reply is lost.
     host_->host_sim()->After(2.0, [this] { fetch_outstanding_ = false; });
@@ -399,7 +418,7 @@ void Pbft::OnFetchReq(sim::NodeId from, const FetchReqMsg& m) {
       host_->chain_store().CanonicalRangePtr(m.from_height, ExecHeight());
   for (const auto& b : reply.blocks) size += b->SizeBytes();
   if (reply.blocks.empty()) return;
-  host_->HostSend(from, "pbft_blocks", std::move(reply), size);
+  host_->HostSend(from, MsgKind::kPbftBlocks, std::move(reply), size);
 }
 
 void Pbft::OnBlocks(const BlocksMsg& m, double* cpu) {

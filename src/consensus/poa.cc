@@ -8,6 +8,8 @@
 
 namespace bb::consensus {
 
+using sim::MsgKind;
+
 void ProofOfAuthority::Start(ConsensusHost* host) {
   host_ = host;
   active_ = true;
@@ -63,7 +65,7 @@ void ProofOfAuthority::OnStep(uint64_t step) {
       rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "poa.seal",
                  host_->chain_store().head_height(), step);
     }
-    host_->HostBroadcast("poa_block", ptr, ptr->SizeBytes());
+    host_->HostBroadcast(MsgKind::kPoaBlock, ptr, ptr->SizeBytes());
   }
   ScheduleNextStep();
 }
@@ -71,13 +73,13 @@ void ProofOfAuthority::OnStep(uint64_t step) {
 bool ProofOfAuthority::HandleMessage(const sim::Message& msg, double* cpu) {
   BB_PROF_SCOPE("consensus.poa.handle");
   if (HandleSync(host_, msg, cpu)) return true;
-  if (msg.type != "poa_block") return false;
+  if (msg.kind != MsgKind::kPoaBlock) return false;
   if (msg.corrupted) {
     // Bad seal signature; rejected.
     *cpu += config_.block_validate_cpu;
     return true;
   }
-  auto block = std::any_cast<BlockPtr>(msg.payload);
+  const auto& block = msg.payload.As<BlockPtr>();
   *cpu += config_.block_validate_cpu +
           config_.tx_validate_cpu * double(block->txs.size());
   uint64_t old_reorgs = host_->chain_store().reorgs();

@@ -8,6 +8,8 @@
 
 namespace bb::consensus {
 
+using sim::MsgKind;
+
 double ProofOfWork::PerNodeMeanInterval() const {
   double n = double(host_->num_nodes());
   double network_interval = config_.base_block_interval;
@@ -69,7 +71,7 @@ void ProofOfWork::OnMined(uint64_t epoch) {
     double commit_cpu = 0;
     host_->CommitBlock(ptr, &commit_cpu);
     host_->ChargeBackground(build_cpu + commit_cpu);
-    host_->HostBroadcast("pow_block", ptr, ptr->SizeBytes());
+    host_->HostBroadcast(MsgKind::kPowBlock, ptr, ptr->SizeBytes());
   }
   ScheduleMine();
 }
@@ -80,13 +82,13 @@ bool ProofOfWork::HandleMessage(const sim::Message& msg, double* cpu) {
     ScheduleMine();  // the sync may have moved the head
     return true;
   }
-  if (msg.type != "pow_block") return false;
+  if (msg.kind != MsgKind::kPowBlock) return false;
   if (msg.corrupted) {
     // Corrupted block fails hash verification and is discarded.
     *cpu += config_.block_validate_cpu;
     return true;
   }
-  auto block = std::any_cast<BlockPtr>(msg.payload);
+  const auto& block = msg.payload.As<BlockPtr>();
   *cpu += config_.block_validate_cpu +
           config_.tx_validate_cpu * double(block->txs.size());
   Hash256 old_head = host_->chain_store().head();

@@ -8,6 +8,8 @@
 
 namespace bb::consensus {
 
+using sim::MsgKind;
+
 namespace {
 constexpr uint64_t kControlBytes = 80;
 }
@@ -76,7 +78,7 @@ void Raft::StartElection() {
   ResetElectionTimer();
   uint64_t last = std::max(LogHeight(),
                            pending_log_.empty() ? 0 : pending_log_.rbegin()->first);
-  host_->HostBroadcast("raft_requestvote", RequestVoteMsg{term_, last},
+  host_->HostBroadcast(MsgKind::kRaftRequestVote, RequestVoteMsg{term_, last},
                        kControlBytes);
   if (votes_.size() >= Majority()) BecomeLeader();  // single-node cluster
 }
@@ -194,7 +196,7 @@ void Raft::ReplicateTo(sim::NodeId peer) {
   } else {
     prev_hash = host_->chain_store().CanonicalAt(0)->HashOf();
   }
-  host_->HostSend(peer, "raft_append",
+  host_->HostSend(peer, MsgKind::kRaftAppend,
                   AppendEntriesMsg{term_, next - 1, prev_hash, block,
                                    committed_height_},
                   kControlBytes + block->SizeBytes());
@@ -202,7 +204,7 @@ void Raft::ReplicateTo(sim::NodeId peer) {
 
 void Raft::SendHeartbeats() {
   host_->HostBroadcast(
-      "raft_append",
+      MsgKind::kRaftAppend,
       AppendEntriesMsg{term_, 0, Hash256::Zero(), nullptr, committed_height_},
       kControlBytes);
   // Also push replication forward for laggards.
@@ -218,21 +220,30 @@ bool Raft::HandleMessage(const sim::Message& msg, double* cpu) {
     committed_height_ = std::max(committed_height_, LogHeight());
     return true;
   }
-  if (!msg.type.starts_with("raft_")) return false;
-  *cpu += config_.per_message_cpu;
-  if (!active_ || msg.corrupted) return true;  // crash model: drop garbage
-
-  if (msg.type == "raft_requestvote") {
-    OnRequestVote(msg.from, std::any_cast<RequestVoteMsg>(msg.payload));
-  } else if (msg.type == "raft_vote") {
-    OnVoteGranted(msg.from, std::any_cast<VoteGrantedMsg>(msg.payload));
-  } else if (msg.type == "raft_append") {
-    OnAppendEntries(msg.from, std::any_cast<AppendEntriesMsg>(msg.payload),
-                    cpu);
-  } else if (msg.type == "raft_appendreply") {
-    OnAppendReply(msg.from, std::any_cast<AppendReplyMsg>(msg.payload), cpu);
+  const auto accept = [&] {
+    *cpu += config_.per_message_cpu;
+    return active_ && !msg.corrupted;  // crash model: drop garbage
+  };
+  switch (msg.kind) {
+    case MsgKind::kRaftRequestVote:
+      if (accept()) OnRequestVote(msg.from, msg.payload.As<RequestVoteMsg>());
+      return true;
+    case MsgKind::kRaftVote:
+      if (accept()) OnVoteGranted(msg.from, msg.payload.As<VoteGrantedMsg>());
+      return true;
+    case MsgKind::kRaftAppend:
+      if (accept()) {
+        OnAppendEntries(msg.from, msg.payload.As<AppendEntriesMsg>(), cpu);
+      }
+      return true;
+    case MsgKind::kRaftAppendReply:
+      if (accept()) {
+        OnAppendReply(msg.from, msg.payload.As<AppendReplyMsg>(), cpu);
+      }
+      return true;
+    default:
+      return false;
   }
-  return true;
 }
 
 void Raft::OnRequestVote(sim::NodeId from, const RequestVoteMsg& m) {
@@ -245,7 +256,8 @@ void Raft::OnRequestVote(sim::NodeId from, const RequestVoteMsg& m) {
   if (can_vote && m.last_log_height >= our_last) {
     voted_for_[m.term] = from;
     ResetElectionTimer();
-    host_->HostSend(from, "raft_vote", VoteGrantedMsg{m.term}, kControlBytes);
+    host_->HostSend(from, MsgKind::kRaftVote, VoteGrantedMsg{m.term},
+                    kControlBytes);
   }
 }
 
@@ -258,7 +270,7 @@ void Raft::OnVoteGranted(sim::NodeId from, const VoteGrantedMsg& m) {
 void Raft::OnAppendEntries(sim::NodeId from, const AppendEntriesMsg& m,
                            double* cpu) {
   if (m.term < term_) {
-    host_->HostSend(from, "raft_appendreply",
+    host_->HostSend(from, MsgKind::kRaftAppendReply,
                     AppendReplyMsg{term_, false, committed_height_},
                     kControlBytes);
     return;
@@ -280,7 +292,7 @@ void Raft::OnAppendEntries(sim::NodeId from, const AppendEntriesMsg& m,
       prev_ok = it != pending_log_.end() && it->second->HashOf() == m.prev_hash;
     }
     if (!prev_ok || h <= committed_height_) {
-      host_->HostSend(from, "raft_appendreply",
+      host_->HostSend(from, MsgKind::kRaftAppendReply,
                       AppendReplyMsg{term_, false, committed_height_},
                       kControlBytes);
       return;
@@ -314,8 +326,8 @@ void Raft::OnAppendEntries(sim::NodeId from, const AppendEntriesMsg& m,
 
   uint64_t match = std::max(
       LogHeight(), pending_log_.empty() ? 0 : pending_log_.rbegin()->first);
-  host_->HostSend(from, "raft_appendreply", AppendReplyMsg{term_, true, match},
-                  kControlBytes);
+  host_->HostSend(from, MsgKind::kRaftAppendReply,
+                  AppendReplyMsg{term_, true, match}, kControlBytes);
 }
 
 void Raft::OnAppendReply(sim::NodeId from, const AppendReplyMsg& m,

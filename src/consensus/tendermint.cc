@@ -8,6 +8,8 @@
 
 namespace bb::consensus {
 
+using sim::MsgKind;
+
 namespace {
 constexpr uint64_t kVoteBytes = 110;
 }
@@ -104,10 +106,10 @@ void Tendermint::MaybePropose() {
     rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "tm.propose", h,
                round_);
   }
-  host_->HostBroadcast("tm_proposal", ProposalMsg{h, round_, ptr},
+  host_->HostBroadcast(MsgKind::kTmProposal, ProposalMsg{h, round_, ptr},
                        ptr->SizeBytes());
-  host_->HostBroadcast("tm_prevote", VoteMsg{h, round_, rs.proposal_hash},
-                       kVoteBytes);
+  host_->HostBroadcast(MsgKind::kTmPrevote,
+                       VoteMsg{h, round_, rs.proposal_hash}, kVoteBytes);
 }
 
 double RoundTimeoutFor(const TendermintConfig& cfg, uint64_t round) {
@@ -169,18 +171,23 @@ bool Tendermint::HandleMessage(const sim::Message& msg, double* cpu) {
     if (Height() >= 1) round_ = 0;
     return true;
   }
-  if (!msg.type.starts_with("tm_")) return false;
-  *cpu += config_.per_message_cpu;
-  if (!active_ || msg.corrupted) return true;
-
-  if (msg.type == "tm_proposal") {
-    OnProposal(std::any_cast<ProposalMsg>(msg.payload), cpu);
-  } else if (msg.type == "tm_prevote") {
-    OnPrevote(msg.from, std::any_cast<VoteMsg>(msg.payload));
-  } else if (msg.type == "tm_precommit") {
-    OnPrecommit(msg.from, std::any_cast<VoteMsg>(msg.payload), cpu);
+  const auto accept = [&] {
+    *cpu += config_.per_message_cpu;
+    return active_ && !msg.corrupted;
+  };
+  switch (msg.kind) {
+    case MsgKind::kTmProposal:
+      if (accept()) OnProposal(msg.payload.As<ProposalMsg>(), cpu);
+      return true;
+    case MsgKind::kTmPrevote:
+      if (accept()) OnPrevote(msg.from, msg.payload.As<VoteMsg>());
+      return true;
+    case MsgKind::kTmPrecommit:
+      if (accept()) OnPrecommit(msg.from, msg.payload.As<VoteMsg>(), cpu);
+      return true;
+    default:
+      return false;
   }
-  return true;
 }
 
 void Tendermint::OnProposal(const ProposalMsg& m, double* cpu) {
@@ -200,8 +207,8 @@ void Tendermint::OnProposal(const ProposalMsg& m, double* cpu) {
   if (m.round == round_ && !rs.sent_prevote) {
     rs.sent_prevote = true;
     rs.prevotes.insert(host_->node_id());
-    host_->HostBroadcast("tm_prevote", VoteMsg{m.height, m.round,
-                                               rs.proposal_hash},
+    host_->HostBroadcast(MsgKind::kTmPrevote,
+                         VoteMsg{m.height, m.round, rs.proposal_hash},
                          kVoteBytes);
   }
 }
@@ -230,7 +237,7 @@ void Tendermint::OnPrevote(sim::NodeId from, const VoteMsg& m) {
       rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "tm.prevote",
                  m.height, m.round);
     }
-    host_->HostBroadcast("tm_precommit",
+    host_->HostBroadcast(MsgKind::kTmPrecommit,
                          VoteMsg{m.height, m.round, rs.proposal_hash},
                          kVoteBytes);
   }

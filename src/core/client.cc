@@ -5,6 +5,8 @@
 
 namespace bb::core {
 
+using sim::MsgKind;
+
 namespace {
 uint64_t MakeTxId(uint32_t client_index, uint64_t seq) {
   return (uint64_t(client_index) + 1) << 40 | seq;
@@ -85,17 +87,17 @@ void DriverClient::TrySubmit(chain::Transaction tx) {
     if (shards.size() > 1) {
       cross_ids_.insert(it->second.id);
       stats_->RecordXsSubmit();
-      Send(platform_->coordinator_id(), "xs_client_tx",
+      Send(platform_->coordinator_id(), MsgKind::kXsClientTx,
            platform::XsClientTx{it->second, std::move(shards)}, wire_bytes);
       return;
     }
     if (shards.size() == 1) {
-      Send(platform_->ServerInShard(shards[0], client_index_), "client_tx",
-           platform::ClientTx{it->second}, wire_bytes);
+      Send(platform_->ServerInShard(shards[0], client_index_),
+           MsgKind::kClientTx, platform::ClientTx{it->second}, wire_bytes);
       return;
     }
   }
-  Send(server_, "client_tx", platform::ClientTx{it->second}, wire_bytes);
+  Send(server_, MsgKind::kClientTx, platform::ClientTx{it->second}, wire_bytes);
 }
 
 void DriverClient::SubmitTransaction(const chain::Transaction& tx) {
@@ -106,8 +108,8 @@ void DriverClient::RequestLatestBlocks(uint64_t from_height,
                                        BlocksCallback cb) {
   uint64_t req = next_req_id_++;
   block_callbacks_[req] = std::move(cb);
-  Send(server_, "rpc_getblocks", platform::RpcGetBlocks{req, from_height},
-       60);
+  Send(server_, MsgKind::kRpcGetBlocks,
+       platform::RpcGetBlocks{req, from_height}, 60);
 }
 
 void DriverClient::PollTick() {
@@ -180,8 +182,8 @@ void DriverClient::OnBlocks(const platform::RpcBlocks& m) {
 }
 
 double DriverClient::HandleMessage(const sim::Message& msg) {
-  if (msg.type == "rpc_blocks") {
-    const auto& m = std::any_cast<const platform::RpcBlocks&>(msg.payload);
+  if (msg.kind == MsgKind::kRpcBlocks) {
+    const auto& m = msg.payload.As<platform::RpcBlocks>();
     auto cb = block_callbacks_.find(m.req_id);
     if (cb != block_callbacks_.end()) {
       LatestBlocks lb{m.confirmed_height, m.blocks};
@@ -191,9 +193,8 @@ double DriverClient::HandleMessage(const sim::Message& msg) {
     }
     return 0;
   }
-  if (msg.type == "client_tx_reject") {
-    const auto& m =
-        std::any_cast<const platform::ClientTxReject&>(msg.payload);
+  if (msg.kind == MsgKind::kClientTxReject) {
+    const auto& m = msg.payload.As<platform::ClientTxReject>();
     auto it = outstanding_.find(m.tx_id);
     if (it != outstanding_.end()) {
       stats_->RecordReject(Now());

@@ -525,8 +525,8 @@ std::string RenderProfileDiff(const util::Json& before,
 
   // What's left to optimize: the top remaining cost centers of the
   // *after* profile, by self wall time and — the ROADMAP's "remaining
-  // copies" lens — by bytes still being copied (the std::any boxing /
-  // payload-copy path shows up here long after its time share shrank).
+  // copies" lens — by bytes still being copied (the message path's
+  // modeled wire bytes show up here long after its time share shrank).
   std::vector<DiffRow> remaining = rows;
   std::sort(remaining.begin(), remaining.end(),
             [](const DiffRow& x, const DiffRow& y) {

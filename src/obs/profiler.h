@@ -12,9 +12,10 @@
 //    count.
 //  * BB_PROF_ALLOC(count, bytes) / BB_PROF_COPY(bytes) charge
 //    allocation and byte-copy work to the innermost open scope — the
-//    message-serialization path (std::any boxing, payload copies,
-//    msg.type churn) uses these so bytes-copied and allocs-per-event
-//    are first-class metrics, not guesses.
+//    message path counts each shared payload where it is allocated
+//    (sim::Payload) and the modeled wire bytes each send copies, so
+//    bytes-copied and allocs-per-event are first-class metrics, not
+//    guesses.
 //  * The first dotted segment of a scope name selects its subsystem
 //    (consensus / serialize / hash / storage / vm / sim / driver); the
 //    Profiler aggregator rolls self time up per subsystem and exports

@@ -26,12 +26,14 @@
 #ifndef BLOCKBENCH_OBS_RECORDER_H_
 #define BLOCKBENCH_OBS_RECORDER_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "sim/msg_kind.h"
 #include "util/json.h"
 #include "util/status.h"
 
@@ -126,19 +128,19 @@ class FlightRecorder {
   // --- Recording (hot path when enabled; inline for bb_sim) --------------
 
   void MsgSend(uint32_t node, double t, uint64_t seq, uint32_t to,
-               const std::string& type, uint64_t bytes) {
-    Push(node, Record{t, seq, bytes, to, Intern(type), Kind::kSend});
+               sim::MsgKind kind, uint64_t bytes) {
+    Push(node, Record{t, seq, bytes, to, Intern(kind), Kind::kSend});
   }
   void MsgRecv(uint32_t node, double t, uint64_t seq, uint32_t from,
-               const std::string& type, uint64_t bytes) {
-    Push(node, Record{t, seq, bytes, from, Intern(type), Kind::kRecv});
+               sim::MsgKind kind, uint64_t bytes) {
+    Push(node, Record{t, seq, bytes, from, Intern(kind), Kind::kRecv});
   }
   /// in_flight=false: dropped at send time (crashed end, partition, loss,
   /// full inbox); true: dropped at delivery time (state changed mid-hop).
   void MsgDrop(uint32_t node, double t, uint64_t seq, uint32_t peer,
-               const std::string& type, bool in_flight) {
+               sim::MsgKind kind, bool in_flight) {
     Push(node,
-         Record{t, seq, in_flight ? 1u : 0u, peer, Intern(type), Kind::kDrop});
+         Record{t, seq, in_flight ? 1u : 0u, peer, Intern(kind), Kind::kDrop});
   }
   /// A consensus phase/view transition ("pbft.view_change", ...).
   void Phase(uint32_t node, double t, const char* name, uint64_t id = 0,
@@ -225,6 +227,13 @@ class FlightRecorder {
     return it->second;
   }
   uint32_t Intern(const char* name) { return Intern(std::string(name)); }
+  /// A message kind's wire name, interned on first sight like any other
+  /// name (so the name table keeps first-seen order) and cached per kind.
+  uint32_t Intern(sim::MsgKind kind) {
+    uint32_t& slot = kind_name_[size_t(kind)];
+    if (slot == 0) slot = Intern(sim::MsgKindName(kind)) + 1;
+    return slot - 1;
+  }
 
   void Push(uint32_t node, Record r) {
     if (node >= rings_.size()) rings_.resize(node + 1);
@@ -243,6 +252,7 @@ class FlightRecorder {
   std::vector<Ring> rings_;
   std::vector<std::string> names_;
   std::unordered_map<std::string, uint32_t> name_idx_;
+  std::array<uint32_t, sim::kNumMsgKinds> kind_name_{};  // name index + 1
   uint64_t break_seq_ = 0;
 };
 

@@ -12,6 +12,8 @@
 
 namespace bb::platform {
 
+using sim::MsgKind;
+
 PlatformNode::PlatformNode(sim::NodeId id, sim::Network* network,
                            PlatformOptions options, uint64_t seed)
     : sim::Node(id, network), options_(std::move(options)) {
@@ -27,7 +29,7 @@ PlatformNode::PlatformNode(sim::NodeId id, sim::Network* network,
   stack_ = std::move(*stack);
   exec_block_hash_ = chain().head();
   if (options_.consensus_channel_capacity > 0) {
-    SetInboxClassLimit("pbft_", options_.consensus_channel_capacity);
+    SetInboxClassLimit(options_.consensus_channel_capacity);
   }
   if (auto* mt = sim()->memtracker()) {
     const auto nid = uint32_t(id);
@@ -90,23 +92,20 @@ void PlatformNode::OnCrash() { engine().OnCrash(); }
 
 void PlatformNode::OnRestart() { engine().OnRestart(); }
 
-void PlatformNode::HostBroadcast(const std::string& type, std::any payload,
+void PlatformNode::HostBroadcast(MsgKind kind, sim::Payload payload,
                                  uint64_t size_bytes) {
   // Consensus traffic flows only among this node's consensus group
   // (clients and other shards' servers live outside [peer_base_,
-  // peer_base_ + num_peers_)). Each Send boxes its own copy of `payload`
-  // in a fresh std::any: the live per-recipient copy on the broadcast
-  // path (block and tx payloads are shared pointers, so the copy is a
-  // refcount bump plus the box).
+  // peer_base_ + num_peers_)). Every recipient shares the one payload.
   for (sim::NodeId to = peer_base_; to < peer_base_ + num_peers_; ++to) {
     if (to == id()) continue;
-    Send(to, type, payload, size_bytes);
+    Send(to, kind, payload, size_bytes);
   }
 }
 
-bool PlatformNode::HostSend(sim::NodeId to, const std::string& type,
-                            std::any payload, uint64_t size_bytes) {
-  return Send(to, type, std::move(payload), size_bytes);
+bool PlatformNode::HostSend(sim::NodeId to, MsgKind kind,
+                            sim::Payload payload, uint64_t size_bytes) {
+  return Send(to, kind, std::move(payload), size_bytes);
 }
 
 double PlatformNode::HandleMessage(const sim::Message& msg) {
@@ -121,10 +120,19 @@ double PlatformNode::HandleMessage(const sim::Message& msg) {
 double PlatformNode::DispatchMessage(const sim::Message& msg) {
   double cpu = 0;
   if (engine().HandleMessage(msg, &cpu)) return cpu;
-  if (msg.type == "client_tx") return HandleClientTx(msg);
-  if (msg.type == "gossip_tx") return HandleGossipTx(msg);
-  if (msg.type.starts_with("rpc_")) return HandleRpc(msg);
-  return 0;
+  switch (msg.kind) {
+    case MsgKind::kClientTx:
+      return HandleClientTx(msg);
+    case MsgKind::kGossipTx:
+      return HandleGossipTx(msg);
+    case MsgKind::kRpcGetBlocks:
+    case MsgKind::kRpcGetBlock:
+    case MsgKind::kRpcGetBalance:
+    case MsgKind::kRpcQuery:
+      return HandleRpc(msg);
+    default:
+      return 0;
+  }
 }
 
 void PlatformNode::SyncMemGauges() {
@@ -141,7 +149,7 @@ void PlatformNode::SyncMemGauges() {
 
 double PlatformNode::HandleClientTx(const sim::Message& msg) {
   BB_PROF_SCOPE("driver.admit");
-  const auto& m = std::any_cast<const ClientTx&>(msg.payload);
+  const auto& m = msg.payload.As<ClientTx>();
   double cpu = options_.admission_cpu;
   if (msg.corrupted) return cpu;  // malformed submission dropped
   if (committed_ids_.count(m.tx.id) || pool_.Seen(m.tx.id)) return cpu;
@@ -151,14 +159,14 @@ double PlatformNode::HandleClientTx(const sim::Message& msg) {
         rate, admission_tokens_ + (Now() - admission_refill_time_) * rate);
     admission_refill_time_ = Now();
     if (admission_tokens_ < 1.0) {
-      Send(msg.from, "client_tx_reject", ClientTxReject{m.tx.id}, 60);
+      Send(msg.from, MsgKind::kClientTxReject, ClientTxReject{m.tx.id}, 60);
       return cpu;
     }
     admission_tokens_ -= 1.0;
   }
   if (options_.tx_pool_capacity != 0 &&
       pool_.pending() >= options_.tx_pool_capacity) {
-    Send(msg.from, "client_tx_reject", ClientTxReject{m.tx.id}, 60);
+    Send(msg.from, MsgKind::kClientTxReject, ClientTxReject{m.tx.id}, 60);
     return cpu;
   }
   pool_.Add(m.tx);
@@ -167,11 +175,7 @@ double PlatformNode::HandleClientTx(const sim::Message& msg) {
     tr->TxMilestone(m.tx.id, obs::Tracer::kAdmit, Now());
   }
   if (options_.gossip_txs) {
-    // One shared payload for all peers: each Send copies a GossipTx (a
-    // refcount bump), not the transaction itself.
-    auto shared = std::make_shared<const chain::Transaction>(m.tx);
-    uint64_t wire = shared->SizeBytes();
-    HostBroadcast("gossip_tx", GossipTx{std::move(shared)}, wire);
+    HostBroadcast(MsgKind::kGossipTx, GossipTx{m.tx}, m.tx.SizeBytes());
   }
   engine().OnNewTransactions();
   return cpu;
@@ -179,10 +183,9 @@ double PlatformNode::HandleClientTx(const sim::Message& msg) {
 
 double PlatformNode::HandleGossipTx(const sim::Message& msg) {
   BB_PROF_SCOPE("driver.gossip_admit");
-  const auto& m = std::any_cast<const GossipTx&>(msg.payload);
+  const chain::Transaction& tx = msg.payload.As<GossipTx>().tx;
   double cpu = options_.gossip_ingest_cpu;
   if (msg.corrupted) return cpu;
-  const chain::Transaction& tx = *m.tx;
   if (committed_ids_.count(tx.id)) return cpu;
   if (options_.tx_pool_capacity != 0 &&
       pool_.pending() >= options_.tx_pool_capacity) {
@@ -208,8 +211,8 @@ double PlatformNode::HandleRpc(const sim::Message& msg) {
   double cpu = options_.rpc_request_cpu;
   if (msg.corrupted) return cpu;
 
-  if (msg.type == "rpc_getblocks") {
-    const auto& m = std::any_cast<const RpcGetBlocks&>(msg.payload);
+  if (msg.kind == MsgKind::kRpcGetBlocks) {
+    const auto& m = msg.payload.As<RpcGetBlocks>();
     RpcBlocks reply;
     reply.req_id = m.req_id;
     reply.confirmed_height = ConfirmedHeight();
@@ -217,12 +220,12 @@ double PlatformNode::HandleRpc(const sim::Message& msg) {
     reply.blocks =
         chain().CanonicalRangePtr(m.from_height, reply.confirmed_height);
     for (const auto& b : reply.blocks) bytes += b->SizeBytes();
-    Send(msg.from, "rpc_blocks", std::move(reply), bytes);
+    Send(msg.from, MsgKind::kRpcBlocks, std::move(reply), bytes);
     return cpu;
   }
 
-  if (msg.type == "rpc_getblock") {
-    const auto& m = std::any_cast<const RpcGetBlock&>(msg.payload);
+  if (msg.kind == MsgKind::kRpcGetBlock) {
+    const auto& m = msg.payload.As<RpcGetBlock>();
     RpcBlock reply;
     reply.req_id = m.req_id;
     uint64_t bytes = 100;
@@ -230,12 +233,12 @@ double PlatformNode::HandleRpc(const sim::Message& msg) {
       reply.block = chain().CanonicalAtPtr(m.height);
       if (reply.block != nullptr) bytes += reply.block->SizeBytes();
     }
-    Send(msg.from, "rpc_block", std::move(reply), bytes);
+    Send(msg.from, MsgKind::kRpcBlock, std::move(reply), bytes);
     return cpu;
   }
 
-  if (msg.type == "rpc_getbalance") {
-    const auto& m = std::any_cast<const RpcGetBalance&>(msg.payload);
+  if (msg.kind == MsgKind::kRpcGetBalance) {
+    const auto& m = msg.payload.As<RpcGetBalance>();
     RpcBalance reply{m.req_id, false, 0};
     const chain::Block* b = chain().CanonicalAt(m.height);
     if (b != nullptr && state().supports_versioned_reads()) {
@@ -252,12 +255,12 @@ double PlatformNode::HandleRpc(const sim::Message& msg) {
         }
       }
     }
-    Send(msg.from, "rpc_balance", reply, 80);
+    Send(msg.from, MsgKind::kRpcBalance, reply, 80);
     return cpu;
   }
 
-  if (msg.type == "rpc_query") {
-    const auto& m = std::any_cast<const RpcQuery&>(msg.payload);
+  if (msg.kind == MsgKind::kRpcQuery) {
+    const auto& m = msg.payload.As<RpcQuery>();
     double query_cpu = 0;
     auto result = QueryContract(m.contract, m.function, m.args, &query_cpu);
     cpu += query_cpu;
@@ -267,7 +270,7 @@ double PlatformNode::HandleRpc(const sim::Message& msg) {
     // query's CPU work is done.
     sim::NodeId client = msg.from;
     sim()->After(cpu, [this, client, reply = std::move(reply)]() mutable {
-      Send(client, "rpc_result", std::move(reply), 120);
+      Send(client, MsgKind::kRpcResult, std::move(reply), 120);
     });
     return cpu;
   }
@@ -474,7 +477,7 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
       committed_ids_.insert(tx.id);
       if (tr != nullptr) tr->TxMilestone(tx.id, obs::Tracer::kCommit, Now());
       if (xs_notify_.has_value() && tx.contract == kXsContract) {
-        Send(*xs_notify_, "xs_sealed", XsSealed{tx.id}, 60);
+        Send(*xs_notify_, MsgKind::kXsSealed, XsSealed{tx.id}, 60);
       }
     }
     // Non-empty blocks only: PoA/PoW seal empty blocks continuously and

@@ -56,9 +56,9 @@ class PlatformNode : public sim::Node, public consensus::ConsensusHost {
   size_t num_nodes() const override { return num_peers_; }
   sim::Simulation* host_sim() override { return sim(); }
   double HostNow() const override { return Now(); }
-  void HostBroadcast(const std::string& type, std::any payload,
+  void HostBroadcast(sim::MsgKind kind, sim::Payload payload,
                      uint64_t size_bytes) override;
-  bool HostSend(sim::NodeId to, const std::string& type, std::any payload,
+  bool HostSend(sim::NodeId to, sim::MsgKind kind, sim::Payload payload,
                 uint64_t size_bytes) override;
   std::optional<chain::Block> BuildBlock(const Hash256& parent,
                                          uint64_t parent_height,

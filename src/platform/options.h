@@ -86,7 +86,8 @@ struct PlatformOptions {
 
   sim::NetworkConfig net;
   /// Bounded consensus message channel (Hyperledger model): max queued
-  /// "pbft_*" messages per node; overflow is dropped. 0 = unbounded.
+  /// messages of the PBFT inbox class (sim::InInboxClass) per node;
+  /// overflow is dropped. 0 = unbounded.
   size_t consensus_channel_capacity = 0;
 
   /// Block assembly -------------------------------------------------------

@@ -17,22 +17,20 @@ namespace bb::platform {
 
 using BlockPtr = std::shared_ptr<const chain::Block>;
 
-/// type = "client_tx". Client -> server transaction submission.
+/// MsgKind::kClientTx. Client -> server transaction submission.
 struct ClientTx {
   chain::Transaction tx;
 };
 
-/// type = "client_tx_reject". Server pool is full; client should back off.
+/// MsgKind::kClientTxReject. Server pool is full; client should back off.
 struct ClientTxReject {
   uint64_t tx_id;
 };
 
-/// type = "gossip_tx". Server -> server relay of an admitted transaction.
-/// Carries a shared handle so broadcasting to N peers bumps a refcount N
-/// times instead of deep-copying the payload N times (size_bytes still
-/// models the full wire size).
+/// MsgKind::kGossipTx. Server -> server relay of an admitted
+/// transaction; all peers of the broadcast share the one payload.
 struct GossipTx {
-  std::shared_ptr<const chain::Transaction> tx;
+  chain::Transaction tx;
 };
 
 /// Cross-shard 2PC wire protocol (platform/sharding.h) ---------------------
@@ -52,57 +50,57 @@ inline uint64_t XsBaseId(uint64_t record_id) {
   return record_id & ~(kXsPrepareBit | kXsAbortBit);
 }
 
-/// type = "xs_client_tx". Client -> coordinator: a transaction whose keys
+/// MsgKind::kXsClientTx. Client -> coordinator: a transaction whose keys
 /// straddle `shards` (at least two of them).
 struct XsClientTx {
   chain::Transaction tx;
   std::vector<uint32_t> shards;
 };
 
-/// type = "xs_sealed". Participant server -> coordinator: a "__xshard"
+/// MsgKind::kXsSealed. Participant server -> coordinator: a "__xshard"
 /// record (or cross-shard commit) was canonically executed on its chain.
 struct XsSealed {
   uint64_t record_id;
 };
 
-/// type = "rpc_getblocks". getLatestBlock(h): confirmed blocks above h.
+/// MsgKind::kRpcGetBlocks. getLatestBlock(h): confirmed blocks above h.
 struct RpcGetBlocks {
   uint64_t req_id;
   uint64_t from_height;
 };
-/// type = "rpc_blocks".
+/// MsgKind::kRpcBlocks.
 struct RpcBlocks {
   uint64_t req_id;
   uint64_t confirmed_height;
   std::vector<BlockPtr> blocks;
 };
 
-/// type = "rpc_getblock". Single block by height (canonical, confirmed).
+/// MsgKind::kRpcGetBlock. Single block by height (canonical, confirmed).
 struct RpcGetBlock {
   uint64_t req_id;
   uint64_t height;
 };
-/// type = "rpc_block". block is null when unavailable.
+/// MsgKind::kRpcBlock. block is null when unavailable.
 struct RpcBlock {
   uint64_t req_id;
   BlockPtr block;
 };
 
-/// type = "rpc_getbalance". Account balance at a historical block
+/// MsgKind::kRpcGetBalance. Account balance at a historical block
 /// (Ethereum/Parity only — needs versioned state).
 struct RpcGetBalance {
   uint64_t req_id;
   std::string account;
   uint64_t height;
 };
-/// type = "rpc_balance".
+/// MsgKind::kRpcBalance.
 struct RpcBalance {
   uint64_t req_id;
   bool ok;
   int64_t balance;
 };
 
-/// type = "rpc_query". Read-only contract invocation on current state
+/// MsgKind::kRpcQuery. Read-only contract invocation on current state
 /// (Hyperledger chaincode query path).
 struct RpcQuery {
   uint64_t req_id;
@@ -110,7 +108,7 @@ struct RpcQuery {
   std::string function;
   vm::Args args;
 };
-/// type = "rpc_result".
+/// MsgKind::kRpcResult.
 struct RpcResult {
   uint64_t req_id;
   bool ok;

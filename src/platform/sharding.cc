@@ -7,6 +7,8 @@
 
 namespace bb::platform {
 
+using sim::MsgKind;
+
 namespace {
 
 /// Comma-separated participant list carried by every record so the
@@ -39,11 +41,11 @@ ShardCoordinator::ShardCoordinator(sim::NodeId id, sim::Network* network,
 double ShardCoordinator::HandleMessage(const sim::Message& msg) {
   BB_PROF_SCOPE("consensus.xs_coordinator");
   double cpu = 0;
-  if (msg.type == "xs_client_tx") {
+  if (msg.kind == MsgKind::kXsClientTx) {
     cpu = HandleClientTx(msg);
-  } else if (msg.type == "xs_sealed") {
+  } else if (msg.kind == MsgKind::kXsSealed) {
     cpu = HandleSealed(msg);
-  } else if (msg.type == "client_tx_reject") {
+  } else if (msg.kind == MsgKind::kClientTxReject) {
     cpu = HandleReject(msg);
   }
   SyncMemGauge();
@@ -79,12 +81,12 @@ void ShardCoordinator::SubmitToShard(uint32_t shard,
                                      const chain::Transaction& record) {
   // Records enter the shard through the same admission path as client
   // transactions (dedup, rate limit, pool capacity, gossip).
-  Send(platform_->ServerInShard(shard, 0), "client_tx", ClientTx{record},
-       record.SizeBytes());
+  Send(platform_->ServerInShard(shard, 0), MsgKind::kClientTx,
+       ClientTx{record}, record.SizeBytes());
 }
 
 double ShardCoordinator::HandleClientTx(const sim::Message& msg) {
-  const auto& m = std::any_cast<const XsClientTx&>(msg.payload);
+  const auto& m = msg.payload.As<XsClientTx>();
   double cpu = platform_->options().xs_coordinator_cpu;
   if (msg.corrupted) return cpu;
   uint64_t base_id = m.tx.id;
@@ -105,7 +107,7 @@ double ShardCoordinator::HandleClientTx(const sim::Message& msg) {
 }
 
 double ShardCoordinator::HandleSealed(const sim::Message& msg) {
-  const auto& m = std::any_cast<const XsSealed&>(msg.payload);
+  const auto& m = msg.payload.As<XsSealed>();
   double cpu = platform_->options().xs_coordinator_cpu;
   if (msg.corrupted) return cpu;
   if ((m.record_id & kXsPrepareBit) == 0) return cpu;  // abort bookkeeping
@@ -122,7 +124,7 @@ double ShardCoordinator::HandleSealed(const sim::Message& msg) {
 }
 
 double ShardCoordinator::HandleReject(const sim::Message& msg) {
-  const auto& m = std::any_cast<const ClientTxReject&>(msg.payload);
+  const auto& m = msg.payload.As<ClientTxReject>();
   double cpu = platform_->options().xs_coordinator_cpu;
   if (msg.corrupted) return cpu;
   auto it = entries_.find(XsBaseId(m.tx_id));
@@ -184,7 +186,7 @@ void ShardCoordinator::Decide(uint64_t base_id, bool commit) {
   ++aborted_;
   chain::Transaction abort_rec = MakeRecord(e, "abort", kXsAbortBit);
   for (uint32_t shard : e.shards) SubmitToShard(shard, abort_rec);
-  Send(e.client, "client_tx_reject", ClientTxReject{e.tx.id}, 60);
+  Send(e.client, MsgKind::kClientTxReject, ClientTxReject{e.tx.id}, 60);
 }
 
 // --- ShardedPlatform ---------------------------------------------------------

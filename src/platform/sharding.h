@@ -10,12 +10,12 @@
 //
 // Cross-shard protocol (records are ordinary transactions so the
 // auditor can replay the protocol from the chains alone):
-//   1. client -> coordinator: "xs_client_tx" {tx, participant shards}
+//   1. client -> coordinator: kXsClientTx {tx, participant shards}
 //   2. coordinator -> each participant shard: a prepare record
 //      (id = tx.id | kXsPrepareBit, contract = "__xshard") submitted
-//      through the shard's normal client_tx admission path
+//      through the shard's normal kClientTx admission path
 //   3. each server canonically executing a "__xshard" record notifies
-//      the coordinator ("xs_sealed")
+//      the coordinator (kXsSealed)
 //   4. all participants sealed their prepare -> the coordinator submits
 //      the original transaction (the commit record) to every
 //      participant shard; a prepare timeout instead seals abort records

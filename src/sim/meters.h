@@ -5,13 +5,18 @@
 #ifndef BLOCKBENCH_SIM_METERS_H_
 #define BLOCKBENCH_SIM_METERS_H_
 
+#include <array>
 #include <cstdint>
-#include <map>
-#include <string>
+#include <utility>
+#include <vector>
 
+#include "sim/msg_kind.h"
 #include "util/histogram.h"
 
 namespace bb::sim {
+
+/// Per-kind message counts: (wire name, count), sorted by name.
+using MsgCounts = std::vector<std::pair<const char*, uint64_t>>;
 
 class ResourceMeter {
  public:
@@ -27,12 +32,11 @@ class ResourceMeter {
     net_bytes_.Add(t, double(bytes));
     total_net_bytes_ += bytes;
   }
-  /// Counts one outbound message of the given protocol type (the
-  /// Message::type string, e.g. "pbft_prepare"); backs the
+  /// Counts one outbound message of the given kind; backs the
   /// messages-per-consensus-phase breakdown in Fig 16 and the metrics
   /// registry.
-  void AddMessageSent(const std::string& type) {
-    ++msgs_sent_by_type_[type];
+  void AddMessageSent(MsgKind kind) {
+    ++msgs_sent_by_kind_[size_t(kind)];
     ++total_msgs_sent_;
   }
 
@@ -47,10 +51,16 @@ class ResourceMeter {
   double total_cpu() const { return total_cpu_; }
   uint64_t total_net_bytes() const { return total_net_bytes_; }
   uint64_t total_msgs_sent() const { return total_msgs_sent_; }
-  /// Outbound message counts keyed by Message::type, sorted (std::map)
-  /// so iteration order is deterministic.
-  const std::map<std::string, uint64_t>& msgs_sent_by_type() const {
-    return msgs_sent_by_type_;
+  /// Outbound message counts as (wire name, count) pairs, sorted by
+  /// name and without the kinds never sent, so the order is
+  /// deterministic.
+  MsgCounts msgs_sent_by_type() const {
+    MsgCounts out;
+    for (MsgKind kind : kMsgKindsByName) {
+      uint64_t n = msgs_sent_by_kind_[size_t(kind)];
+      if (n != 0) out.emplace_back(MsgKindName(kind), n);
+    }
+    return out;
   }
 
  private:
@@ -59,7 +69,7 @@ class ResourceMeter {
   double total_cpu_ = 0;
   uint64_t total_net_bytes_ = 0;
   uint64_t total_msgs_sent_ = 0;
-  std::map<std::string, uint64_t> msgs_sent_by_type_;
+  std::array<uint64_t, kNumMsgKinds> msgs_sent_by_kind_{};
 };
 
 }  // namespace bb::sim

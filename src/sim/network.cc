@@ -1,6 +1,8 @@
 #include "sim/network.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "obs/memtrack.h"
 #include "obs/profiler.h"
@@ -9,6 +11,15 @@
 #include "sim/node.h"
 
 namespace bb::sim {
+
+void Payload::CountAlloc(uint64_t bytes) { BB_PROF_ALLOC(1, bytes); }
+
+void Payload::TypeMismatch(const std::type_info* sent,
+                           const std::type_info& read) {
+  std::fprintf(stderr, "sim::Payload: payload of type %s read as %s\n",
+               sent == nullptr ? "(none)" : sent->name(), read.name());
+  std::abort();
+}
 
 void Network::Register(Node* node) {
   assert(node->id() == nodes_.size() && "register nodes in id order");
@@ -37,17 +48,14 @@ bool Network::Send(Message msg) {
   ++messages_sent_;
   msg.seq = messages_sent_;  // deterministic: counts every send attempt
   bytes_sent_ += msg.size_bytes;
-  // Allocation/copy model of the send path the raw-speed campaign is
-  // chasing: the std::any payload box, msg.type when it spills the SSO
-  // buffer, and the modeled wire bytes the hop copies.
-  BB_PROF_ALLOC((msg.payload.has_value() ? 1 : 0) + (msg.type.size() > 15 ? 1 : 0),
-                msg.type.size());
+  // The modeled wire bytes the hop copies. The payload's one allocation
+  // is counted where it is built (Payload), not per send.
   BB_PROF_COPY(msg.size_bytes);
   nodes_[msg.from]->meter().AddNetBytes(sim_->Now(), msg.size_bytes);
-  nodes_[msg.from]->meter().AddMessageSent(msg.type);
+  nodes_[msg.from]->meter().AddMessageSent(msg.kind);
   if (auto* rec = sim_->recorder()) {
     rec->MsgSend(uint32_t(msg.from), sim_->Now(), msg.seq, uint32_t(msg.to),
-                 msg.type, msg.size_bytes);
+                 msg.kind, msg.size_bytes);
     // Replay breakpoint: --until=TIME,SEQ stops right after send SEQ.
     if (rec->break_seq() != 0 && msg.seq >= rec->break_seq()) {
       sim_->RequestStop();
@@ -59,7 +67,7 @@ bool Network::Send(Message msg) {
     ++messages_dropped_;
     if (auto* rec = sim_->recorder()) {
       rec->MsgDrop(uint32_t(msg.from), sim_->Now(), msg.seq, uint32_t(msg.to),
-                   msg.type, /*in_flight=*/false);
+                   msg.kind, /*in_flight=*/false);
     }
     return false;
   }
@@ -69,7 +77,7 @@ bool Network::Send(Message msg) {
     ++messages_dropped_;
     if (auto* rec = sim_->recorder()) {
       rec->MsgDrop(uint32_t(msg.from), sim_->Now(), msg.seq, uint32_t(msg.to),
-                   msg.type, /*in_flight=*/false);
+                   msg.kind, /*in_flight=*/false);
     }
     return false;
   }
@@ -100,7 +108,7 @@ bool Network::Send(Message msg) {
       ++messages_dropped_;
       if (auto* rec = sim_->recorder()) {
         rec->MsgDrop(uint32_t(to), sim_->Now(), m.seq, uint32_t(m.from),
-                     m.type, /*in_flight=*/true);
+                     m.kind, /*in_flight=*/true);
       }
       return;
     }
@@ -111,7 +119,7 @@ bool Network::Send(Message msg) {
       ++messages_dropped_;
       if (auto* rec = sim_->recorder()) {
         rec->MsgDrop(uint32_t(to), sim_->Now(), m.seq, uint32_t(m.from),
-                     m.type, /*in_flight=*/true);
+                     m.kind, /*in_flight=*/true);
       }
       return;
     }
@@ -119,7 +127,7 @@ bool Network::Send(Message msg) {
       tr->FlowEnd(to, "net", "net.recv", sim_->Now(), m.seq);
     }
     if (auto* rec = sim_->recorder()) {
-      rec->MsgRecv(uint32_t(to), sim_->Now(), m.seq, uint32_t(m.from), m.type,
+      rec->MsgRecv(uint32_t(to), sim_->Now(), m.seq, uint32_t(m.from), m.kind,
                    m.size_bytes);
     }
     nodes_[to]->Deliver(std::move(m));

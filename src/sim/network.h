@@ -11,12 +11,15 @@
 #ifndef BLOCKBENCH_SIM_NETWORK_H_
 #define BLOCKBENCH_SIM_NETWORK_H_
 
-#include <any>
+#include <concepts>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <memory>
+#include <type_traits>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
+#include "sim/msg_kind.h"
 #include "sim/simulation.h"
 #include "util/random.h"
 
@@ -25,19 +28,68 @@ namespace bb::sim {
 using NodeId = uint32_t;
 constexpr NodeId kNoNode = UINT32_MAX;
 
-/// A message in flight. Payload is type-erased; receivers know the schema
-/// from `type`.
+/// An immutable message payload, shared by every recipient of one send
+/// the way BlockPtr shares a block. Building one from a value is the
+/// only payload allocation on the message path: once per Send or
+/// broadcast, however many peers receive it. Receivers read it by const&
+/// with the type it was built from; a read with any other type aborts
+/// in every build type.
+class Payload {
+ public:
+  Payload() = default;
+  template <class T>
+    requires(!std::same_as<std::remove_cvref_t<T>, Payload>)
+  Payload(T&& value)  // NOLINT: implicit, so senders pass the value itself
+      : box_(MakeBox<std::remove_cvref_t<T>>(std::forward<T>(value))) {}
+
+  template <class T>
+  const T& As() const {
+    if (box_ == nullptr || *box_->type != typeid(T)) {
+      TypeMismatch(box_ == nullptr ? nullptr : box_->type, typeid(T));
+    }
+    return static_cast<const Box<T>&>(*box_).value;
+  }
+
+  /// Identity of the shared payload object (null when empty).
+  const void* get() const { return box_.get(); }
+
+ private:
+  struct BoxBase {
+    const std::type_info* type;
+  };
+  template <class T>
+  struct Box : BoxBase {
+    template <class V>
+    explicit Box(V&& v) : BoxBase{&typeid(T)}, value(std::forward<V>(v)) {}
+    T value;
+  };
+
+  template <class T, class V>
+  static std::shared_ptr<const BoxBase> MakeBox(V&& value) {
+    CountAlloc(sizeof(Box<T>));
+    return std::make_shared<const Box<T>>(std::forward<V>(value));
+  }
+  /// Charges the allocation to the profiler's innermost open scope.
+  static void CountAlloc(uint64_t bytes);
+  [[noreturn]] static void TypeMismatch(const std::type_info* sent,
+                                        const std::type_info& read);
+
+  std::shared_ptr<const BoxBase> box_;
+};
+
+/// A message in flight: a kind from the one list (sim/msg_kind.h) plus
+/// the shared payload that kind carries.
 struct Message {
   NodeId from = kNoNode;
   NodeId to = kNoNode;
-  std::string type;
-  std::any payload;
+  MsgKind kind{};
+  bool corrupted = false;
   uint64_t size_bytes = 0;
   /// Unique per network send, assigned by Network::Send in dispatch
   /// order (deterministic). Links a send to its delivery — the tracer
   /// uses it as the Perfetto flow-event id.
   uint64_t seq = 0;
-  bool corrupted = false;
+  Payload payload;
 };
 
 class Node;  // sim/node.h

@@ -25,15 +25,9 @@ void Node::set_crashed(bool c) {
   }
 }
 
-void Node::SetInboxClassLimit(std::string prefix, size_t capacity) {
-  class_prefix_ = std::move(prefix);
-  class_capacity_ = capacity;
-}
-
 void Node::Deliver(Message msg) {
   if (crashed_) return;
-  if (class_capacity_ > 0 && !class_prefix_.empty() &&
-      msg.type.compare(0, class_prefix_.size(), class_prefix_) == 0) {
+  if (class_capacity_ > 0 && InInboxClass(msg.kind)) {
     if (class_queued_ >= class_capacity_) {
       // The class channel is full: reject, as Fabric v0.6 does.
       ++class_dropped_;
@@ -54,8 +48,7 @@ void Node::ProcessNext() {
   BB_PROF_SCOPE("sim.process_msg");
   Message msg = std::move(inbox_.front());
   inbox_.pop_front();
-  if (class_queued_ > 0 && !class_prefix_.empty() &&
-      msg.type.compare(0, class_prefix_.size(), class_prefix_) == 0) {
+  if (class_queued_ > 0 && InInboxClass(msg.kind)) {
     --class_queued_;
   }
   meter_.AddNetBytes(Now(), msg.size_bytes);
@@ -69,12 +62,12 @@ void Node::ProcessNext() {
   });
 }
 
-bool Node::Send(NodeId to, const std::string& type, std::any payload,
+bool Node::Send(NodeId to, MsgKind kind, Payload payload,
                 uint64_t size_bytes) {
   Message m;
   m.from = id_;
   m.to = to;
-  m.type = type;
+  m.kind = kind;
   m.payload = std::move(payload);
   m.size_bytes = size_bytes;
   return network_->Send(std::move(m));

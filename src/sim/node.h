@@ -9,7 +9,6 @@
 #define BLOCKBENCH_SIM_NODE_H_
 
 #include <deque>
-#include <string>
 
 #include "sim/meters.h"
 #include "sim/network.h"
@@ -40,10 +39,10 @@ class Node {
   void Deliver(Message msg);
   size_t inbox_depth() const { return inbox_.size() + (processing_ ? 1 : 0); }
 
-  /// Bounds the number of queued messages whose type starts with
-  /// `prefix` (e.g. Fabric v0.6's bounded consensus channel). Arrivals
-  /// beyond the cap are dropped. One class per node.
-  void SetInboxClassLimit(std::string prefix, size_t capacity);
+  /// Bounds the number of queued messages of the inbox-class kinds (the
+  /// pbft_* kinds, see InInboxClass): Fabric v0.6's bounded consensus
+  /// channel. Arrivals beyond the cap are dropped.
+  void SetInboxClassLimit(size_t capacity) { class_capacity_ = capacity; }
   uint64_t class_dropped() const { return class_dropped_; }
 
   bool crashed() const { return crashed_; }
@@ -59,8 +58,7 @@ class Node {
 
  protected:
   /// Convenience wrapper.
-  bool Send(NodeId to, const std::string& type, std::any payload,
-            uint64_t size_bytes);
+  bool Send(NodeId to, MsgKind kind, Payload payload, uint64_t size_bytes);
 
  private:
   void ProcessNext();
@@ -74,7 +72,6 @@ class Node {
   uint64_t crash_epoch_ = 0;
   std::deque<Message> inbox_;
   ResourceMeter meter_;
-  std::string class_prefix_;
   size_t class_capacity_ = 0;
   size_t class_queued_ = 0;
   uint64_t class_dropped_ = 0;

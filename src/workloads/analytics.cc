@@ -7,6 +7,8 @@
 
 namespace bb::workloads {
 
+using sim::MsgKind;
+
 namespace {
 std::string AccountName(uint64_t n) { return "acct" + std::to_string(n); }
 }  // namespace
@@ -84,8 +86,8 @@ void AnalyticsClient::SendNextQ1() {
     return;
   }
   ++rpcs_issued_;
-  Send(server_, "rpc_getblock", platform::RpcGetBlock{next_req_++, cursor_},
-       60);
+  Send(server_, MsgKind::kRpcGetBlock,
+       platform::RpcGetBlock{next_req_++, cursor_}, 60);
 }
 
 void AnalyticsClient::StartQ2(const std::string& account, uint64_t from_block,
@@ -102,7 +104,7 @@ void AnalyticsClient::StartQ2(const std::string& account, uint64_t from_block,
   if (use_chaincode) {
     mode_ = Mode::kQ2Chaincode;
     ++rpcs_issued_;
-    Send(server_, "rpc_query",
+    Send(server_, MsgKind::kRpcQuery,
          platform::RpcQuery{next_req_++, "analytics", "maxBalanceInRange",
                             {vm::Value(account),
                              vm::Value(int64_t(from_block + 1)),
@@ -119,7 +121,7 @@ void AnalyticsClient::PumpQ2() {
          cursor_ <= end_) {
     ++rpcs_issued_;
     ++inflight_;
-    Send(server_, "rpc_getbalance",
+    Send(server_, MsgKind::kRpcGetBalance,
          platform::RpcGetBalance{next_req_++, account_, cursor_}, 80);
     ++cursor_;
   }
@@ -133,8 +135,8 @@ void AnalyticsClient::Finish() {
 }
 
 double AnalyticsClient::HandleMessage(const sim::Message& msg) {
-  if (mode_ == Mode::kQ1 && msg.type == "rpc_block") {
-    const auto& m = std::any_cast<const platform::RpcBlock&>(msg.payload);
+  if (mode_ == Mode::kQ1 && msg.kind == MsgKind::kRpcBlock) {
+    const auto& m = msg.payload.As<platform::RpcBlock>();
     if (m.block != nullptr) {
       for (const auto& tx : m.block->txs) {
         result_ += tx.value;
@@ -149,8 +151,8 @@ double AnalyticsClient::HandleMessage(const sim::Message& msg) {
     SendNextQ1();
     return 0;
   }
-  if (mode_ == Mode::kQ2Balance && msg.type == "rpc_balance") {
-    const auto& m = std::any_cast<const platform::RpcBalance&>(msg.payload);
+  if (mode_ == Mode::kQ2Balance && msg.kind == MsgKind::kRpcBalance) {
+    const auto& m = msg.payload.As<platform::RpcBalance>();
     if (m.ok && (!result_valid_ || m.balance > result_)) {
       result_ = m.balance;
       result_valid_ = true;
@@ -159,8 +161,8 @@ double AnalyticsClient::HandleMessage(const sim::Message& msg) {
     PumpQ2();
     return 0;
   }
-  if (mode_ == Mode::kQ2Chaincode && msg.type == "rpc_result") {
-    const auto& m = std::any_cast<const platform::RpcResult&>(msg.payload);
+  if (mode_ == Mode::kQ2Chaincode && msg.kind == MsgKind::kRpcResult) {
+    const auto& m = msg.payload.As<platform::RpcResult>();
     if (m.ok && m.value.is_int()) {
       result_ = m.value.AsInt();
       result_valid_ = true;

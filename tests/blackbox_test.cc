@@ -25,8 +25,8 @@ namespace {
 
 TEST(FlightRecorder, RecordsAndIntrospects) {
   FlightRecorder rec(8);
-  rec.MsgSend(0, 1.0, 7, 1, "prepare", 100);
-  rec.MsgRecv(1, 1.5, 7, 0, "prepare", 100);
+  rec.MsgSend(0, 1.0, 7, 1, sim::MsgKind::kPbftPrepare, 100);
+  rec.MsgRecv(1, 1.5, 7, 0, sim::MsgKind::kPbftPrepare, 100);
   rec.Phase(0, 2.0, "pbft.view_change", 3);
   rec.Fault(FlightRecorder::Kind::kCrash, 1, 2.5);
 
@@ -39,7 +39,7 @@ TEST(FlightRecorder, RecordsAndIntrospects) {
   EXPECT_EQ(send.kind, FlightRecorder::Kind::kSend);
   EXPECT_EQ(send.id, 7u);
   EXPECT_EQ(send.peer, 1u);
-  EXPECT_EQ(rec.Name(send.name), "prepare");
+  EXPECT_EQ(rec.Name(send.name), "pbft_prepare");
 
   const auto& phase = rec.At(0, 1);
   EXPECT_EQ(phase.kind, FlightRecorder::Kind::kPhase);

@@ -28,15 +28,15 @@ class MockHost : public ConsensusHost {
   sim::Simulation* host_sim() override { return sim_; }
   double HostNow() const override { return sim_->Now(); }
 
-  void HostBroadcast(const std::string& type, std::any payload,
+  void HostBroadcast(sim::MsgKind kind, sim::Payload payload,
                      uint64_t size_bytes) override {
     (void)size_bytes;
-    broadcasts.push_back({type, std::move(payload)});
+    broadcasts.push_back({kind, std::move(payload)});
   }
-  bool HostSend(sim::NodeId to, const std::string& type, std::any payload,
+  bool HostSend(sim::NodeId to, sim::MsgKind kind, sim::Payload payload,
                 uint64_t size_bytes) override {
     (void)size_bytes;
-    sends.push_back({to, type, std::move(payload)});
+    sends.push_back({to, kind, std::move(payload)});
     return true;
   }
 
@@ -80,13 +80,13 @@ class MockHost : public ConsensusHost {
   chain::ChainStore& chain() { return chain_; }
 
   struct Broadcast {
-    std::string type;
-    std::any payload;
+    sim::MsgKind kind;
+    sim::Payload payload;
   };
   struct Sent {
     sim::NodeId to;
-    std::string type;
-    std::any payload;
+    sim::MsgKind kind;
+    sim::Payload payload;
   };
   std::vector<Broadcast> broadcasts;
   std::vector<Sent> sends;
@@ -135,7 +135,7 @@ TEST(PowTest, MinesAndBroadcastsBlocks) {
   EXPECT_GT(host.chain_store().head_height(), 5u);
   size_t block_broadcasts = 0;
   for (const auto& b : host.broadcasts) {
-    if (b.type == "pow_block") ++block_broadcasts;
+    if (b.kind == sim::MsgKind::kPowBlock) ++block_broadcasts;
   }
   EXPECT_EQ(block_broadcasts, pow.blocks_mined());
 }
@@ -158,7 +158,7 @@ TEST(PowTest, RestartsRaceOnReceivedHead) {
   sim::Message msg;
   msg.from = 1;
   msg.to = 0;
-  msg.type = "pow_block";
+  msg.kind = sim::MsgKind::kPowBlock;
   msg.payload = chain::Seal(std::move(b));
   double cpu = 0;
   EXPECT_TRUE(pow.HandleMessage(msg, &cpu));
@@ -174,7 +174,7 @@ TEST(PowTest, CorruptedBlockRejected) {
   sim::Message msg;
   msg.from = 1;
   msg.to = 0;
-  msg.type = "pow_block";
+  msg.kind = sim::MsgKind::kPowBlock;
   msg.corrupted = true;
   msg.payload = chain::Seal(chain::Block{});
   double cpu = 0;
@@ -249,7 +249,7 @@ TEST(PbftTest, LeaderProposesWhenBatchReady) {
   pbft.OnNewTransactions();
   bool proposed = false;
   for (const auto& b : host.broadcasts) {
-    if (b.type == "pbft_preprepare") proposed = true;
+    if (b.kind == sim::MsgKind::kPbftPrePrepare) proposed = true;
   }
   EXPECT_TRUE(proposed);
   EXPECT_GT(pbft.blocks_proposed(), 0u);
@@ -283,12 +283,12 @@ TEST(PbftTest, ReplicaPreparesThenCommitsThenExecutes) {
   sim::Message pp;
   pp.from = 0;
   pp.to = 1;
-  pp.type = "pbft_preprepare";
+  pp.kind = sim::MsgKind::kPbftPrePrepare;
   pp.payload = Pbft::PrePrepareMsg{0, 1, ptr};
   EXPECT_TRUE(pbft.HandleMessage(pp, &cpu));
   // Replica must have broadcast its PREPARE.
   ASSERT_FALSE(host.broadcasts.empty());
-  EXPECT_EQ(host.broadcasts.back().type, "pbft_prepare");
+  EXPECT_EQ(host.broadcasts.back().kind, sim::MsgKind::kPbftPrepare);
 
   // Prepares from peers 2 and 3 complete the 2f+1... N-f quorum of 3
   // (self + leader's implicit + one more).
@@ -296,13 +296,13 @@ TEST(PbftTest, ReplicaPreparesThenCommitsThenExecutes) {
     sim::Message prep;
     prep.from = from;
     prep.to = 1;
-    prep.type = "pbft_prepare";
+    prep.kind = sim::MsgKind::kPbftPrepare;
     prep.payload = Pbft::PhaseMsg{0, 1, digest};
     pbft.HandleMessage(prep, &cpu);
   }
   bool sent_commit = false;
   for (const auto& bc : host.broadcasts) {
-    if (bc.type == "pbft_commit") sent_commit = true;
+    if (bc.kind == sim::MsgKind::kPbftCommit) sent_commit = true;
   }
   EXPECT_TRUE(sent_commit);
 
@@ -311,7 +311,7 @@ TEST(PbftTest, ReplicaPreparesThenCommitsThenExecutes) {
     sim::Message com;
     com.from = from;
     com.to = 1;
-    com.type = "pbft_commit";
+    com.kind = sim::MsgKind::kPbftCommit;
     com.payload = Pbft::PhaseMsg{0, 1, digest};
     pbft.HandleMessage(com, &cpu);
   }
@@ -327,12 +327,13 @@ TEST(PbftTest, RejectsPrePrepareFromNonLeader) {
   sim::Message pp;
   pp.from = 2;  // not the view-0 leader
   pp.to = 1;
-  pp.type = "pbft_preprepare";
+  pp.kind = sim::MsgKind::kPbftPrePrepare;
   pp.payload = Pbft::PrePrepareMsg{0, 1, b};
   double cpu = 0;
   pbft.HandleMessage(pp, &cpu);
   for (const auto& bc : host.broadcasts) {
-    EXPECT_NE(bc.type, "pbft_prepare") << "no PREPARE for a bogus leader";
+    EXPECT_NE(bc.kind, sim::MsgKind::kPbftPrepare)
+        << "no PREPARE for a bogus leader";
   }
 }
 
@@ -346,7 +347,7 @@ TEST(PbftTest, ViewChangeQuorumElectsNewLeader) {
     sim::Message vc;
     vc.from = from;
     vc.to = 1;
-    vc.type = "pbft_viewchange";
+    vc.kind = sim::MsgKind::kPbftViewChange;
     vc.payload = Pbft::ViewChangeMsg{1, 0};
     pbft.HandleMessage(vc, &cpu);
   }
@@ -354,7 +355,7 @@ TEST(PbftTest, ViewChangeQuorumElectsNewLeader) {
   EXPECT_TRUE(pbft.IsLeader());
   bool sent_newview = false;
   for (const auto& bc : host.broadcasts) {
-    if (bc.type == "pbft_newview") sent_newview = true;
+    if (bc.kind == sim::MsgKind::kPbftNewView) sent_newview = true;
   }
   EXPECT_TRUE(sent_newview);
 }
@@ -371,7 +372,7 @@ TEST(PbftTest, ProgressTimeoutStartsViewChange) {
   EXPECT_GT(pbft.view_changes_started(), 0u);
   bool sent_vc = false;
   for (const auto& bc : host.broadcasts) {
-    if (bc.type == "pbft_viewchange") sent_vc = true;
+    if (bc.kind == sim::MsgKind::kPbftViewChange) sent_vc = true;
   }
   EXPECT_TRUE(sent_vc);
 }
@@ -401,7 +402,7 @@ TEST(PbftTest, DiscardedProposalsRequeueTransactions) {
     sim::Message vc;
     vc.from = from;
     vc.to = 0;
-    vc.type = "pbft_viewchange";
+    vc.kind = sim::MsgKind::kPbftViewChange;
     vc.payload = Pbft::ViewChangeMsg{1, 0};
     pbft.HandleMessage(vc, &cpu);
   }
@@ -416,12 +417,12 @@ TEST(PbftTest, StatusTriggersFetchWhenBehind) {
   sim::Message st;
   st.from = 2;
   st.to = 1;
-  st.type = "pbft_status";
+  st.kind = sim::MsgKind::kPbftStatus;
   st.payload = Pbft::StatusMsg{5, 0};  // peer is 5 blocks ahead
   double cpu = 0;
   pbft.HandleMessage(st, &cpu);
   ASSERT_FALSE(host.sends.empty());
-  EXPECT_EQ(host.sends.back().type, "pbft_fetchreq");
+  EXPECT_EQ(host.sends.back().kind, sim::MsgKind::kPbftFetchReq);
   EXPECT_EQ(host.sends.back().to, 2u);
 }
 
@@ -490,12 +491,12 @@ TEST(TendermintTest, FullPhaseFlowCommits) {
   sim::Message prop;
   prop.from = proposer;
   prop.to = 1;
-  prop.type = "tm_proposal";
+  prop.kind = sim::MsgKind::kTmProposal;
   prop.payload = Tendermint::ProposalMsg{1, 0, ptr};
   EXPECT_TRUE(tm.HandleMessage(prop, &cpu));
   bool prevoted = false;
   for (const auto& bc : host.broadcasts) {
-    if (bc.type == "tm_prevote") prevoted = true;
+    if (bc.kind == sim::MsgKind::kTmPrevote) prevoted = true;
   }
   EXPECT_TRUE(prevoted);
 
@@ -504,13 +505,13 @@ TEST(TendermintTest, FullPhaseFlowCommits) {
     sim::Message pv;
     pv.from = from;
     pv.to = 1;
-    pv.type = "tm_prevote";
+    pv.kind = sim::MsgKind::kTmPrevote;
     pv.payload = Tendermint::VoteMsg{1, 0, digest};
     tm.HandleMessage(pv, &cpu);
   }
   bool precommitted = false;
   for (const auto& bc : host.broadcasts) {
-    if (bc.type == "tm_precommit") precommitted = true;
+    if (bc.kind == sim::MsgKind::kTmPrecommit) precommitted = true;
   }
   EXPECT_TRUE(precommitted);
 
@@ -518,7 +519,7 @@ TEST(TendermintTest, FullPhaseFlowCommits) {
     sim::Message pc;
     pc.from = from;
     pc.to = 1;
-    pc.type = "tm_precommit";
+    pc.kind = sim::MsgKind::kTmPrecommit;
     pc.payload = Tendermint::VoteMsg{1, 0, digest};
     tm.HandleMessage(pc, &cpu);
   }
@@ -541,12 +542,12 @@ TEST(TendermintTest, RejectsProposalFromWrongProposer) {
   sim::Message prop;
   prop.from = wrong;
   prop.to = 1;
-  prop.type = "tm_proposal";
+  prop.kind = sim::MsgKind::kTmProposal;
   prop.payload = Tendermint::ProposalMsg{1, 0, chain::Seal(std::move(b))};
   double cpu = 0;
   tm.HandleMessage(prop, &cpu);
   for (const auto& bc : host.broadcasts) {
-    EXPECT_NE(bc.type, "tm_prevote");
+    EXPECT_NE(bc.kind, sim::MsgKind::kTmPrevote);
   }
 }
 
@@ -734,11 +735,11 @@ TEST(RaftTest, FollowerGrantsVoteOncePerTerm) {
   sim::Message rv;
   rv.from = 1;
   rv.to = 0;
-  rv.type = "raft_requestvote";
+  rv.kind = sim::MsgKind::kRaftRequestVote;
   rv.payload = Raft::RequestVoteMsg{5, 0};
   raft.HandleMessage(rv, &cpu);
   ASSERT_FALSE(host.sends.empty());
-  EXPECT_EQ(host.sends.back().type, "raft_vote");
+  EXPECT_EQ(host.sends.back().kind, sim::MsgKind::kRaftVote);
   size_t sends_before = host.sends.size();
   // A second candidate in the same term gets nothing.
   sim::Message rv2 = rv;
@@ -766,10 +767,12 @@ TEST(RaftTest, VoteDeniedToStaleLog) {
   sim::Message rv;
   rv.from = 1;
   rv.to = 0;
-  rv.type = "raft_requestvote";
+  rv.kind = sim::MsgKind::kRaftRequestVote;
   rv.payload = Raft::RequestVoteMsg{4, 1};  // candidate log shorter
   raft.HandleMessage(rv, &cpu);
-  for (const auto& snd : host.sends) EXPECT_NE(snd.type, "raft_vote");
+  for (const auto& snd : host.sends) {
+    EXPECT_NE(snd.kind, sim::MsgKind::kRaftVote);
+  }
 }
 
 TEST(RaftTest, CandidateBecomesLeaderOnMajority) {
@@ -787,14 +790,14 @@ TEST(RaftTest, CandidateBecomesLeaderOnMajority) {
     sim::Message v;
     v.from = from;
     v.to = 0;
-    v.type = "raft_vote";
+    v.kind = sim::MsgKind::kRaftVote;
     v.payload = Raft::VoteGrantedMsg{raft.term()};
     raft.HandleMessage(v, &cpu);
   }
   EXPECT_EQ(raft.role(), Raft::Role::kLeader);
   bool heartbeat = false;
   for (const auto& bc : host.broadcasts) {
-    if (bc.type == "raft_append") heartbeat = true;
+    if (bc.kind == sim::MsgKind::kRaftAppend) heartbeat = true;
   }
   EXPECT_TRUE(heartbeat);
 }
@@ -812,7 +815,7 @@ TEST(RaftTest, HigherTermDemotesLeader) {
   sim::Message v;
   v.from = 1;
   v.to = 0;
-  v.type = "raft_vote";
+  v.kind = sim::MsgKind::kRaftVote;
   v.payload = Raft::VoteGrantedMsg{raft.term()};
   raft.HandleMessage(v, &cpu);
   ASSERT_EQ(raft.role(), Raft::Role::kLeader);
@@ -820,7 +823,7 @@ TEST(RaftTest, HigherTermDemotesLeader) {
   sim::Message ae;
   ae.from = 2;
   ae.to = 0;
-  ae.type = "raft_append";
+  ae.kind = sim::MsgKind::kRaftAppend;
   ae.payload = Raft::AppendEntriesMsg{raft.term() + 3, 0, Hash256::Zero(),
                                       nullptr, 0};
   raft.HandleMessage(ae, &cpu);
@@ -840,14 +843,14 @@ TEST(RaftTest, AppendRejectsInconsistentPrev) {
   sim::Message ae;
   ae.from = 0;
   ae.to = 1;
-  ae.type = "raft_append";
+  ae.kind = sim::MsgKind::kRaftAppend;
   ae.payload = Raft::AppendEntriesMsg{
       1, 0, Sha256::Digest("wrong-prev"),
       chain::Seal(std::move(b)), 0};
   raft.HandleMessage(ae, &cpu);
   ASSERT_FALSE(host.sends.empty());
-  EXPECT_EQ(host.sends.back().type, "raft_appendreply");
-  auto reply = std::any_cast<Raft::AppendReplyMsg>(host.sends.back().payload);
+  EXPECT_EQ(host.sends.back().kind, sim::MsgKind::kRaftAppendReply);
+  auto reply = host.sends.back().payload.As<Raft::AppendReplyMsg>();
   EXPECT_FALSE(reply.success);
   EXPECT_EQ(host.chain_store().head_height(), 0u);
 }

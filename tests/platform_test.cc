@@ -544,5 +544,36 @@ TEST(PlatformE2E, DoNothingCommitsEverywhere) {
   }
 }
 
+TEST(TypedMessageTest, PbftBroadcastSharesOnePayload) {
+  // A PBFT replica among three recording peers: its first status
+  // broadcast reaches every peer carrying the same payload object.
+  class Peer : public sim::Node {
+   public:
+    using sim::Node::Node;
+    double HandleMessage(const sim::Message& msg) override {
+      received.push_back(msg);
+      return 0;
+    }
+    std::vector<sim::Message> received;
+  };
+  sim::Simulation sim(1);
+  sim::Network net(&sim, {});
+  platform::PlatformNode replica(0, &net, HyperledgerOptions(), 1);
+  Peer p1(1, &net), p2(2, &net), p3(3, &net);
+  replica.set_num_peers(4);
+  replica.Start();
+  sim.RunUntil(0.5);
+  const void* shared = nullptr;
+  for (const Peer* p : {&p1, &p2, &p3}) {
+    ASSERT_EQ(p->received.size(), 1u);
+    const sim::Message& msg = p->received[0];
+    EXPECT_EQ(msg.kind, sim::MsgKind::kPbftStatus);
+    EXPECT_EQ(msg.payload.As<consensus::Pbft::StatusMsg>().view, 0u);
+    ASSERT_NE(msg.payload.get(), nullptr);
+    if (shared == nullptr) shared = msg.payload.get();
+    EXPECT_EQ(msg.payload.get(), shared) << "peer " << msg.to;
+  }
+}
+
 }  // namespace
 }  // namespace bb

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/network.h"
 #include "sim/node.h"
@@ -149,14 +152,14 @@ class EchoNode : public Node {
 
   double HandleMessage(const Message& msg) override {
     ++received_;
-    last_type_ = msg.type;
+    last_kind_ = msg.kind;
     last_corrupted_ = msg.corrupted;
     receive_times_.push_back(Now());
     return cost_;
   }
 
   int received_ = 0;
-  std::string last_type_;
+  MsgKind last_kind_{};
   bool last_corrupted_ = false;
   std::vector<double> receive_times_;
 
@@ -178,7 +181,7 @@ Message Msg(NodeId from, NodeId to, uint64_t bytes = 100) {
   Message m;
   m.from = from;
   m.to = to;
-  m.type = "test";
+  m.kind = MsgKind::kClientTx;  // any kind outside the inbox class
   m.size_bytes = bytes;
   return m;
 }
@@ -343,12 +346,12 @@ TEST(NodeTest, ClassLimitBoundsOnlyMatchingMessages) {
   cfg.base_latency = 0.001;
   cfg.jitter = 0;
   TestNet t(cfg, /*cost=*/1.0);  // slow consumer: messages queue up
-  t.b.SetInboxClassLimit("pbft_", 3);
+  t.b.SetInboxClassLimit(3);
   // 10 consensus-class messages: only ~3 fit in the bounded channel
   // (plus the one being processed).
   for (int i = 0; i < 10; ++i) {
     Message m = Msg(0, 1);
-    m.type = "pbft_commit";
+    m.kind = MsgKind::kPbftCommit;
     t.net.Send(std::move(m));
   }
   // 10 ordinary messages are NOT subject to the class bound.
@@ -396,6 +399,97 @@ TEST(NodeTest, RestartDuringBusyWindowKeepsProcessingSerial) {
   EXPECT_NEAR(t.b.receive_times_[1], 0.501, 1e-9);
   // The third message waits for the second's full second of CPU.
   EXPECT_NEAR(t.b.receive_times_[2], 1.501, 1e-9);
+}
+
+TEST(NodeTest, MeterCountsPerKindSortedByName) {
+  TestNet t;
+  for (int i = 0; i < 2; ++i) {
+    Message m = Msg(0, 1);
+    m.kind = MsgKind::kPbftPrepare;
+    t.net.Send(std::move(m));
+  }
+  t.net.Send(Msg(0, 1));  // kClientTx
+  t.sim.RunToCompletion();
+  EXPECT_EQ(t.a.meter().total_msgs_sent(), 3u);
+  MsgCounts expect = {{"client_tx", 1}, {"pbft_prepare", 2}};
+  ASSERT_EQ(t.a.meter().msgs_sent_by_type().size(), expect.size());
+  for (size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_STREQ(t.a.meter().msgs_sent_by_type()[i].first, expect[i].first);
+    EXPECT_EQ(t.a.meter().msgs_sent_by_type()[i].second, expect[i].second);
+  }
+  EXPECT_TRUE(t.b.meter().msgs_sent_by_type().empty());
+}
+
+// Every kind's wire name, pinned to the string the message carried before
+// kinds were an enum: metrics labels, the Fig 16 breakdown and blackbox
+// dumps print these.
+TEST(MsgKindTest, WireNamesArePinnedUniqueAndClassIsPbft) {
+  const std::vector<std::pair<MsgKind, std::string>> kWire = {
+      {MsgKind::kPbftPrePrepare, "pbft_preprepare"},
+      {MsgKind::kPbftPrepare, "pbft_prepare"},
+      {MsgKind::kPbftCommit, "pbft_commit"},
+      {MsgKind::kPbftViewChange, "pbft_viewchange"},
+      {MsgKind::kPbftNewView, "pbft_newview"},
+      {MsgKind::kPbftStatus, "pbft_status"},
+      {MsgKind::kPbftFetchReq, "pbft_fetchreq"},
+      {MsgKind::kPbftBlocks, "pbft_blocks"},
+      {MsgKind::kRaftRequestVote, "raft_requestvote"},
+      {MsgKind::kRaftVote, "raft_vote"},
+      {MsgKind::kRaftAppend, "raft_append"},
+      {MsgKind::kRaftAppendReply, "raft_appendreply"},
+      {MsgKind::kTmProposal, "tm_proposal"},
+      {MsgKind::kTmPrevote, "tm_prevote"},
+      {MsgKind::kTmPrecommit, "tm_precommit"},
+      {MsgKind::kPowBlock, "pow_block"},
+      {MsgKind::kPoaBlock, "poa_block"},
+      {MsgKind::kSyncFetchReq, "sync_fetchreq"},
+      {MsgKind::kSyncBlocks, "sync_blocks"},
+      {MsgKind::kClientTx, "client_tx"},
+      {MsgKind::kClientTxReject, "client_tx_reject"},
+      {MsgKind::kGossipTx, "gossip_tx"},
+      {MsgKind::kRpcGetBlocks, "rpc_getblocks"},
+      {MsgKind::kRpcBlocks, "rpc_blocks"},
+      {MsgKind::kRpcGetBlock, "rpc_getblock"},
+      {MsgKind::kRpcBlock, "rpc_block"},
+      {MsgKind::kRpcGetBalance, "rpc_getbalance"},
+      {MsgKind::kRpcBalance, "rpc_balance"},
+      {MsgKind::kRpcQuery, "rpc_query"},
+      {MsgKind::kRpcResult, "rpc_result"},
+      {MsgKind::kXsClientTx, "xs_client_tx"},
+      {MsgKind::kXsSealed, "xs_sealed"},
+      {MsgKind::kHsTxn, "hs_txn"},
+      {MsgKind::kHsPrepare, "hs_prepare"},
+      {MsgKind::kHsPrepared, "hs_prepared"},
+      {MsgKind::kHsVoteAbort, "hs_vote_abort"},
+      {MsgKind::kHsCommit, "hs_commit"},
+      {MsgKind::kHsAbort, "hs_abort"},
+      {MsgKind::kHsAck, "hs_ack"},
+      {MsgKind::kHsDone, "hs_done"},
+      {MsgKind::kHsAborted, "hs_aborted"},
+  };
+  ASSERT_EQ(kWire.size(), kNumMsgKinds) << "a kind without a pinned name";
+  std::set<size_t> kinds;
+  std::set<std::string> names;
+  for (const auto& [kind, name] : kWire) {
+    kinds.insert(size_t(kind));
+    names.insert(MsgKindName(kind));
+    EXPECT_EQ(MsgKindName(kind), name);
+    // The bounded inbox class is exactly the PBFT kinds.
+    EXPECT_EQ(InInboxClass(kind), name.starts_with("pbft_")) << name;
+  }
+  EXPECT_EQ(kinds.size(), kNumMsgKinds);
+  EXPECT_EQ(names.size(), kNumMsgKinds) << "wire names must be unique";
+  for (size_t i = 1; i < kNumMsgKinds; ++i) {
+    EXPECT_LT(std::string(MsgKindName(kMsgKindsByName[i - 1])),
+              std::string(MsgKindName(kMsgKindsByName[i])));
+  }
+}
+
+TEST(PayloadDeathTest, ReadWithWrongTypeAborts) {
+  Payload p = uint64_t{7};
+  EXPECT_EQ(p.As<uint64_t>(), 7u);
+  EXPECT_DEATH(p.As<int64_t>(), "read as");
+  EXPECT_DEATH(Payload().As<uint64_t>(), "read as");
 }
 
 }  // namespace
