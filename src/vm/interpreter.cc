@@ -180,18 +180,22 @@ ExecReceipt Interpreter::Execute(const Program& program, const TxContext& ctx,
         if (!a.is_int() || !b.is_int()) {
           return fail(Status::Reverted("arithmetic on non-int"));
         }
+        // Two's-complement wrap-around: add/sub/mul go through uint64_t,
+        // and INT64_MIN / -1 (the one quotient that does not fit) wraps to
+        // INT64_MIN with remainder 0, instead of overflowing.
         int64_t x = a.AsInt(), y = b.AsInt(), out = 0;
+        uint64_t ux = uint64_t(x), uy = uint64_t(y);
         switch (ins.op) {
-          case Op::kAdd: out = x + y; break;
-          case Op::kSub: out = x - y; break;
-          case Op::kMul: out = x * y; break;
+          case Op::kAdd: out = int64_t(ux + uy); break;
+          case Op::kSub: out = int64_t(ux - uy); break;
+          case Op::kMul: out = int64_t(ux * uy); break;
           case Op::kDiv:
             if (y == 0) return fail(Status::Reverted("division by zero"));
-            out = x / y;
+            out = y == -1 ? int64_t(0 - ux) : x / y;
             break;
           case Op::kMod:
             if (y == 0) return fail(Status::Reverted("mod by zero"));
-            out = x % y;
+            out = y == -1 ? 0 : x % y;
             break;
           default: break;
         }
@@ -201,7 +205,7 @@ ExecReceipt Interpreter::Execute(const Program& program, const TxContext& ctx,
       case Op::kNeg:
         if (!pop(&a)) return fail(Status::Reverted("stack underflow"));
         if (!a.is_int()) return fail(Status::Reverted("NEG on non-int"));
-        push(Value(-a.AsInt()));
+        push(Value(int64_t(0 - uint64_t(a.AsInt()))));
         break;
 
       case Op::kLt: case Op::kGt: case Op::kLe: case Op::kGe:

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/random.h"
 #include "vm/assembler.h"
 #include "vm/interpreter.h"
@@ -97,6 +99,32 @@ TEST(InterpreterTest, Arithmetic) {
   auto r = Exec(p, "main", {}, &host);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.return_value.AsInt(), 20);
+}
+
+TEST(InterpreterTest, ArithmeticWrapsAtInt64Boundaries) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Case {
+    const char* op;
+    int64_t a, b, want;
+  };
+  const Case cases[] = {
+      {"ADD", kMax, 1, kMin},  {"ADD", kMin, -1, kMax},
+      {"SUB", kMin, 1, kMax},  {"SUB", kMax, -1, kMin},
+      {"MUL", kMax, 2, -2},    {"MUL", kMin, -1, kMin},
+      {"DIV", kMin, -1, kMin}, {"MOD", kMin, -1, 0},
+      {"DIV", 7, -1, -7},      {"MOD", -7, 2, -1},
+  };
+  MapHost host;
+  for (const Case& c : cases) {
+    Program p = MustAssemble(std::string("ARG 0\nARG 1\n") + c.op +
+                             "\nRETURN\n");
+    auto r = Exec(p, "main", {Value(c.a), Value(c.b)}, &host);
+    ASSERT_TRUE(r.status.ok()) << c.op << ": " << r.status.ToString();
+    EXPECT_EQ(r.return_value.AsInt(), c.want) << c.a << " " << c.op << " " << c.b;
+  }
+  Program neg = MustAssemble("ARG 0\nNEG\nRETURN\n");
+  EXPECT_EQ(Exec(neg, "main", {Value(kMin)}, &host).return_value.AsInt(), kMin);
 }
 
 TEST(InterpreterTest, DivisionByZeroReverts) {
