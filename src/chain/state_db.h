@@ -80,8 +80,8 @@ class StateDb {
 class TrieStateDb : public StateDb {
  public:
   /// `store` backs the trie nodes; not owned. `cache_entries` bounds the
-  /// in-memory node cache (Ethereum caches part of the state; Parity in
-  /// effect caches all of it — pass a huge value and a MemKv store).
+  /// decoded-node cache in front of it (see MerklePatriciaTrie): a capacity
+  /// over a disk store, 0 over an in-memory one such as Parity's.
   explicit TrieStateDb(storage::KvStore* store, size_t cache_entries = 1 << 16);
 
   Status Get(const std::string& ns, const std::string& key,

@@ -207,7 +207,6 @@ PlatformOptions ParityOptions() {
 
   // All state in memory; ~3M states exhausted the paper's 32 GB boxes.
   o.state_mem_capacity = 1'100'000'000;  // scaled: see DESIGN.md
-  o.trie_cache_entries = size_t(1) << 22;
 
   o.cost.seconds_per_gas = 7e-9;
   o.cost.tx_fixed_cpu = 1e-4;

@@ -139,11 +139,13 @@ Hash256 MerklePatriciaTrie::Store(const Node& n) {
 
 Status MerklePatriciaTrie::Load(const Hash256& h, Node* n) const {
   ++stats_.node_reads;
-  if (CacheGet(h, n)) {
-    ++stats_.cache_hits;
-    return Status::Ok();
+  if (cache_capacity_ > 0) {
+    if (CacheGet(h, n)) {
+      ++stats_.cache_hits;
+      return Status::Ok();
+    }
+    ++stats_.cache_misses;
   }
-  ++stats_.cache_misses;
   std::string enc;
   BB_RETURN_IF_ERROR(nodes_->Get(HashSlice(h), &enc));
   BB_RETURN_IF_ERROR(Decode(enc, n));

@@ -7,6 +7,16 @@
 // supports state queries "at a specific block" (Analytics workload) and
 // why the trie has the write/space amplification the IOHeavy experiment
 // measures.
+//
+// A bounded FIFO cache of decoded nodes can sit in front of the store,
+// modelling Ethereum's in-memory cache of part of its on-disk state. It
+// belongs only over a store whose reads cost I/O (DiskKv, where a miss is
+// a file read). Over MemKv the store already holds every node in memory,
+// and the cache would keep a second, larger copy of each hot node (a
+// decoded Node carries 16 child hashes even as a leaf) that no cost model
+// reads, so platforms build their memkv tries without one. The cache never
+// changes which nodes are written, so roots and write counts are the same
+// at any capacity.
 
 #ifndef BLOCKBENCH_STORAGE_PATRICIA_TRIE_H_
 #define BLOCKBENCH_STORAGE_PATRICIA_TRIE_H_
@@ -32,8 +42,8 @@ struct TrieStats {
 class MerklePatriciaTrie {
  public:
   /// `nodes` stores encoded trie nodes; not owned. `cache_entries` bounds
-  /// the decoded-node LRU cache (0 disables caching), modelling Ethereum's
-  /// partial in-memory state cache.
+  /// the decoded-node cache; with 0 there is none, and node reads count
+  /// neither cache hits nor misses.
   explicit MerklePatriciaTrie(KvStore* nodes, size_t cache_entries = 1 << 16)
       : nodes_(nodes), cache_capacity_(cache_entries) {}
 

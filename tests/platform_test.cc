@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "consensus/pbft.h"
 #include "core/driver.h"
 #include "platform/platform.h"
@@ -508,6 +510,36 @@ TEST(PlatformOptionsTest, CanonicalOptionsValidate) {
         platform::ErisDbOptions(), platform::CordaOptions()}) {
     EXPECT_TRUE(opts.Validate().ok()) << opts.name;
   }
+}
+
+// The trie's decoded-node cache sits only over the disk backend: over
+// memkv it would duplicate nodes the store already holds in memory.
+TEST(DataLayerTest, TrieCachesNodesOnlyOverDisk) {
+  auto cache_hits = [](const PlatformOptions& opts) -> uint64_t {
+    auto layer = platform::DataLayer::Make(opts, "trie_cache_test");
+    EXPECT_TRUE(layer.ok()) << layer.status().ToString();
+    if (!layer.ok()) return 0;
+    chain::StateDb& state = (*layer)->state();
+    for (int i = 0; i < 50; ++i) {
+      EXPECT_TRUE(state.Put("ns", "k" + std::to_string(i), "v").ok());
+    }
+    EXPECT_TRUE(state.Commit().ok());
+    std::string v;
+    for (int i = 0; i < 50; ++i) {
+      EXPECT_TRUE(state.Get("ns", "k" + std::to_string(i), &v).ok());
+    }
+    const auto& trie = dynamic_cast<const chain::TrieStateDb&>(state);
+    EXPECT_GT(trie.trie_stats().node_reads, 0u) << opts.name;
+    return trie.trie_stats().cache_hits;
+  };
+  EXPECT_EQ(cache_hits(EthereumOptions()), 0u);
+  EXPECT_EQ(cache_hits(ParityOptions()), 0u);
+
+  PlatformOptions disk = EthereumOptions();  // pow+trie/diskkv+evm
+  disk.stack.storage = platform::StorageBackendKind::kDiskKv;
+  disk.data_dir = testing::TempDir();
+  EXPECT_GT(cache_hits(disk), 0u);
+  std::remove((testing::TempDir() + "/state_trie_cache_test.kv").c_str());
 }
 
 // Mix-and-match smoke: stacks no real platform ships must still run the

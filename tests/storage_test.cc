@@ -492,6 +492,77 @@ TEST(TrieCacheTest, ZeroCacheStillCorrect) {
   ASSERT_TRUE(trie.Get(*r, "a", &v).ok());
   EXPECT_EQ(v, "1");
   EXPECT_EQ(trie.stats().cache_hits, 0u);
+  EXPECT_EQ(trie.stats().cache_misses, 0u);
+  EXPECT_GT(trie.stats().node_reads, 0u);
+}
+
+TEST(TrieCacheTest, CacheIsInvisibleToTheModel) {
+  // The decoded-node cache may only save reads: over either store and at
+  // any capacity (none, evicting, never evicting) the trie must produce the
+  // same root after every step and write the same nodes.
+  const size_t kCapacities[] = {0, 16, size_t(1) << 16};
+  const std::string disk_path = TempPath("trie_cache");
+  struct Run {
+    std::unique_ptr<KvStore> store;
+    std::unique_ptr<MerklePatriciaTrie> trie;
+    Hash256 root = MerklePatriciaTrie::EmptyRoot();
+  };
+  std::vector<Run> runs;
+  for (size_t cap : kCapacities) {
+    for (bool on_disk : {false, true}) {
+      Run r;
+      if (on_disk) {
+        auto d = DiskKv::Open(disk_path + "." + std::to_string(cap));
+        ASSERT_TRUE(d.ok()) << d.status().ToString();
+        r.store = std::move(*d);
+      } else {
+        r.store = std::make_unique<MemKv>();
+      }
+      r.trie = std::make_unique<MerklePatriciaTrie>(r.store.get(), cap);
+      runs.push_back(std::move(r));
+    }
+  }
+
+  Rng rng(2024);
+  for (int step = 0; step < 1500; ++step) {
+    std::string key = "key" + std::to_string(rng.Uniform(200));
+    bool del = rng.Uniform(4) == 0;
+    std::string val = del ? "" : rng.AsciiString(rng.Uniform(40) + 1);
+    for (Run& r : runs) {
+      auto next =
+          del ? r.trie->Delete(r.root, key) : r.trie->Put(r.root, key, val);
+      if (del && next.status().IsNotFound()) continue;
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      r.root = *next;
+      std::string got;  // repeated reads are what a cache serves
+      Status read = r.trie->Get(r.root, key, &got);
+      ASSERT_TRUE(del ? read.IsNotFound() : read.ok()) << read.ToString();
+    }
+    for (const Run& r : runs) {
+      ASSERT_EQ(r.root, runs[0].root) << "step " << step;
+    }
+  }
+
+  const TrieStats& uncached = runs[0].trie->stats();
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const TrieStats& s = runs[i].trie->stats();
+    SCOPED_TRACE("run " + std::to_string(i));
+    EXPECT_EQ(s.node_writes, uncached.node_writes);
+    EXPECT_EQ(s.bytes_written, uncached.bytes_written);
+    EXPECT_EQ(s.node_reads, uncached.node_reads);
+    // Against the uncached trie over the same kind of store.
+    EXPECT_EQ(runs[i].store->size_bytes(), runs[i % 2].store->size_bytes());
+    if (i < 2) {
+      EXPECT_EQ(s.cache_hits + s.cache_misses, 0u);
+    } else {
+      EXPECT_GT(s.cache_hits, 0u);
+      EXPECT_EQ(s.cache_hits + s.cache_misses, s.node_reads);
+    }
+  }
+  runs.clear();
+  for (size_t cap : kCapacities) {
+    std::remove((disk_path + "." + std::to_string(cap)).c_str());
+  }
 }
 
 
