@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   }
   {
     storage::MemKv kv;
-    storage::MerklePatriciaTrie trie(&kv, 0);  // no cache over memkv
+    storage::MerklePatriciaTrie trie(&kv);
     Hash256 root = storage::MerklePatriciaTrie::EmptyRoot();
     Cell c = Measure(
         n, kv,

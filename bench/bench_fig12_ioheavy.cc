@@ -48,12 +48,13 @@ Result<StackResult> RunStack(const std::string& platform_name, uint64_t tuples,
 
   if (platform_name == "parity") {
     store = std::make_unique<storage::MemKv>(parity_mem_cap);
-    db = std::make_unique<chain::TrieStateDb>(store.get(), 0);  // as DataLayer
+    db = std::make_unique<chain::TrieStateDb>(store.get());
   } else if (platform_name == "ethereum") {
     auto d = storage::DiskKv::Open(dir + "/eth_ioheavy.log");
     BB_RETURN_IF_ERROR(d.status());
     disk = std::move(*d);
-    db = std::make_unique<chain::TrieStateDb>(disk.get(), size_t(1) << 16);
+    db = std::make_unique<chain::TrieStateDb>(disk.get(),
+                                              storage::kDiskTrieCacheEntries);
   } else {
     auto d = storage::DiskKv::Open(dir + "/hl_ioheavy.log");
     BB_RETURN_IF_ERROR(d.status());

@@ -80,9 +80,8 @@ class StateDb {
 class TrieStateDb : public StateDb {
  public:
   /// `store` backs the trie nodes; not owned. `cache_entries` bounds the
-  /// decoded-node cache in front of it (see MerklePatriciaTrie): a capacity
-  /// over a disk store, 0 over an in-memory one such as Parity's.
-  explicit TrieStateDb(storage::KvStore* store, size_t cache_entries = 1 << 16);
+  /// decoded-node cache in front of it (see MerklePatriciaTrie).
+  explicit TrieStateDb(storage::KvStore* store, size_t cache_entries = 0);
 
   Status Get(const std::string& ns, const std::string& key,
              std::string* value) const override;
@@ -104,8 +103,6 @@ class TrieStateDb : public StateDb {
     reg->AddCounter("state.trie_node_reads", labels, s.node_reads);
     reg->AddCounter("state.trie_node_writes", labels, s.node_writes);
     reg->AddCounter("state.trie_bytes_written", labels, s.bytes_written);
-    reg->AddCounter("state.trie_cache_hits", labels, s.cache_hits);
-    reg->AddCounter("state.trie_cache_misses", labels, s.cache_misses);
   }
 
   const storage::TrieStats& trie_stats() const { return trie_.stats(); }

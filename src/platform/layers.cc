@@ -67,17 +67,9 @@ Result<std::unique_ptr<DataLayer>> DataLayer::Make(
   }
 
   switch (options.stack.state_tree) {
-    case StateTreeKind::kPatriciaTrie: {
-      // Only a disk read costs I/O; over memkv a decoded-node cache would
-      // duplicate nodes the store already holds in memory.
-      size_t cache_entries =
-          options.stack.storage == StorageBackendKind::kDiskKv
-              ? options.trie_cache_entries
-              : 0;
-      layer->state_ = std::make_unique<chain::TrieStateDb>(
-          layer->store_.get(), cache_entries);
+    case StateTreeKind::kPatriciaTrie:
+      layer->state_ = std::make_unique<chain::TrieStateDb>(layer->store_.get());
       break;
-    }
     case StateTreeKind::kBucketTree:
       layer->state_ = std::make_unique<chain::BucketStateDb>(layer->store_.get());
       break;

@@ -136,11 +136,6 @@ struct PlatformOptions {
   /// State ------------------------------------------------------------------
   /// Memory capacity for the in-memory state backend (Parity); 0 = unlimited.
   uint64_t state_mem_capacity = 0;
-  /// Decoded-node cache entries of the Patricia trie (Ethereum caches part
-  /// of the state). Applies to the diskkv backend only: there a cache miss
-  /// is a file read, while memkv already holds every node in memory, so a
-  /// cache over it would only duplicate them.
-  size_t trie_cache_entries = 1 << 16;
   /// Directory for the disk-backed state backend (StorageBackendKind::kDiskKv);
   /// must be non-empty when that backend is selected.
   std::string data_dir;

@@ -8,15 +8,17 @@
 // why the trie has the write/space amplification the IOHeavy experiment
 // measures.
 //
-// A bounded FIFO cache of decoded nodes can sit in front of the store,
-// modelling Ethereum's in-memory cache of part of its on-disk state. It
-// belongs only over a store whose reads cost I/O (DiskKv, where a miss is
-// a file read). Over MemKv the store already holds every node in memory,
-// and the cache would keep a second, larger copy of each hot node (a
-// decoded Node carries 16 child hashes even as a leaf) that no cost model
-// reads, so platforms build their memkv tries without one. The cache never
-// changes which nodes are written, so roots and write counts are the same
-// at any capacity.
+// A bounded FIFO cache of decoded nodes can sit in front of the store. The
+// IOHeavy experiment (fig12) gives Ethereum's trie over DiskKv one, to
+// model Ethereum's in-memory cache of part of its on-disk state; there it
+// roughly doubles the read rate and slows writes by a fifth to a third.
+// Platforms build their tries without one. No virtual-time cost reads the
+// cache, and it keeps a second, larger copy of each hot node (a decoded
+// Node carries 16 child hashes even as a leaf): over MemKv it duplicates
+// nodes the store already holds, and over DiskKv it made whole platform
+// runs no faster while holding ~400 MB more (docs/BENCHMARKING.md). The
+// cache never changes which nodes are written, so roots and write counts
+// are the same at any capacity.
 
 #ifndef BLOCKBENCH_STORAGE_PATRICIA_TRIE_H_
 #define BLOCKBENCH_STORAGE_PATRICIA_TRIE_H_
@@ -31,6 +33,10 @@
 
 namespace bb::storage {
 
+/// Decoded-node cache capacity of the IOHeavy experiment's Ethereum trie
+/// over DiskKv.
+inline constexpr size_t kDiskTrieCacheEntries = size_t(1) << 16;
+
 struct TrieStats {
   uint64_t node_writes = 0;
   uint64_t node_reads = 0;
@@ -44,7 +50,7 @@ class MerklePatriciaTrie {
   /// `nodes` stores encoded trie nodes; not owned. `cache_entries` bounds
   /// the decoded-node cache; with 0 there is none, and node reads count
   /// neither cache hits nor misses.
-  explicit MerklePatriciaTrie(KvStore* nodes, size_t cache_entries = 1 << 16)
+  explicit MerklePatriciaTrie(KvStore* nodes, size_t cache_entries = 0)
       : nodes_(nodes), cache_capacity_(cache_entries) {}
 
   /// Root hash of the empty trie.

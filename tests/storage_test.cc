@@ -500,7 +500,7 @@ TEST(TrieCacheTest, CacheIsInvisibleToTheModel) {
   // The decoded-node cache may only save reads: over either store and at
   // any capacity (none, evicting, never evicting) the trie must produce the
   // same root after every step and write the same nodes.
-  const size_t kCapacities[] = {0, 16, size_t(1) << 16};
+  const size_t kCapacities[] = {0, 16, kDiskTrieCacheEntries};
   const std::string disk_path = TempPath("trie_cache");
   struct Run {
     std::unique_ptr<KvStore> store;
