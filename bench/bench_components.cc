@@ -176,6 +176,29 @@ void BM_MemKvPut(benchmark::State& state) {
 }
 BENCHMARK(BM_MemKvPut);
 
+// Reads with 32-byte binary keys, the shape of a trie node key (a node's
+// SHA-256), from a store of 100k entries.
+void BM_MemKvGet(benchmark::State& state) {
+  constexpr uint64_t kEntries = 100000;
+  storage::MemKv kv;
+  std::vector<Hash256> keys;
+  keys.reserve(kEntries);
+  for (uint64_t i = 0; i < kEntries; ++i) {
+    keys.push_back(Sha256::Digest(std::to_string(i)));
+    kv.Put(Slice(reinterpret_cast<const char*>(keys.back().bytes.data()), 32),
+           "value-payload-100b");
+  }
+  Rng rng(3);
+  std::string out;
+  for (auto _ : state) {
+    const Hash256& k = keys[rng.Uniform(kEntries)];
+    benchmark::DoNotOptimize(
+        kv.Get(Slice(reinterpret_cast<const char*>(k.bytes.data()), 32), &out));
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_MemKvGet);
+
 void BM_DiskKvPut(benchmark::State& state) {
   auto kv = storage::DiskKv::Open("/tmp/bb_bench_diskkv.log");
   uint64_t i = 0;

@@ -65,7 +65,7 @@ Status DiskKv::Recover() {
     uint64_t value_len = vlen_tag >> 1;
     bool tombstone = (vlen_tag & 1) != 0;
     if (input.size() < key_len + value_len) break;  // torn payload
-    std::string key(input.data(), key_len);
+    std::string_view key(input.data(), key_len);
     input.remove_prefix(key_len + value_len);
     uint64_t header_len =
         uint64_t(record_start.size() - input.size()) - key_len - value_len;
@@ -83,7 +83,7 @@ Status DiskKv::Recover() {
       e.record_len = record_len;
       e.value_len = uint32_t(value_len);
       e.value_offset_in_record = uint32_t(header_len + key_len);
-      index_.emplace(std::move(key), e);
+      index_.emplace(std::string(key), e);
       live_bytes_ += key_len + value_len;
       live_record_bytes_ += record_len;
     }
@@ -124,7 +124,7 @@ Status DiskKv::AppendRecord(Slice key, Slice value, bool tombstone,
 Status DiskKv::Put(Slice key, Slice value) {
   Entry entry;
   BB_RETURN_IF_ERROR(AppendRecord(key, value, /*tombstone=*/false, &entry));
-  auto it = index_.find(key.ToString());
+  auto it = index_.find(key.view());
   if (it != index_.end()) {
     live_bytes_ -= it->second.value_len;
     live_record_bytes_ -= it->second.record_len;
@@ -141,7 +141,7 @@ Status DiskKv::Put(Slice key, Slice value) {
 }
 
 Status DiskKv::Get(Slice key, std::string* value) const {
-  auto it = index_.find(key.ToString());
+  auto it = index_.find(key.view());
   if (it == index_.end()) return Status::NotFound();
   const Entry& e = it->second;
   value->resize(e.value_len);
@@ -157,7 +157,7 @@ Status DiskKv::Get(Slice key, std::string* value) const {
 }
 
 Status DiskKv::Delete(Slice key) {
-  auto it = index_.find(key.ToString());
+  auto it = index_.find(key.view());
   if (it == index_.end()) return Status::NotFound();
   BB_RETURN_IF_ERROR(AppendRecord(key, Slice(), /*tombstone=*/true, nullptr));
   live_bytes_ -= key.size() + it->second.value_len;
@@ -192,7 +192,7 @@ Status DiskKv::Compact() {
   std::FILE* out = std::fopen(tmp_path.c_str(), "w+b");
   if (out == nullptr) return Status::Unavailable("cannot open compact file");
 
-  std::unordered_map<std::string, Entry> new_index;
+  KeyMap<Entry> new_index;
   new_index.reserve(index_.size());
   uint64_t new_log_bytes = 0;
   std::string value;

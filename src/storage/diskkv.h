@@ -10,7 +10,6 @@
 
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 
 #include "storage/kvstore.h"
 
@@ -75,7 +74,7 @@ class DiskKv : public KvStore {
   std::string path_;
   DiskKvOptions options_;
   std::FILE* file_ = nullptr;
-  std::unordered_map<std::string, Entry> index_;
+  KeyMap<Entry> index_;
   uint64_t log_bytes_ = 0;
   uint64_t live_bytes_ = 0;         // key+value payload of live entries
   uint64_t live_record_bytes_ = 0;  // on-disk bytes of live records

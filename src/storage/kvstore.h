@@ -12,6 +12,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 
 // Header-only hot path (mem::Gauge): bb_storage stays link-independent
 // of bb_obs; the gauge is inert until a MemTracker is attached.
@@ -20,6 +22,20 @@
 #include "util/status.h"
 
 namespace bb::storage {
+
+/// Transparent key hash for the stores' key maps: `find(key.view())`
+/// looks a Slice up without building a std::string from it. Hashes the
+/// same bytes to the same value as std::hash<std::string>.
+struct KeyHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view key) const {
+    return std::hash<std::string_view>{}(key);
+  }
+};
+
+/// String-keyed map that accepts std::string_view lookups.
+template <typename V>
+using KeyMap = std::unordered_map<std::string, V, KeyHash, std::equal_to<>>;
 
 class KvStore {
  public:

@@ -10,7 +10,7 @@ constexpr uint64_t kPerEntryOverhead = 96;
 }  // namespace
 
 Status MemKv::Put(Slice key, Slice value) {
-  auto it = map_.find(key.ToString());
+  auto it = map_.find(key.view());
   uint64_t new_live = live_bytes_;
   if (it != map_.end()) {
     new_live = new_live - it->second.size() + value.size();
@@ -24,7 +24,7 @@ Status MemKv::Put(Slice key, Slice value) {
     }
   }
   if (it != map_.end()) {
-    it->second = value.ToString();
+    it->second.assign(value.data(), value.size());
   } else {
     map_.emplace(key.ToString(), value.ToString());
   }
@@ -34,14 +34,14 @@ Status MemKv::Put(Slice key, Slice value) {
 }
 
 Status MemKv::Get(Slice key, std::string* value) const {
-  auto it = map_.find(key.ToString());
+  auto it = map_.find(key.view());
   if (it == map_.end()) return Status::NotFound();
   *value = it->second;
   return Status::Ok();
 }
 
 Status MemKv::Delete(Slice key) {
-  auto it = map_.find(key.ToString());
+  auto it = map_.find(key.view());
   if (it == map_.end()) return Status::NotFound();
   live_bytes_ -= it->first.size() + it->second.size();
   map_.erase(it);

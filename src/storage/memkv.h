@@ -8,7 +8,6 @@
 #define BLOCKBENCH_STORAGE_MEMKV_H_
 
 #include <string>
-#include <unordered_map>
 
 #include "storage/kvstore.h"
 
@@ -32,7 +31,7 @@ class MemKv : public KvStore {
  private:
   uint64_t capacity_;
   uint64_t live_bytes_ = 0;
-  std::unordered_map<std::string, std::string> map_;
+  KeyMap<std::string> map_;
 };
 
 }  // namespace bb::storage

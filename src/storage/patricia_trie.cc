@@ -1,5 +1,6 @@
 #include "storage/patricia_trie.h"
 
+#include <bit>
 #include <cassert>
 
 #include "util/codec.h"
@@ -32,35 +33,31 @@ std::string MerklePatriciaTrie::ToNibbles(Slice key) {
   return out;
 }
 
-std::string MerklePatriciaTrie::Encode(const Node& n) {
-  std::string out;
-  out.push_back(char(n.kind));
+void MerklePatriciaTrie::EncodeTo(const Node& n, std::string* out) {
+  out->clear();
+  out->push_back(char(n.kind));
   switch (n.kind) {
     case Node::kLeaf:
-      PutLengthPrefixed(&out, n.path);
-      PutLengthPrefixed(&out, n.value);
+      PutLengthPrefixed(out, n.path);
+      PutLengthPrefixed(out, n.value);
       break;
     case Node::kExtension:
-      PutLengthPrefixed(&out, n.path);
-      out.append(HashSlice(n.child).data(), 32);
+      PutLengthPrefixed(out, n.path);
+      out->append(HashSlice(n.child).data(), 32);
       break;
     case Node::kBranch: {
-      uint32_t mask = 0;
+      uint32_t mask = n.has_value ? (1u << 16) : 0;
       for (int i = 0; i < 16; ++i) {
         if (!n.children[i].IsZero()) mask |= (1u << i);
       }
-      if (n.has_value) mask |= (1u << 16);
-      PutFixed32(&out, mask);
-      for (int i = 0; i < 16; ++i) {
-        if (!n.children[i].IsZero()) {
-          out.append(HashSlice(n.children[i]).data(), 32);
-        }
+      PutFixed32(out, mask);
+      for (uint32_t m = mask & 0xffff; m != 0; m &= m - 1) {
+        out->append(HashSlice(n.children[std::countr_zero(m)]).data(), 32);
       }
-      if (n.has_value) PutLengthPrefixed(&out, n.value);
+      if (n.has_value) PutLengthPrefixed(out, n.value);
       break;
     }
   }
-  return out;
 }
 
 Status MerklePatriciaTrie::Decode(Slice data, Node* n) {
@@ -123,16 +120,16 @@ bool MerklePatriciaTrie::CacheGet(const Hash256& h, Node* n) const {
 }
 
 Hash256 MerklePatriciaTrie::Store(const Node& n) {
-  std::string enc = Encode(n);
-  Hash256 h = Sha256::Digest(enc);
-  Status s = nodes_->Put(HashSlice(h), enc);
+  EncodeTo(n, &io_buf_);
+  Hash256 h = Sha256::Digest(io_buf_);
+  Status s = nodes_->Put(HashSlice(h), io_buf_);
   if (!s.ok() && store_error_.ok()) {
     // Sticky: surfaced by Put/Delete so a full store (Parity's memory
     // cap) fails the whole operation instead of corrupting the trie.
     store_error_ = s;
   }
   ++stats_.node_writes;
-  stats_.bytes_written += enc.size() + 32;
+  stats_.bytes_written += io_buf_.size() + 32;
   CachePut(h, n);
   return h;
 }
@@ -146,9 +143,8 @@ Status MerklePatriciaTrie::Load(const Hash256& h, Node* n) const {
     }
     ++stats_.cache_misses;
   }
-  std::string enc;
-  BB_RETURN_IF_ERROR(nodes_->Get(HashSlice(h), &enc));
-  BB_RETURN_IF_ERROR(Decode(enc, n));
+  BB_RETURN_IF_ERROR(nodes_->Get(HashSlice(h), &io_buf_));
+  BB_RETURN_IF_ERROR(Decode(io_buf_, n));
   CachePut(h, *n);
   return Status::Ok();
 }

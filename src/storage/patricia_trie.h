@@ -19,6 +19,10 @@
 // runs no faster while holding ~400 MB more (docs/BENCHMARKING.md). The
 // cache never changes which nodes are written, so roots and write counts
 // are the same at any capacity.
+//
+// Every node read and write goes through one encode/read buffer owned by
+// the trie, and reads update mutable stats, so a trie is not safe for
+// concurrent use, not even by readers calling only const methods.
 
 #ifndef BLOCKBENCH_STORAGE_PATRICIA_TRIE_H_
 #define BLOCKBENCH_STORAGE_PATRICIA_TRIE_H_
@@ -89,7 +93,8 @@ class MerklePatriciaTrie {
   };
 
   static std::string ToNibbles(Slice key);
-  static std::string Encode(const Node& n);
+  /// Replaces *out with the encoding of n.
+  static void EncodeTo(const Node& n, std::string* out);
   static Status Decode(Slice data, Node* n);
 
   Hash256 Store(const Node& n);
@@ -116,6 +121,9 @@ class MerklePatriciaTrie {
   /// Sticky node-store failure during the current Put/Delete.
   Status store_error_;
   mutable TrieStats stats_;
+  /// Encoded bytes of the node being stored or loaded. Every Store and
+  /// Load reuses it, so node I/O stops allocating once it has grown.
+  mutable std::string io_buf_;
   // FIFO-evicted decoded-node cache.
   mutable std::unordered_map<Hash256, Node, Hash256Hasher> cache_;
   mutable std::list<Hash256> cache_order_;

@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "util/slice.h"
@@ -31,10 +32,11 @@ struct Hash256 {
   bool operator!=(const Hash256& o) const { return bytes != o.bytes; }
   bool operator<(const Hash256& o) const { return bytes < o.bytes; }
 
+  /// Tests the digest as four 64-bit words, not byte by byte.
   bool IsZero() const {
-    for (uint8_t b : bytes)
-      if (b != 0) return false;
-    return true;
+    uint64_t w[4];
+    std::memcpy(w, bytes.data(), sizeof(w));
+    return (w[0] | w[1] | w[2] | w[3]) == 0;
   }
 
   /// Lowercase hex, 64 chars.

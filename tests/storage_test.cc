@@ -40,17 +40,6 @@ TEST(MemKvTest, PutGetDelete) {
   EXPECT_TRUE(kv.Delete("a").IsNotFound());
 }
 
-TEST(MemKvTest, CapacityEnforced) {
-  MemKv kv(900);
-  std::string big(400, 'x');
-  EXPECT_TRUE(kv.Put("k1", big).ok());
-  // A second large value exceeds the 900-byte budget incl. overhead.
-  Status s = kv.Put("k2", big);
-  EXPECT_TRUE(s.IsOutOfMemory());
-  // Overwrite that shrinks is always fine.
-  EXPECT_TRUE(kv.Put("k1", "small").ok());
-}
-
 TEST(MemKvTest, LiveBytesTracksContent) {
   MemKv kv;
   kv.Put("key", "value");
@@ -76,6 +65,65 @@ TEST(MemKvTest, ScanVisitsAll) {
     return n < 10;  // early stop
   });
   EXPECT_EQ(n, 10);
+}
+
+// StateDb::FullKey joins namespace and key with a NUL, so a store must
+// keep "a\0b" and "a" apart, and must find keys by exactly the Slice's
+// bytes, not up to a terminator.
+void CheckNulKeysStayDistinct(KvStore* kv) {
+  const std::string joined("a\0b", 3);
+  ASSERT_TRUE(kv->Put(joined, "joined").ok());
+  ASSERT_TRUE(kv->Put("a", "bare").ok());
+  EXPECT_EQ(kv->num_entries(), 2u);
+  const char unterminated[] = {'a', '\0', 'b', 'Z'};
+  std::string v;
+  ASSERT_TRUE(kv->Get(Slice(unterminated, 3), &v).ok());
+  EXPECT_EQ(v, "joined");
+  ASSERT_TRUE(kv->Get(Slice(unterminated, 1), &v).ok());
+  EXPECT_EQ(v, "bare");
+  EXPECT_TRUE(kv->Get(Slice(unterminated, 2), &v).IsNotFound());
+  EXPECT_TRUE(kv->Get(Slice(unterminated, 4), &v).IsNotFound());
+  // Overwrite through the unterminated view, then delete the other key.
+  ASSERT_TRUE(kv->Put(Slice(unterminated, 3), Slice(unterminated + 3, 1)).ok());
+  ASSERT_TRUE(kv->Delete("a").ok());
+  EXPECT_EQ(kv->num_entries(), 1u);
+  ASSERT_TRUE(kv->Get(joined, &v).ok());
+  EXPECT_EQ(v, "Z");
+  EXPECT_EQ(kv->live_bytes(), 4u);
+}
+
+TEST(MemKvTest, NulKeysStayDistinct) {
+  MemKv kv;
+  ASSERT_NO_FATAL_FAILURE(CheckNulKeysStayDistinct(&kv));
+}
+
+TEST(MemKvTest, CapacityEnforced) {
+  constexpr uint64_t kOverhead = 96;  // MemKv's per-entry charge
+  MemKv kv(900);
+  const std::string big(400, 'x');
+  ASSERT_TRUE(kv.Put("k1", big).ok());
+  EXPECT_EQ(kv.live_bytes(), 402u);
+  EXPECT_EQ(kv.size_bytes(), 402u + kOverhead);
+  // An overwrite that shrinks is always fine; this one goes in place,
+  // through a view of a larger, unterminated buffer.
+  const char buf[] = {'s', 'm', 'a', 'l', 'l', '!'};
+  ASSERT_TRUE(kv.Put("k1", Slice(buf, 5)).ok());
+  EXPECT_EQ(kv.live_bytes(), 7u);
+  EXPECT_EQ(kv.size_bytes(), 7u + kOverhead);
+  std::string v;
+  ASSERT_TRUE(kv.Get("k1", &v).ok());
+  EXPECT_EQ(v, "small");
+  // Grow back in place. A second large value, or growing past the
+  // 900-byte budget incl. overhead, is refused and changes nothing.
+  ASSERT_TRUE(kv.Put("k1", big).ok());
+  EXPECT_TRUE(kv.Put("k2", big).IsOutOfMemory());
+  EXPECT_TRUE(kv.Put("k1", std::string(850, 'y')).IsOutOfMemory());
+  EXPECT_EQ(kv.num_entries(), 1u);
+  EXPECT_EQ(kv.live_bytes(), 402u);
+  EXPECT_EQ(kv.size_bytes(), 402u + kOverhead);
+  ASSERT_TRUE(kv.Get("k1", &v).ok());
+  EXPECT_EQ(v, big);
+  EXPECT_TRUE(kv.Get("k2", &v).IsNotFound());
 }
 
 // --- DiskKv -------------------------------------------------------------------
@@ -211,6 +259,36 @@ TEST(DiskKvTest, RecoveryDiscardsTornTail) {
   ASSERT_TRUE((*kv)->Put("gamma", "three").ok());
   ASSERT_TRUE((*kv)->Get("gamma", &v).ok());
   EXPECT_EQ(v, "three");
+  std::remove(path.c_str());
+}
+
+TEST(DiskKvTest, NulKeysStayDistinctAndRecoverTheSameIndex) {
+  std::string path = TempPath("nulkeys");
+  uint64_t live = 0, log = 0, garbage = 0;
+  {
+    auto kv = DiskKv::Open(path);
+    ASSERT_TRUE(kv.ok());
+    ASSERT_NO_FATAL_FAILURE(CheckNulKeysStayDistinct(kv->get()));
+    ASSERT_TRUE((*kv)->Put(std::string("\0", 1), "nul").ok());
+    live = (*kv)->live_bytes();
+    log = (*kv)->size_bytes();
+    garbage = (*kv)->garbage_bytes();
+  }
+  DiskKvOptions reopen;
+  reopen.truncate = false;
+  auto kv = DiskKv::Open(path, reopen);
+  ASSERT_TRUE(kv.ok());
+  EXPECT_EQ((*kv)->num_entries(), 2u);
+  EXPECT_EQ((*kv)->live_bytes(), live);
+  EXPECT_EQ((*kv)->size_bytes(), log);
+  EXPECT_EQ((*kv)->garbage_bytes(), garbage);
+  std::string v;
+  ASSERT_TRUE((*kv)->Get(std::string("a\0b", 3), &v).ok());
+  EXPECT_EQ(v, "Z");
+  ASSERT_TRUE((*kv)->Get(std::string("\0", 1), &v).ok());
+  EXPECT_EQ(v, "nul");
+  EXPECT_TRUE((*kv)->Get("a", &v).IsNotFound());
+  EXPECT_TRUE((*kv)->Get("", &v).IsNotFound());
   std::remove(path.c_str());
 }
 
@@ -409,6 +487,56 @@ TEST_F(TrieTest, InsertionOrderIndependence) {
     r2 = *r;
   }
   EXPECT_EQ(root_, r2);
+}
+
+TEST(TrieEncodingTest, PinnedRootAndNodeCounts) {
+  // Pins the node encoding: the root, the nodes written and their bytes
+  // must not move when the encoder or the node I/O path changes. The keys
+  // make leaves, extensions ("full"/"sparse" prefixes), a full 16-way
+  // branch, sparse branches, a branch carrying a value ("abc" under
+  // "abcd"/"abce") and keys with embedded NULs; the deletes collapse
+  // branches back into leaves and extensions.
+  MemKv kv;
+  MerklePatriciaTrie trie(&kv);
+  Hash256 root = MerklePatriciaTrie::EmptyRoot();
+  auto put = [&](const std::string& k, const std::string& v) {
+    auto r = trie.Put(root, k, v);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    root = *r;
+  };
+  for (int b = 0; b < 256; b += 16) {
+    put("full" + std::string(1, char(b)), "f" + std::to_string(b));
+  }
+  for (const char* k : {"sparse-a", "sparse-q", "sparse-z"}) put(k, k);
+  put("abc", "branch-value");
+  put("abcd", "d");
+  put("abce", "e");
+  put(std::string("a\0b", 3), "nul-joined");
+  put("a", "bare");
+  Rng rng(15);
+  for (int i = 0; i < 200; ++i) {
+    std::string key(32, '\0');
+    for (char& c : key) c = char(rng.Uniform(256));
+    put(key, rng.AsciiString(rng.Uniform(48) + 1));
+  }
+  put("abc", "branch-value-2");
+  for (const char* k : {"sparse-q", "abcd", "full\x10"}) {
+    auto r = trie.Delete(root, k);
+    ASSERT_TRUE(r.ok()) << k;
+    root = *r;
+  }
+  std::string v;
+  ASSERT_TRUE(trie.Get(root, std::string("a\0b", 3), &v).ok());
+  EXPECT_EQ(v, "nul-joined");
+  ASSERT_TRUE(trie.Get(root, "abc", &v).ok());
+  EXPECT_EQ(v, "branch-value-2");
+
+  EXPECT_EQ(root.ToHex(),
+            "43d1a6aa66e0b672cd364c2e5de239157762de812d56426ef3e24ba3dc8403f3");
+  EXPECT_EQ(trie.stats().node_writes, 841u);
+  EXPECT_EQ(trie.stats().node_reads, 551u);
+  EXPECT_EQ(trie.stats().bytes_written, 200555u);
+  EXPECT_EQ(kv.size_bytes(), 281291u);
 }
 
 class TriePropertyTest : public testing::TestWithParam<uint64_t> {};

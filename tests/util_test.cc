@@ -122,6 +122,17 @@ TEST(Sha256Test, HashStructHelpers) {
   EXPECT_NE(h.Prefix64(), 0u);
 }
 
+TEST(Sha256Test, IsZeroSeesEveryByte) {
+  EXPECT_TRUE(Hash256{}.IsZero());
+  for (size_t pos = 0; pos < 32; ++pos) {
+    for (uint8_t b : {uint8_t(0x01), uint8_t(0x80), uint8_t(0xff)}) {
+      Hash256 h;
+      h.bytes[pos] = b;
+      EXPECT_FALSE(h.IsZero()) << "byte " << pos << " = " << int(b);
+    }
+  }
+}
+
 // --- Hex -----------------------------------------------------------------------
 
 TEST(HexTest, RoundTrip) {
