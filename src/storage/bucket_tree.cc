@@ -47,17 +47,17 @@ void BucketMerkleTree::DigestSub(Hash256* acc, const Hash256& h) {
   }
 }
 
+// Both mutators touch the digests only after the store accepted the
+// write, so a refused write (MemKv capacity) leaves them describing what
+// the store still holds.
 Status BucketMerkleTree::Put(Slice key, Slice value) {
-  size_t b = BucketOf(key);
   std::string old;
   Status s = store_->Get(key, &old);
-  if (s.ok()) {
-    DigestSub(&buckets_[b], EntryDigest(key, old));
-  } else if (!s.IsNotFound()) {
-    return s;
-  }
+  if (!s.ok() && !s.IsNotFound()) return s;
   BB_RETURN_IF_ERROR(store_->Put(key, value));
-  DigestAdd(&buckets_[b], EntryDigest(key, value));
+  Hash256& bucket = buckets_[BucketOf(key)];
+  if (s.ok()) DigestSub(&bucket, EntryDigest(key, old));
+  DigestAdd(&bucket, EntryDigest(key, value));
   dirty_ = true;
   ++updates_;
   return Status::Ok();
@@ -70,9 +70,8 @@ Status BucketMerkleTree::Get(Slice key, std::string* value) const {
 Status BucketMerkleTree::Delete(Slice key) {
   std::string old;
   BB_RETURN_IF_ERROR(store_->Get(key, &old));
-  size_t b = BucketOf(key);
-  DigestSub(&buckets_[b], EntryDigest(key, old));
   BB_RETURN_IF_ERROR(store_->Delete(key));
+  DigestSub(&buckets_[BucketOf(key)], EntryDigest(key, old));
   dirty_ = true;
   ++updates_;
   return Status::Ok();

@@ -822,5 +822,41 @@ TEST(BucketTreeTest, NoWriteAmplification) {
   EXPECT_EQ(kv.num_entries(), 500u);
 }
 
+// A write the store refuses must leave the bucket digests describing
+// what the store still holds.
+TEST(BucketTreeTest, RefusedOverwriteKeepsDigest) {
+  MemKv kv(400);
+  BucketMerkleTree t(&kv, 64);
+  ASSERT_TRUE(t.Put("a", "1").ok());
+  EXPECT_TRUE(t.Put("a", std::string(1000, 'x')).IsOutOfMemory());
+  ASSERT_TRUE(t.Put("b", "2").ok());
+
+  MemKv fresh_kv;
+  BucketMerkleTree fresh(&fresh_kv, 64);
+  ASSERT_TRUE(fresh.Put("a", "1").ok());
+  ASSERT_TRUE(fresh.Put("b", "2").ok());
+  EXPECT_EQ(t.RootHash(), fresh.RootHash());
+}
+
+TEST(BucketTreeTest, RefusedDeleteKeepsDigest) {
+  // A store that holds its entries but refuses every delete.
+  class NoDeleteKv : public MemKv {
+   public:
+    Status Delete(Slice) override { return Status::Unavailable("refused"); }
+  };
+  NoDeleteKv kv;
+  BucketMerkleTree t(&kv, 64);
+  ASSERT_TRUE(t.Put("a", "1").ok());
+  EXPECT_FALSE(t.Delete("a").ok());
+  ASSERT_TRUE(t.Put("b", "2").ok());
+  EXPECT_EQ(t.updates(), 2u);
+
+  MemKv fresh_kv;
+  BucketMerkleTree fresh(&fresh_kv, 64);
+  ASSERT_TRUE(fresh.Put("a", "1").ok());
+  ASSERT_TRUE(fresh.Put("b", "2").ok());
+  EXPECT_EQ(t.RootHash(), fresh.RootHash());
+}
+
 }  // namespace
 }  // namespace bb::storage
