@@ -1,43 +1,55 @@
 #include "chain/state_db.h"
 
+#include <cassert>
 #include <charconv>
 
 #include "obs/profiler.h"
 
 namespace bb::chain {
 
+// --- StateDb ----------------------------------------------------------------
+
+Status StateDb::Get(const std::string& ns, const std::string& key,
+                    std::string* value) const {
+  std::string fk = FullKey(ns, key);
+  auto it = pending_.find(fk);
+  if (it == pending_.end()) return ReadCommitted(fk, value);
+  if (!it->second.present) return Status::NotFound();
+  *value = it->second.value;
+  return Status::Ok();
+}
+
+Status StateDb::Put(const std::string& ns, const std::string& key,
+                    const std::string& value) {
+  pending_[FullKey(ns, key)] = {true, value};
+  return Status::Ok();
+}
+
+Status StateDb::Delete(const std::string& ns, const std::string& key) {
+  pending_[FullKey(ns, key)] = {false, {}};
+  return Status::Ok();
+}
+
+Result<Hash256> StateDb::Commit() {
+  auto root = Apply(pending_);
+  if (root.ok()) pending_.clear();
+  return root;
+}
+
+Result<Hash256> StateDb::Commit(const WriteSet& writes) {
+  assert(pending_.empty());
+  return Apply(writes);
+}
+
 // --- TrieStateDb ------------------------------------------------------------
 
 TrieStateDb::TrieStateDb(storage::KvStore* store, size_t cache_entries)
     : store_(store), trie_(store, cache_entries) {}
 
-Status TrieStateDb::Get(const std::string& ns, const std::string& key,
-                        std::string* value) const {
-  std::string fk = FullKey(ns, key);
-  auto it = pending_.find(fk);
-  if (it != pending_.end()) {
-    if (!it->second.present) return Status::NotFound();
-    *value = it->second.value;
-    return Status::Ok();
-  }
-  return trie_.Get(root_, fk, value);
-}
-
-Status TrieStateDb::Put(const std::string& ns, const std::string& key,
-                        const std::string& value) {
-  pending_[FullKey(ns, key)] = {true, value};
-  return Status::Ok();
-}
-
-Status TrieStateDb::Delete(const std::string& ns, const std::string& key) {
-  pending_[FullKey(ns, key)] = {false, {}};
-  return Status::Ok();
-}
-
-Result<Hash256> TrieStateDb::Commit() {
+Result<Hash256> TrieStateDb::Apply(const WriteSet& writes) {
   BB_PROF_SCOPE("storage.trie_commit");
   Hash256 root = root_;
-  for (const auto& [key, w] : pending_) {
+  for (const auto& [key, w] : writes) {
     if (w.present) {
       auto r = trie_.Put(root, key, w.value);
       if (!r.ok()) return r.status();
@@ -51,13 +63,12 @@ Result<Hash256> TrieStateDb::Commit() {
       }
     }
   }
-  pending_.clear();
   root_ = root;
   return root;
 }
 
 Status TrieStateDb::ResetTo(const Hash256& root) {
-  pending_.clear();
+  Abort();
   root_ = root;
   return Status::Ok();
 }
@@ -74,41 +85,18 @@ BucketStateDb::BucketStateDb(storage::KvStore* store, size_t num_buckets)
   root_ = tree_.RootHash();
 }
 
-Status BucketStateDb::Get(const std::string& ns, const std::string& key,
-                          std::string* value) const {
-  std::string fk = FullKey(ns, key);
-  auto it = pending_.find(fk);
-  if (it != pending_.end()) {
-    if (!it->second.present) return Status::NotFound();
-    *value = it->second.value;
-    return Status::Ok();
-  }
-  return tree_.Get(fk, value);
-}
-
-Status BucketStateDb::Put(const std::string& ns, const std::string& key,
-                          const std::string& value) {
-  pending_[FullKey(ns, key)] = {true, value};
-  return Status::Ok();
-}
-
-Status BucketStateDb::Delete(const std::string& ns, const std::string& key) {
-  pending_[FullKey(ns, key)] = {false, {}};
-  return Status::Ok();
-}
-
-Result<Hash256> BucketStateDb::Commit() {
+Result<Hash256> BucketStateDb::Apply(const WriteSet& writes) {
   BB_PROF_SCOPE("storage.bucket_commit");
-  for (const auto& [key, w] : pending_) {
-    if (w.present) {
-      BB_RETURN_IF_ERROR(tree_.Put(key, w.value));
-    } else {
-      Status s = tree_.Delete(key);
-      if (!s.ok() && !s.IsNotFound()) return s;
-    }
+  Status s;
+  for (const auto& [key, w] : writes) {
+    s = w.present ? tree_.Put(key, w.value) : tree_.Delete(key);
+    if (s.IsNotFound()) s = Status::Ok();  // deleting an absent key
+    if (!s.ok()) break;
   }
-  pending_.clear();
+  // The store is mutated in place, so writes before a refused one stay:
+  // the root always describes what the store holds.
   root_ = tree_.RootHash();
+  if (!s.ok()) return s;
   return root_;
 }
 

@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "storage/bucket_tree.h"
@@ -28,20 +29,36 @@ namespace bb::chain {
 
 class StateDb {
  public:
+  /// One buffered write; `present == false` deletes the key.
+  struct Write {
+    bool present;
+    std::string value;
+  };
+  /// Writes buffered since the last Commit/Abort, keyed by FullKey and
+  /// applied in key order.
+  using WriteSet = std::map<std::string, Write>;
+
   virtual ~StateDb() = default;
 
   /// Reads from the current (uncommitted writes visible) state.
-  virtual Status Get(const std::string& ns, const std::string& key,
-                     std::string* value) const = 0;
+  Status Get(const std::string& ns, const std::string& key,
+             std::string* value) const;
   /// Buffers a write; becomes durable at Commit().
-  virtual Status Put(const std::string& ns, const std::string& key,
-                     const std::string& value) = 0;
-  virtual Status Delete(const std::string& ns, const std::string& key) = 0;
+  Status Put(const std::string& ns, const std::string& key,
+             const std::string& value);
+  Status Delete(const std::string& ns, const std::string& key);
 
-  /// Applies buffered writes; returns the new state root.
-  virtual Result<Hash256> Commit() = 0;
+  /// Applies buffered writes; returns the new state root. On failure the
+  /// buffer is kept until Abort().
+  Result<Hash256> Commit();
+  /// Applies `writes` instead of the (empty) buffer: the write set another
+  /// replica buffered for the same block from the same root.
+  Result<Hash256> Commit(const WriteSet& writes);
   /// Drops buffered writes (failed block application).
-  virtual void Abort() = 0;
+  void Abort() { pending_.clear(); }
+  /// Hands the buffered writes to the caller and empties the buffer.
+  WriteSet TakePending() { return std::exchange(pending_, {}); }
+  bool has_pending() const { return !pending_.empty(); }
 
   virtual Hash256 current_root() const = 0;
   /// Rewinds the current version to `root` (reorg). Unavailable on state
@@ -59,6 +76,12 @@ class StateDb {
   /// Bytes consumed by the backing store (disk-usage series in Fig 12c).
   virtual uint64_t storage_bytes() const = 0;
 
+  /// Tree nodes read from the store so far (0 on models whose reads
+  /// touch no nodes). Taking another replica's execution of a block
+  /// replays its reads through AddNodeReads.
+  virtual uint64_t node_reads() const { return 0; }
+  virtual void AddNodeReads(uint64_t n) { (void)n; }
+
   /// Exports data-model metrics into `reg` under `labels`; concrete
   /// models add their own (trie node traffic, cache hit rates).
   virtual void ExportMetrics(obs::MetricsRegistry* reg,
@@ -75,6 +98,15 @@ class StateDb {
     out.append(key);
     return out;
   }
+
+  /// Reads `full_key` from the committed state.
+  virtual Status ReadCommitted(const std::string& full_key,
+                               std::string* value) const = 0;
+  /// Applies `writes` to the committed state; returns the new root.
+  virtual Result<Hash256> Apply(const WriteSet& writes) = 0;
+
+ private:
+  WriteSet pending_;
 };
 
 class TrieStateDb : public StateDb {
@@ -83,19 +115,14 @@ class TrieStateDb : public StateDb {
   /// decoded-node cache in front of it (see MerklePatriciaTrie).
   explicit TrieStateDb(storage::KvStore* store, size_t cache_entries = 0);
 
-  Status Get(const std::string& ns, const std::string& key,
-             std::string* value) const override;
-  Status Put(const std::string& ns, const std::string& key,
-             const std::string& value) override;
-  Status Delete(const std::string& ns, const std::string& key) override;
-  Result<Hash256> Commit() override;
-  void Abort() override { pending_.clear(); }
   Hash256 current_root() const override { return root_; }
   Status ResetTo(const Hash256& root) override;
   Status GetAt(const Hash256& root, const std::string& ns,
                const std::string& key, std::string* value) const override;
   bool supports_versioned_reads() const override { return true; }
   uint64_t storage_bytes() const override { return store_->size_bytes(); }
+  uint64_t node_reads() const override { return trie_.stats().node_reads; }
+  void AddNodeReads(uint64_t n) override { trie_.CountNodeReads(n); }
   void ExportMetrics(obs::MetricsRegistry* reg,
                      const obs::Labels& labels) const override {
     StateDb::ExportMetrics(reg, labels);
@@ -107,29 +134,23 @@ class TrieStateDb : public StateDb {
 
   const storage::TrieStats& trie_stats() const { return trie_.stats(); }
 
- private:
-  struct PendingWrite {
-    bool present;
-    std::string value;
-  };
+ protected:
+  Status ReadCommitted(const std::string& full_key,
+                       std::string* value) const override {
+    return trie_.Get(root_, full_key, value);
+  }
+  Result<Hash256> Apply(const WriteSet& writes) override;
 
+ private:
   storage::KvStore* store_;
   mutable storage::MerklePatriciaTrie trie_;
   Hash256 root_ = storage::MerklePatriciaTrie::EmptyRoot();
-  std::map<std::string, PendingWrite> pending_;
 };
 
 class BucketStateDb : public StateDb {
  public:
   explicit BucketStateDb(storage::KvStore* store, size_t num_buckets = 1024);
 
-  Status Get(const std::string& ns, const std::string& key,
-             std::string* value) const override;
-  Status Put(const std::string& ns, const std::string& key,
-             const std::string& value) override;
-  Status Delete(const std::string& ns, const std::string& key) override;
-  Result<Hash256> Commit() override;
-  void Abort() override { pending_.clear(); }
   Hash256 current_root() const override { return root_; }
   Status ResetTo(const Hash256&) override {
     return Status::Unavailable("bucket state has no versions");
@@ -141,16 +162,17 @@ class BucketStateDb : public StateDb {
   bool supports_versioned_reads() const override { return false; }
   uint64_t storage_bytes() const override { return store_->size_bytes(); }
 
- private:
-  struct PendingWrite {
-    bool present;
-    std::string value;
-  };
+ protected:
+  Status ReadCommitted(const std::string& full_key,
+                       std::string* value) const override {
+    return tree_.Get(full_key, value);
+  }
+  Result<Hash256> Apply(const WriteSet& writes) override;
 
+ private:
   storage::KvStore* store_;
-  mutable storage::BucketMerkleTree tree_;
+  storage::BucketMerkleTree tree_;
   Hash256 root_;
-  std::map<std::string, PendingWrite> pending_;
 };
 
 /// Adapts (StateDb, contract namespace) to the VM's HostInterface.

@@ -80,6 +80,10 @@ class MerklePatriciaTrie {
                           const std::vector<std::string>& proof);
 
   const TrieStats& stats() const { return stats_; }
+  /// Counts `n` node reads made on this trie's behalf elsewhere: another
+  /// replica's reads of the same version (no cache, so the count depends
+  /// only on the root and the keys read).
+  void CountNodeReads(uint64_t n) { stats_.node_reads += n; }
 
  private:
   struct Node {

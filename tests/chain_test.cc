@@ -501,6 +501,25 @@ TEST(BucketStateDbTest, NoVersionedReads) {
   EXPECT_EQ(db.ResetTo(Hash256::Zero()).code(), StatusCode::kUnavailable);
 }
 
+// A commit the store refuses part-way leaves the earlier writes in the
+// store; the state root must still describe exactly what the store holds.
+TEST(BucketStateDbTest, RootDescribesStoreAfterRefusedCommit) {
+  storage::MemKv kv(600);
+  BucketStateDb db(&kv);
+  ASSERT_TRUE(db.Put("ns", "a", "1").ok());
+  ASSERT_TRUE(db.Commit().ok());
+  ASSERT_TRUE(db.Put("ns", "a", "2").ok());
+  ASSERT_TRUE(db.Put("ns", "b", std::string(1000, 'x')).ok());
+  EXPECT_FALSE(db.Commit().ok());  // "a" lands, "b" is refused
+
+  storage::MemKv fresh_kv;
+  BucketStateDb fresh(&fresh_kv);
+  ASSERT_TRUE(fresh.Put("ns", "a", "2").ok());
+  auto root = fresh.Commit();
+  ASSERT_TRUE(root.ok());
+  EXPECT_EQ(db.current_root(), *root);
+}
+
 TEST(StateHostTest, TransferMovesBalances) {
   storage::MemKv kv;
   TrieStateDb db(&kv);
