@@ -461,19 +461,43 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
     if (state().current_root() != target) state().ResetTo(target);
   }
 
-  // Execute forward along the canonical chain.
+  // Apply forward along the canonical chain. A block some other replica
+  // already executed from this node's root is taken from the memo.
   obs::Tracer* tr = sim()->tracer();
   bool evm = stack_->execution().kind() == ExecEngineKind::kEvm;
+  const ExecMemo::Group group{peer_base_, num_peers_};
+  const bool share = exec_memo_ != nullptr && group.size > 1;
   uint64_t head = chain.head_height();
   for (uint64_t h = exec_height_ + 1; h <= head; ++h) {
     const chain::Block* b = chain.CanonicalAt(h);
     assert(b != nullptr);
     executing_height_ = h;
+    const Hash256 block_hash = b->HashOf();
+    const Hash256 pre_root = state().current_root();
+    const bool memo_ok = share && !state().has_pending();
+    const ExecMemo::Entry* taken =
+        memo_ok ? exec_memo_->Find(pre_root, block_hash) : nullptr;
+    const chain::StateDb::WriteSet* writes = nullptr;
     uint64_t block_gas = 0;
+    if (taken != nullptr) {
+      ++exec_memo_hits_;
+      for (double tx_cpu : taken->tx_cpu) *cpu += tx_cpu;
+      txs_executed_ += taken->executed;
+      txs_failed_ += taken->failed;
+      block_gas = taken->gas;
+      state().AddNodeReads(taken->node_reads);
+      writes = &taken->writes;
+    } else if (memo_ok) {
+      ++exec_memo_misses_;
+      ExecMemo::Entry* record =
+          exec_memo_->Record(pre_root, block_hash, h, group);
+      block_gas = ExecuteBlock(*b, cpu, record);
+      record->writes = state().TakePending();
+      writes = &record->writes;
+    } else {
+      block_gas = ExecuteBlock(*b, cpu, nullptr);
+    }
     for (const auto& tx : b->txs) {
-      uint64_t gas = 0;
-      *cpu += ExecuteTx(tx, &gas);
-      block_gas += gas;
       committed_ids_.insert(tx.id);
       if (tr != nullptr) tr->TxMilestone(tx.id, obs::Tracer::kCommit, Now());
       if (xs_notify_.has_value() && tx.contract == kXsContract) {
@@ -483,11 +507,11 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
     // Non-empty blocks only: PoA/PoW seal empty blocks continuously and
     // a flood of zeros would drown the distribution.
     if (evm && !b->txs.empty()) gas_per_block_.Add(double(block_gas));
-    const Hash256 block_hash = b->HashOf();
     if (auto* rec = sim()->recorder()) {
       rec->Commit(uint32_t(id()), Now(), h, block_hash.Prefix64() >> 16);
     }
-    auto root = state().Commit();
+    auto root = writes != nullptr ? state().Commit(*writes) : state().Commit();
+    if (taken != nullptr) exec_memo_->Taken(pre_root, block_hash);
     if (root.ok()) {
       block_state_roots_[block_hash] = *root;
     } else {
@@ -499,6 +523,28 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
     exec_height_ = h;
     exec_block_hash_ = block_hash;
   }
+  if (share) exec_memo_->SetExecHeight(id(), exec_height_, group);
+}
+
+uint64_t PlatformNode::ExecuteBlock(const chain::Block& block, double* cpu,
+                                    ExecMemo::Entry* record) {
+  const uint64_t reads = state().node_reads();
+  const uint64_t executed = txs_executed_, failed = txs_failed_;
+  uint64_t block_gas = 0;
+  for (const auto& tx : block.txs) {
+    uint64_t gas = 0;
+    double tx_cpu = ExecuteTx(tx, &gas);
+    *cpu += tx_cpu;
+    block_gas += gas;
+    if (record != nullptr) record->tx_cpu.push_back(tx_cpu);
+  }
+  if (record != nullptr) {
+    record->executed = txs_executed_ - executed;
+    record->failed = txs_failed_ - failed;
+    record->gas = block_gas;
+    record->node_reads = state().node_reads() - reads;
+  }
+  return block_gas;
 }
 
 void PlatformNode::ExportMetrics(obs::MetricsRegistry* reg) const {

@@ -15,6 +15,7 @@
 
 #include "chain/txpool.h"
 #include "consensus/engine.h"
+#include "platform/exec_memo.h"
 #include "platform/layers.h"
 #include "platform/options.h"
 #include "platform/rpc.h"
@@ -30,6 +31,11 @@ class PlatformNode : public sim::Node, public consensus::ConsensusHost {
   ~PlatformNode() override;
 
   // --- Setup (before Start) ------------------------------------------------
+  // Every server of a platform must host the same contracts: replicas
+  // take each other's block executions from the platform's ExecMemo.
+  // Platform::DeployContract / DeployChaincode are the only callers and
+  // deploy to every server.
+
   /// Deploys an assembled EVM contract under `name`.
   Status DeployContract(const std::string& name, const vm::Program& program);
   /// Instantiates registered chaincode under `name` (Hyperledger model).
@@ -101,6 +107,12 @@ class PlatformNode : public sim::Node, public consensus::ConsensusHost {
     peer_base_ = base;
     num_peers_ = n;
   }
+  /// Shares block executions with the other replicas through `memo`
+  /// (set by Platform during setup; null executes every block).
+  void set_exec_memo(ExecMemo* memo) { exec_memo_ = memo; }
+  /// Blocks this node took from the memo / executed and recorded there.
+  uint64_t exec_memo_hits() const { return exec_memo_hits_; }
+  uint64_t exec_memo_misses() const { return exec_memo_misses_; }
   /// Enables cross-shard 2PC participation: whenever a "__xshard"
   /// prepare/abort record is canonically executed, notify `coordinator`
   /// with an XsSealed message so it can drive the protocol forward.
@@ -125,6 +137,10 @@ class PlatformNode : public sim::Node, public consensus::ConsensusHost {
   /// Executes one transaction against current state; returns CPU cost.
   /// *gas_out (optional) receives the gas consumed (EVM engine only).
   double ExecuteTx(const chain::Transaction& tx, uint64_t* gas_out = nullptr);
+  /// Runs `block`'s transactions through the execution layer; returns
+  /// the block's gas. Fills `record` (optional) with its outputs.
+  uint64_t ExecuteBlock(const chain::Block& block, double* cpu,
+                        ExecMemo::Entry* record);
   /// Brings state execution in line with the canonical chain (handles
   /// reorgs on versioned state).
   void ExecuteCanonical(double* cpu);
@@ -153,6 +169,9 @@ class PlatformNode : public sim::Node, public consensus::ConsensusHost {
   Hash256 exec_block_hash_;
   std::unordered_map<Hash256, Hash256, Hash256Hasher> block_state_roots_;
   util::FlatIdSet committed_ids_;
+  ExecMemo* exec_memo_ = nullptr;
+  uint64_t exec_memo_hits_ = 0;
+  uint64_t exec_memo_misses_ = 0;
 
   /// Admission token bucket (admission_rate_limit).
   double admission_tokens_ = 0;

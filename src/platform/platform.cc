@@ -10,7 +10,7 @@ namespace bb::platform {
 
 Platform::Platform(sim::Simulation* sim, PlatformOptions options,
                    size_t num_servers, uint64_t seed)
-    : sim_(sim), options_(std::move(options)) {
+    : sim_(sim), options_(std::move(options)), exec_memo_(num_servers) {
   // Fail loudly on inconsistent layer combinations instead of silently
   // falling back — every stack a Platform runs has passed Validate().
   Status valid = options_.Validate();
@@ -25,7 +25,10 @@ Platform::Platform(sim::Simulation* sim, PlatformOptions options,
     nodes_.push_back(std::make_unique<PlatformNode>(
         sim::NodeId(i), network_.get(), options_, seeder.Next()));
   }
-  for (auto& n : nodes_) n->set_num_peers(num_servers);
+  for (auto& n : nodes_) {
+    n->set_num_peers(num_servers);
+    n->set_exec_memo(&exec_memo_);
+  }
 }
 
 Platform::~Platform() = default;

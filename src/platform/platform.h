@@ -93,11 +93,14 @@ class Platform {
   uint64_t TotalTxsExecuted() const;
   /// Snapshots every server's counters into `reg` (labelled per node).
   void ExportMetrics(obs::MetricsRegistry* reg) const;
+  /// The block executions the servers share (see platform/exec_memo.h).
+  const ExecMemo& exec_memo() const { return exec_memo_; }
 
  protected:
   sim::Simulation* sim_;
   PlatformOptions options_;
   std::unique_ptr<sim::Network> network_;
+  ExecMemo exec_memo_;
   std::vector<std::unique_ptr<PlatformNode>> nodes_;
 };
 

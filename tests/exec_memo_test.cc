@@ -143,5 +143,123 @@ TEST(NodeMetricsPinTest, EveryNodeMetricsAndMemDumpMatchPinned) {
   }
 }
 
+// --- Hit and miss rules ------------------------------------------------------
+
+struct MemoRun {
+  std::unique_ptr<sim::Simulation> sim;
+  std::unique_ptr<platform::Platform> platform;
+  std::unique_ptr<workloads::YcsbWorkload> workload;
+  std::unique_ptr<core::Driver> driver;
+
+  MemoRun(const char* name, size_t servers, double duration) {
+    auto opts = platform::PlatformRegistry::Instance().Make(name);
+    EXPECT_TRUE(opts.ok()) << name;
+    sim = std::make_unique<sim::Simulation>(5);
+    platform = std::make_unique<platform::Platform>(sim.get(), *opts, servers);
+    workloads::YcsbConfig yc;
+    yc.record_count = 200;
+    workload = std::make_unique<workloads::YcsbWorkload>(yc);
+    EXPECT_TRUE(workload->Setup(platform.get()).ok());
+    core::DriverConfig dc;
+    dc.num_clients = 2;
+    dc.request_rate = 15;
+    dc.duration = duration;
+    dc.drain = 30;
+    driver = std::make_unique<core::Driver>(platform.get(), workload.get(), dc);
+  }
+
+  uint64_t hits() const {
+    uint64_t n = 0;
+    for (size_t i = 0; i < platform->num_servers(); ++i) {
+      n += platform->node(i).exec_memo_hits();
+    }
+    return n;
+  }
+  uint64_t misses() const {
+    uint64_t n = 0;
+    for (size_t i = 0; i < platform->num_servers(); ++i) {
+      n += platform->node(i).exec_memo_misses();
+    }
+    return n;
+  }
+  /// Every server ends on the same head with the same state root.
+  void ExpectConverged() const {
+    platform::PlatformNode& first = platform->node(0);
+    for (size_t i = 1; i < platform->num_servers(); ++i) {
+      platform::PlatformNode& n = platform->node(i);
+      EXPECT_EQ(n.chain().head(), first.chain().head()) << "node " << i;
+      EXPECT_EQ(n.state().current_root(), first.state().current_root())
+          << "node " << i;
+    }
+  }
+};
+
+TEST(ExecMemoTest, PbftReplicasTakeEveryBlockOnce) {
+  MemoRun r("hyperledger", 4, 30);
+  r.driver->Run();
+  r.ExpectConverged();
+  uint64_t blocks = r.platform->node(0).chain().head_height();
+  ASSERT_GT(blocks, 0u);
+  // Each block runs through one execution layer; the other three
+  // replicas take it, and nothing is left behind.
+  EXPECT_EQ(r.misses(), blocks);
+  EXPECT_EQ(r.hits(), 3 * blocks);
+  EXPECT_EQ(r.platform->exec_memo().size(), 0u);
+  // Counts are of transactions applied, executed or taken.
+  for (size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(r.platform->node(i).txs_executed(),
+              r.platform->node(0).txs_executed());
+  }
+}
+
+TEST(ExecMemoTest, PartitionedPowMinoritiesExecuteTheirOwnBranch) {
+  MemoRun r("ethereum", 5, 60);
+  r.sim->At(10, [&r] { r.platform->network().Partition({0, 1}); });
+  r.sim->At(40, [&r] { r.platform->network().HealPartition(); });
+  r.driver->Run();
+  r.ExpectConverged();
+  uint64_t orphans = r.platform->node(0).chain().orphaned_blocks();
+  ASSERT_GT(orphans, 0u) << "the partition must fork the chain";
+  // Blocks of the losing branch executed on their own, so more blocks
+  // ran through an execution layer than the winning chain holds.
+  EXPECT_GT(r.misses(), r.platform->node(0).chain().head_height());
+  EXPECT_GT(r.platform->node(0).exec_memo_misses() +
+                r.platform->node(1).exec_memo_misses(),
+            0u);
+  EXPECT_EQ(r.platform->exec_memo().size(), 0u);
+}
+
+TEST(ExecMemoTest, RestartedServerTakesEntriesWhileCatchingUp) {
+  // Server 0, the view-0 primary, is down from t=15 to t=60; the others
+  // change view and carry on without it.
+  MemoRun r("hyperledger", 4, 80);
+  uint64_t hits_at_restart = 0, behind_at_restart = 0;
+  r.sim->At(15, [&r] { r.platform->network().Crash(0); });
+  r.sim->At(60, [&] {
+    platform::PlatformNode& n0 = r.platform->node(0);
+    hits_at_restart = n0.exec_memo_hits();
+    behind_at_restart =
+        r.platform->node(1).chain().head_height() - n0.chain().head_height();
+    EXPECT_GT(r.platform->exec_memo().size(), 0u)
+        << "entries wait for the crashed server";
+    r.platform->network().Restart(0);
+  });
+  r.driver->Run();
+  r.ExpectConverged();
+  ASSERT_GT(behind_at_restart, 0u);
+  EXPECT_GE(r.platform->node(0).exec_memo_hits() - hits_at_restart,
+            behind_at_restart);
+  EXPECT_EQ(r.platform->exec_memo().size(), 0u);
+}
+
+TEST(ExecMemoTest, SingleServerRecordsNothing) {
+  MemoRun r("parity", 1, 20);
+  r.driver->Run();
+  EXPECT_GT(r.driver->stats().total_committed(), 0u);
+  EXPECT_GT(r.platform->node(0).txs_executed(), 0u);
+  EXPECT_EQ(r.hits() + r.misses(), 0u);
+  EXPECT_EQ(r.platform->exec_memo().size(), 0u);
+}
+
 }  // namespace
 }  // namespace bb
