@@ -33,9 +33,9 @@ void ExecMemo::SetExecHeight(sim::NodeId node, uint64_t height,
   if (entries_.empty()) return;
   auto first = exec_height_.begin() + long(group.base);
   uint64_t reached = *std::min_element(first, first + long(group.size));
-  // Every member has applied some block at each height up to `reached`:
-  // the group's entries there are either taken or on a branch nobody
-  // is left to apply from their root.
+  // Every member has applied some block at each height up to `reached`,
+  // so the group's entries there are taken or on a fork branch. A member
+  // that later reorgs onto that branch misses and executes it.
   std::erase_if(entries_, [&](const auto& kv) {
     return kv.second.group.base == group.base && kv.second.height <= reached;
   });

@@ -461,6 +461,33 @@ TYPED_TEST(StateDbTest, DeleteRemoves) {
   EXPECT_TRUE(this->db_->Get("ns", "k", &v).IsNotFound());
 }
 
+// A write set taken from one replica's buffer commits into another
+// replica's store, left unchanged, to the same root and contents.
+TYPED_TEST(StateDbTest, TakenWriteSetCommitsElsewhereToTheSameRoot) {
+  storage::MemKv other_kv;
+  std::unique_ptr<StateDb> other = MakeDb<TypeParam>(&other_kv);
+  for (StateDb* db : {this->db_.get(), other.get()}) {
+    ASSERT_TRUE(db->Put("ns", "gone", "x").ok());
+    ASSERT_TRUE(db->Commit().ok());
+  }
+  ASSERT_TRUE(this->db_->Put("ns", "k", "v").ok());
+  ASSERT_TRUE(this->db_->Delete("ns", "gone").ok());
+  const StateDb::WriteSet writes = this->db_->TakePending();
+  EXPECT_FALSE(this->db_->has_pending());
+  ASSERT_EQ(writes.size(), 2u);
+
+  auto mine = this->db_->Commit(writes);
+  auto theirs = other->Commit(writes);
+  ASSERT_TRUE(mine.ok());
+  ASSERT_TRUE(theirs.ok());
+  EXPECT_EQ(*mine, *theirs);
+  EXPECT_EQ(writes.size(), 2u);
+  std::string v;
+  ASSERT_TRUE(other->Get("ns", "k", &v).ok());
+  EXPECT_EQ(v, "v");
+  EXPECT_TRUE(other->Get("ns", "gone", &v).IsNotFound());
+}
+
 TEST(TrieStateDbTest, HistoricalReadsWork) {
   storage::MemKv kv;
   TrieStateDb db(&kv);

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "util/bufwriter.h"
 #include "util/codec.h"
@@ -17,6 +19,7 @@
 #include "util/sha256.h"
 #include "util/slice.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace bb {
 namespace {
@@ -552,6 +555,27 @@ TEST(SeenIdWindowTest, RecyclesIdsAtGenerationBoundary) {
   w.Insert(9);
   for (uint64_t id = 1; id <= 4; ++id) EXPECT_FALSE(w.Contains(id)) << id;
   for (uint64_t id = 5; id <= 9; ++id) EXPECT_TRUE(w.Contains(id)) << id;
+}
+
+// --- ThreadPool ---------------------------------------------------------------
+
+TEST(ThreadPoolTest, RunsEveryJobBeforeWaitReturns) {
+  util::ThreadPool pool(4);
+  std::atomic<int> sum{0};
+  std::vector<int> slots(64, 0);  // one writer per slot
+  for (int i = 0; i < 64; ++i) {
+    pool.Submit([&, i] {
+      slots[size_t(i)] = i;
+      sum += i;
+    });
+  }
+  pool.Wait();
+  EXPECT_EQ(sum.load(), 64 * 63 / 2);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(slots[size_t(i)], i);
+  // The pool stays usable after a Wait.
+  pool.Submit([&] { sum += 1; });
+  pool.Wait();
+  EXPECT_EQ(sum.load(), 64 * 63 / 2 + 1);
 }
 
 }  // namespace
