@@ -518,6 +518,7 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
       // Out-of-memory state (Parity at scale): the writes are lost but
       // the chain advances; record the stall.
       state().Abort();
+      ++state_commit_failures_;
     }
     pool_.RemoveCommitted(b->txs);
     exec_height_ = h;

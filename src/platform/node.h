@@ -113,6 +113,9 @@ class PlatformNode : public sim::Node, public consensus::ConsensusHost {
   /// Blocks this node took from the memo / executed and recorded there.
   uint64_t exec_memo_hits() const { return exec_memo_hits_; }
   uint64_t exec_memo_misses() const { return exec_memo_misses_; }
+  /// Blocks whose state commit the store refused (Parity's memory cap):
+  /// the chain advanced past them without their writes.
+  uint64_t state_commit_failures() const { return state_commit_failures_; }
   /// Enables cross-shard 2PC participation: whenever a "__xshard"
   /// prepare/abort record is canonically executed, notify `coordinator`
   /// with an XsSealed message so it can drive the protocol forward.
@@ -172,6 +175,7 @@ class PlatformNode : public sim::Node, public consensus::ConsensusHost {
   ExecMemo* exec_memo_ = nullptr;
   uint64_t exec_memo_hits_ = 0;
   uint64_t exec_memo_misses_ = 0;
+  uint64_t state_commit_failures_ = 0;
 
   /// Admission token bucket (admission_rate_limit).
   double admission_tokens_ = 0;

@@ -28,11 +28,15 @@ struct Scenario {
   const char* workload;  // "ycsb" or "smallbank"
   /// Optional fault schedule, given the platform before the run starts.
   std::function<void(sim::Simulation*, platform::Platform*)> faults;
+  /// Optional change to the registry's options.
+  std::function<void(platform::PlatformOptions*)> tune = nullptr;
 };
 
 struct Digests {
   std::string metrics;
   std::string mem;
+  /// State commits the servers' stores refused, summed.
+  uint64_t commit_failures = 0;
 };
 
 std::string HexDigest(const std::string& bytes) {
@@ -43,6 +47,7 @@ Digests RunScenario(const Scenario& sc) {
   auto opts = platform::PlatformRegistry::Instance().Make(sc.platform);
   EXPECT_TRUE(opts.ok()) << sc.platform;
   if (!opts.ok()) return {};
+  if (sc.tune) sc.tune(&*opts);
   sim::Simulation sim(7);
   obs::MemTracker mt;
   sim.set_memtracker(&mt);
@@ -71,17 +76,25 @@ Digests RunScenario(const Scenario& sc) {
 
   obs::MetricsRegistry reg;
   p.ExportMetrics(&reg);
-  return {HexDigest(reg.ToJson().Dump()), HexDigest(mt.ToJson().Dump())};
+  Digests out{HexDigest(reg.ToJson().Dump()), HexDigest(mt.ToJson().Dump())};
+  for (size_t i = 0; i < p.num_servers(); ++i) {
+    out.commit_failures += p.node(i).state_commit_failures();
+  }
+  return out;
 }
 
 struct PinnedDigests {
   Scenario scenario;
   const char* metrics_hex;
   const char* mem_hex;
+  /// The scenario fills a store past its capacity.
+  bool refuses_writes = false;
 };
 
 // Captured from the build before the execution memo existed, when every
-// replica ran every transaction through its own execution layer.
+// replica ran every transaction through its own execution layer; the
+// capacity case from the build before replicas shared trie nodes, when
+// every replica committed every block into its own MemKv.
 const PinnedDigests kPinned[] = {
     {{"ethereum", "ycsb", nullptr},
      "af3d94e5761c4a7663a4dc560c93218b9a7572dbf89d3d151f75ccaf14380344",
@@ -130,16 +143,25 @@ const PinnedDigests kPinned[] = {
       }},
      "60faa9f0d871b589847c227f7288ded6246311e5ec7a379fc52e87c402dacbe0",
      "57efaacf5214196992bc265a0e5006b7c1c0ca9dd01c72cd6572229077279814"},
+    // Parity's in-memory store holds the 0.42 MB genesis trie but fills
+    // up mid-run, so later blocks' state commits are refused.
+    {{"parity", "ycsb", nullptr,
+      [](platform::PlatformOptions* o) { o->state_mem_capacity = 900'000; }},
+     "c51a0d2eb942b075d896b77acd67470f494531a1375f8afee3402a0b5c24485b",
+     "5a0d39db8b1cd5268dc470e7b6f8a3acab16d32c57875813a13b8afd5e366d7a",
+     true},
 };
 
 TEST(NodeMetricsPinTest, EveryNodeMetricsAndMemDumpMatchPinned) {
   for (const PinnedDigests& pin : kPinned) {
     std::string tag = std::string(pin.scenario.platform) + "/" +
                       pin.scenario.workload +
-                      (pin.scenario.faults ? "+faults" : "");
+                      (pin.scenario.faults ? "+faults" : "") +
+                      (pin.scenario.tune ? "+tuned" : "");
     Digests got = RunScenario(pin.scenario);
     EXPECT_EQ(got.metrics, pin.metrics_hex) << tag << " metrics";
     EXPECT_EQ(got.mem, pin.mem_hex) << tag << " mem dump";
+    EXPECT_EQ(got.commit_failures > 0, pin.refuses_writes) << tag;
   }
 }
 
