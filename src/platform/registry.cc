@@ -138,7 +138,8 @@ PlatformOptions CustomStackOptions(const StackSpec& spec, std::string name) {
   return o;
 }
 
-Result<PlatformOptions> StackOptionsFromString(const std::string& desc) {
+Result<PlatformOptions> StackOptionsFromString(const std::string& desc,
+                                               const std::string& data_dir) {
   // Peel the sharding axis first: both registered names and raw stack
   // specs accept an "@shards=S" suffix ("hyperledger@shards=4",
   // "pbft+trie+evm@shards=2").
@@ -158,7 +159,7 @@ Result<PlatformOptions> StackOptionsFromString(const std::string& desc) {
           "try e.g. '" +
           desc.substr(0, at) + "@shards=4'");
     }
-    auto base = StackOptionsFromString(desc.substr(0, at));
+    auto base = StackOptionsFromString(desc.substr(0, at), data_dir);
     if (!base.ok()) return base.status();
     PlatformOptions o = std::move(*base);
     o.num_shards = shards;
@@ -168,8 +169,11 @@ Result<PlatformOptions> StackOptionsFromString(const std::string& desc) {
   }
 
   auto& registry = PlatformRegistry::Instance();
-  if (registry.Contains(desc)) return registry.Make(desc);
-  if (desc.find('+') == std::string::npos) return registry.Make(desc);
+  if (registry.Contains(desc) || desc.find('+') == std::string::npos) {
+    auto o = registry.Make(desc);
+    if (o.ok()) o->data_dir = data_dir;
+    return o;
+  }
 
   // consensus+tree[/backend]+exec
   size_t first = desc.find('+');
@@ -203,6 +207,7 @@ Result<PlatformOptions> StackOptionsFromString(const std::string& desc) {
   spec.exec_engine = *e;
 
   PlatformOptions o = CustomStackOptions(spec);
+  o.data_dir = data_dir;
   BB_RETURN_IF_ERROR(o.Validate());
   return o;
 }

@@ -66,8 +66,10 @@ PlatformOptions CustomStackOptions(const StackSpec& spec,
 
 /// Resolves either a registered platform name ("hyperledger") or a
 /// "consensus+tree[/backend]+exec" spec ("pbft+trie+evm",
-/// "pow+bucket/memkv+native") into validated options.
-Result<PlatformOptions> StackOptionsFromString(const std::string& desc);
+/// "pow+bucket/memkv+native") into validated options. `data_dir` is set
+/// before validation; a spec over diskkv needs one.
+Result<PlatformOptions> StackOptionsFromString(
+    const std::string& desc, const std::string& data_dir = "");
 
 }  // namespace bb::platform
 

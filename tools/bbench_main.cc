@@ -32,6 +32,8 @@
 //                         blockbench-blackbox-v1 black box to PATH after
 //                         the run; with --audit, a violation dumps to
 //                         AUDIT_PATH.blackbox.json even without this flag
+//   --data-dir=PATH       directory for the diskkv backend's per-server
+//                         state logs (created if missing)
 //   --replay=PATH         re-run the configuration recorded in a blackbox
 //                         dump (explicit flags still override fields)
 //   --until=TIME[,SEQ]    with --replay: stop at virtual TIME, or right
@@ -44,6 +46,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,6 +106,7 @@ struct Args {
   std::string audit_path;
   std::string blackbox_path;
   std::string replay_path;
+  std::string data_dir;
   double until_time = -1;
   uint64_t until_seq = 0;
 };
@@ -142,6 +146,8 @@ void Usage() {
                  flags override recorded fields; see blackbox_report)
   --until=TIME[,SEQ] (with --replay: stop at virtual second TIME, or as
                       soon as message seq SEQ has been sent)
+  --data-dir=PATH (directory for the per-server state logs of a "/diskkv"
+                  stack, which needs one; created if missing)
   --list-platforms (print the platform registry and exit)
 
 exit codes: 0 run ok; 1 setup or output-write failure; 2 usage error;
@@ -159,7 +165,8 @@ bool Parse(int argc, char** argv, Args* a) {
                             "--partition",       "--trace",    "--sample",
                             "--audit",           "--shards",   "--cross-shard",
                             "--profile",         "--metrics",  "--blackbox",
-                            "--replay",          "--until",    "--mem"};
+                            "--replay",          "--until",    "--mem",
+                            "--data-dir"};
   for (int i = 1; i < argc; ++i) {
     std::string s = argv[i];
     if (s == "--timeline" || s == "--list-platforms" || s == "--metrics") {
@@ -190,7 +197,7 @@ bool Parse(int argc, char** argv, Args* a) {
 stack spec axes ("consensus+tree[/backend]+exec[@shards=S]"):
   consensus    pow | poa | pbft | tendermint | raft
   tree         trie | bucket
-  backend      /memkv (default) | /diskkv (needs options.data_dir)
+  backend      /memkv (default) | /diskkv (needs --data-dir)
   exec         evm | native
   @shards=S    S independent consensus groups of --servers nodes each
                over a hash-partitioned state space, with 2PC cross-shard
@@ -226,6 +233,7 @@ examples: pbft+trie+evm   tendermint+bucket+native   pbft+trie+evm@shards=4
   a->sample = util::FlagDouble(argc, argv, "--sample", a->sample);
   a->audit_path = util::FlagValue(argc, argv, "--audit").value_or("");
   a->blackbox_path = util::FlagValue(argc, argv, "--blackbox").value_or("");
+  a->data_dir = util::FlagValue(argc, argv, "--data-dir").value_or("");
   if (auto until = util::FlagValue(argc, argv, "--until")) {
     auto comma = until->find(',');
     a->until_time = std::atof(until->substr(0, comma).c_str());
@@ -254,8 +262,9 @@ examples: pbft+trie+evm   tendermint+bucket+native   pbft+trie+evm@shards=4
   return true;
 }
 
-platform::PlatformOptions PlatformFor(const std::string& name) {
-  auto opts = platform::StackOptionsFromString(name);
+platform::PlatformOptions PlatformFor(const std::string& name,
+                                      const std::string& data_dir) {
+  auto opts = platform::StackOptionsFromString(name, data_dir);
   if (!opts.ok()) {
     std::fprintf(stderr, "unknown platform: %s\n",
                  opts.status().ToString().c_str());
@@ -435,10 +444,19 @@ int main(int argc, char** argv) {
     prof_scope = std::make_unique<obs::Profiler::ThreadScope>(profiler.get());
   }
 
+  if (!a.data_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(a.data_dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "cannot create --data-dir %s: %s\n",
+                   a.data_dir.c_str(), ec.message().c_str());
+      return 1;
+    }
+  }
   std::unique_ptr<platform::Platform> chain_ptr = [&] {
     BB_PROF_SCOPE("driver.setup");
-    return platform::MakePlatform(&sim, PlatformFor(a.platform), a.servers,
-                                  a.platform_seed);
+    return platform::MakePlatform(&sim, PlatformFor(a.platform, a.data_dir),
+                                  a.servers, a.platform_seed);
   }();
   platform::Platform& chain = *chain_ptr;
   auto workload = WorkloadFor(a.workload, a.cross_shard, a.ycsb_records,
