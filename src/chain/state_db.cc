@@ -36,8 +36,14 @@ Result<Hash256> StateDb::Commit() {
   return root;
 }
 
-Result<Hash256> StateDb::Commit(const WriteSet& writes) {
+Result<Hash256> StateDb::Commit(const WriteSet& writes, CommitLog* record) {
   assert(pending_.empty());
+  return record != nullptr ? ApplyAndLog(writes, record) : Apply(writes);
+}
+
+Result<Hash256> StateDb::Replay(const WriteSet& writes, const CommitLog& log) {
+  assert(pending_.empty());
+  if (log.recorded && ReplayLog(log)) return log.root;
   return Apply(writes);
 }
 
@@ -45,6 +51,9 @@ Result<Hash256> StateDb::Commit(const WriteSet& writes) {
 
 TrieStateDb::TrieStateDb(storage::KvStore* store, size_t cache_entries)
     : store_(store), trie_(store, cache_entries) {}
+
+TrieStateDb::TrieStateDb(storage::PoolKv* store)
+    : store_(store), pool_(store), trie_(store) {}
 
 Result<Hash256> TrieStateDb::Apply(const WriteSet& writes) {
   BB_PROF_SCOPE("storage.trie_commit");
@@ -65,6 +74,38 @@ Result<Hash256> TrieStateDb::Apply(const WriteSet& writes) {
   }
   root_ = root;
   return root;
+}
+
+Result<Hash256> TrieStateDb::ApplyAndLog(const WriteSet& writes,
+                                         CommitLog* log) {
+  if (pool_ == nullptr) return Apply(writes);
+  const storage::TrieStats before = trie_.stats();
+  log->puts.clear();
+  pool_->set_put_log(&log->puts);
+  auto root = Apply(writes);
+  pool_->set_put_log(nullptr);
+  if (!root.ok()) {
+    log->puts.clear();
+    return root;
+  }
+  log->recorded = true;
+  log->root = *root;
+  log->node_reads = trie_.stats().node_reads - before.node_reads;
+  log->bytes_written = trie_.stats().bytes_written - before.bytes_written;
+  return root;
+}
+
+bool TrieStateDb::ReplayLog(const CommitLog& log) {
+  if (pool_ == nullptr) return false;
+  // Profiled as a commit: every replica still commits every block.
+  BB_PROF_SCOPE("storage.trie_commit");
+  // The log's Puts are the ones this trie would make from the same root,
+  // since nodes are content-addressed and there is no cache.
+  if (!pool_->Replay(log.puts)) return false;
+  trie_.CountNodeReads(log.node_reads);
+  trie_.CountNodeWrites(log.puts.size(), log.bytes_written);
+  root_ = log.root;
+  return true;
 }
 
 Status TrieStateDb::ResetTo(const Hash256& root) {

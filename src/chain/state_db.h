@@ -17,10 +17,12 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "storage/bucket_tree.h"
 #include "storage/kvstore.h"
+#include "storage/node_pool.h"
 #include "storage/patricia_trie.h"
 #include "util/sha256.h"
 #include "vm/host.h"
@@ -37,8 +39,30 @@ class StateDb {
   /// Writes buffered since the last Commit/Abort, keyed by FullKey and
   /// applied in key order.
   using WriteSet = std::map<std::string, Write>;
+  /// What one successful commit did to a node pool shared by replicas
+  /// (storage/node_pool.h): enough for a replica at the same pre-state
+  /// root, committing the same writes, to adopt the commit without
+  /// running the tree. Only TrieStateDb over a PoolKv records one.
+  struct CommitLog {
+    bool recorded = false;
+    /// Pool ids of the nodes the commit Put, in order.
+    std::vector<storage::NodePool::Id> puts;
+    Hash256 root;
+    uint64_t node_reads = 0;
+    uint64_t bytes_written = 0;
+  };
 
   virtual ~StateDb() = default;
+
+  /// The WriteSet key of `key` in namespace `ns`.
+  static std::string FullKey(const std::string& ns, const std::string& key) {
+    std::string out;
+    out.reserve(ns.size() + 1 + key.size());
+    out.append(ns);
+    out.push_back('\0');
+    out.append(key);
+    return out;
+  }
 
   /// Reads from the current (uncommitted writes visible) state.
   Status Get(const std::string& ns, const std::string& key,
@@ -51,9 +75,15 @@ class StateDb {
   /// Applies buffered writes; returns the new state root. On failure the
   /// buffer is kept until Abort().
   Result<Hash256> Commit();
-  /// Applies `writes` instead of the (empty) buffer: the write set another
-  /// replica buffered for the same block from the same root.
-  Result<Hash256> Commit(const WriteSet& writes);
+  /// Applies `writes` instead of the (empty) buffer. When `record` is
+  /// given and the commit succeeds, logs it there if this model can.
+  Result<Hash256> Commit(const WriteSet& writes, CommitLog* record = nullptr);
+  /// Commits `writes`, which another replica committed from this one's
+  /// current root and logged as `log`. Replays the log when there is one
+  /// this store can take; otherwise (no log, a private store, or a log
+  /// whose new nodes would overflow this store's capacity) applies the
+  /// writes, which then fail at the same write they would have anyway.
+  Result<Hash256> Replay(const WriteSet& writes, const CommitLog& log);
   /// Drops buffered writes (failed block application).
   void Abort() { pending_.clear(); }
   /// Hands the buffered writes to the caller and empties the buffer.
@@ -90,20 +120,19 @@ class StateDb {
   }
 
  protected:
-  static std::string FullKey(const std::string& ns, const std::string& key) {
-    std::string out;
-    out.reserve(ns.size() + 1 + key.size());
-    out.append(ns);
-    out.push_back('\0');
-    out.append(key);
-    return out;
-  }
-
   /// Reads `full_key` from the committed state.
   virtual Status ReadCommitted(const std::string& full_key,
                                std::string* value) const = 0;
   /// Applies `writes` to the committed state; returns the new root.
   virtual Result<Hash256> Apply(const WriteSet& writes) = 0;
+  /// Apply that also fills *log on success; models without a shared node
+  /// pool leave it unrecorded.
+  virtual Result<Hash256> ApplyAndLog(const WriteSet& writes, CommitLog*) {
+    return Apply(writes);
+  }
+  /// Adopts a recorded log's commit; false (changing nothing) when this
+  /// model cannot.
+  virtual bool ReplayLog(const CommitLog&) { return false; }
 
  private:
   WriteSet pending_;
@@ -114,6 +143,9 @@ class TrieStateDb : public StateDb {
   /// `store` backs the trie nodes; not owned. `cache_entries` bounds the
   /// decoded-node cache in front of it (see MerklePatriciaTrie).
   explicit TrieStateDb(storage::KvStore* store, size_t cache_entries = 0);
+  /// A trie whose nodes live in a pool shared with other replicas: its
+  /// commits are logged and replayed (CommitLog).
+  explicit TrieStateDb(storage::PoolKv* store);
 
   Hash256 current_root() const override { return root_; }
   Status ResetTo(const Hash256& root) override;
@@ -140,9 +172,14 @@ class TrieStateDb : public StateDb {
     return trie_.Get(root_, full_key, value);
   }
   Result<Hash256> Apply(const WriteSet& writes) override;
+  Result<Hash256> ApplyAndLog(const WriteSet& writes,
+                              CommitLog* log) override;
+  bool ReplayLog(const CommitLog& log) override;
 
  private:
   storage::KvStore* store_;
+  /// The same store when it is a pool view; null otherwise.
+  storage::PoolKv* pool_ = nullptr;
   mutable storage::MerklePatriciaTrie trie_;
   Hash256 root_ = storage::MerklePatriciaTrie::EmptyRoot();
 };

@@ -41,10 +41,24 @@ Hash256 DataLayer::empty_state_root() const {
 }
 
 Result<std::unique_ptr<DataLayer>> DataLayer::Make(
-    const PlatformOptions& options, const std::string& node_tag) {
+    const PlatformOptions& options, const std::string& node_tag,
+    storage::NodePool* pool) {
   auto layer = std::unique_ptr<DataLayer>(new DataLayer());
   layer->tree_kind_ = options.stack.state_tree;
   layer->backend_kind_ = options.stack.storage;
+
+  if (options.stack.state_tree == StateTreeKind::kPatriciaTrie &&
+      options.stack.storage == StorageBackendKind::kMemKv) {
+    if (pool == nullptr) {
+      layer->own_pool_ = std::make_unique<storage::NodePool>();
+      pool = layer->own_pool_.get();
+    }
+    auto view =
+        std::make_unique<storage::PoolKv>(pool, options.state_mem_capacity);
+    layer->state_ = std::make_unique<chain::TrieStateDb>(view.get());
+    layer->store_ = std::move(view);
+    return layer;
+  }
 
   switch (options.stack.storage) {
     case StorageBackendKind::kMemKv:
@@ -174,15 +188,15 @@ Status NoopExecution::Invoke(const std::string& name, const vm::TxContext&,
 
 Result<std::unique_ptr<LayerStack>> LayerStack::Build(
     const PlatformOptions& options, uint64_t seed,
-    const std::string& node_tag) {
-  return LayerStackBuilder(options).Build(seed, node_tag);
+    const std::string& node_tag, storage::NodePool* pool) {
+  return LayerStackBuilder(options).Build(seed, node_tag, pool);
 }
 
 Result<std::unique_ptr<LayerStack>> LayerStackBuilder::Build(
-    uint64_t seed, const std::string& node_tag) {
+    uint64_t seed, const std::string& node_tag, storage::NodePool* pool) {
   if (consensus_ == nullptr) consensus_ = ConsensusLayer::Make(options_, seed);
   if (data_ == nullptr) {
-    auto data = DataLayer::Make(options_, node_tag);
+    auto data = DataLayer::Make(options_, node_tag, pool);
     if (!data.ok()) return data.status();
     data_ = std::move(*data);
   }

@@ -28,6 +28,7 @@
 #include "consensus/engine.h"
 #include "platform/options.h"
 #include "storage/kvstore.h"
+#include "storage/node_pool.h"
 #include "vm/interpreter.h"
 #include "vm/native.h"
 
@@ -80,9 +81,12 @@ class DataLayer {
 
   /// Builds the backend + tree selected by options.stack. Fails when the
   /// disk backend cannot open its log under options.data_dir. `node_tag`
-  /// keeps per-node disk files apart ("node3").
-  static Result<std::unique_ptr<DataLayer>> Make(const PlatformOptions& options,
-                                                 const std::string& node_tag);
+  /// keeps per-node disk files apart ("node3"). A trie over memkv keeps
+  /// its nodes in `pool`, shared with the platform's other replicas (a
+  /// private pool when null); every other stack has a private store.
+  static Result<std::unique_ptr<DataLayer>> Make(
+      const PlatformOptions& options, const std::string& node_tag,
+      storage::NodePool* pool = nullptr);
 
  private:
   DataLayer() : chain_(chain::Block{}) {}  // all-zero genesis on every node
@@ -90,6 +94,7 @@ class DataLayer {
   StateTreeKind tree_kind_ = StateTreeKind::kPatriciaTrie;
   StorageBackendKind backend_kind_ = StorageBackendKind::kMemKv;
   chain::ChainStore chain_;
+  std::unique_ptr<storage::NodePool> own_pool_;
   std::unique_ptr<storage::KvStore> store_;
   std::unique_ptr<chain::StateDb> state_;
 };
@@ -234,10 +239,11 @@ class LayerStack {
   const DataLayer& data() const { return *data_; }
   ExecutionLayer& execution() { return *execution_; }
 
-  /// Builds all three layers from options.stack.
+  /// Builds all three layers from options.stack; `pool` as for
+  /// DataLayer::Make.
   static Result<std::unique_ptr<LayerStack>> Build(
       const PlatformOptions& options, uint64_t seed,
-      const std::string& node_tag = "");
+      const std::string& node_tag = "", storage::NodePool* pool = nullptr);
 
  private:
   std::unique_ptr<ConsensusLayer> consensus_;
@@ -267,7 +273,8 @@ class LayerStackBuilder {
   }
 
   Result<std::unique_ptr<LayerStack>> Build(uint64_t seed,
-                                            const std::string& node_tag = "");
+                                            const std::string& node_tag = "",
+                                            storage::NodePool* pool = nullptr);
 
  private:
   PlatformOptions options_;

@@ -15,10 +15,11 @@ namespace bb::platform {
 using sim::MsgKind;
 
 PlatformNode::PlatformNode(sim::NodeId id, sim::Network* network,
-                           PlatformOptions options, uint64_t seed)
+                           PlatformOptions options, uint64_t seed,
+                           storage::NodePool* pool)
     : sim::Node(id, network), options_(std::move(options)) {
   auto stack =
-      LayerStack::Build(options_, seed, "node" + std::to_string(id));
+      LayerStack::Build(options_, seed, "node" + std::to_string(id), pool);
   if (!stack.ok()) {
     // Platform::Validate() rejects bad specs before nodes are built, so
     // only environment failures (disk backend I/O) reach here.
@@ -55,14 +56,10 @@ Status PlatformNode::DeployChaincode(const std::string& name,
   return stack_->execution().DeployChaincode(name, registered_as);
 }
 
-Status PlatformNode::PreloadState(const std::string& contract,
-                                  const std::string& key,
-                                  const std::string& value) {
-  return state().Put(contract, key, value);
-}
-
-Status PlatformNode::FinalizeGenesis() {
-  auto root = state().Commit();
+Status PlatformNode::FinalizeGenesis(const chain::StateDb::WriteSet& genesis,
+                                     chain::StateDb::CommitLog* log) {
+  auto root = log->recorded ? state().Replay(genesis, *log)
+                            : state().Commit(genesis, log);
   if (!root.ok()) return root.status();
   block_state_roots_[chain().head()] = *root;
   return Status::Ok();
@@ -477,7 +474,7 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
     const bool memo_ok = share && !state().has_pending();
     const ExecMemo::Entry* taken =
         memo_ok ? exec_memo_->Find(pre_root, block_hash) : nullptr;
-    const chain::StateDb::WriteSet* writes = nullptr;
+    ExecMemo::Entry* record = nullptr;
     uint64_t block_gas = 0;
     if (taken != nullptr) {
       ++exec_memo_hits_;
@@ -486,14 +483,11 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
       txs_failed_ += taken->failed;
       block_gas = taken->gas;
       state().AddNodeReads(taken->node_reads);
-      writes = &taken->writes;
     } else if (memo_ok) {
       ++exec_memo_misses_;
-      ExecMemo::Entry* record =
-          exec_memo_->Record(pre_root, block_hash, h, group);
+      record = exec_memo_->Record(pre_root, block_hash, h, group);
       block_gas = ExecuteBlock(*b, cpu, record);
       record->writes = state().TakePending();
-      writes = &record->writes;
     } else {
       block_gas = ExecuteBlock(*b, cpu, nullptr);
     }
@@ -510,7 +504,10 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
     if (auto* rec = sim()->recorder()) {
       rec->Commit(uint32_t(id()), Now(), h, block_hash.Prefix64() >> 16);
     }
-    auto root = writes != nullptr ? state().Commit(*writes) : state().Commit();
+    auto root = taken != nullptr ? state().Replay(taken->writes, taken->commit)
+                : record != nullptr
+                    ? state().Commit(record->writes, &record->commit)
+                    : state().Commit();
     if (taken != nullptr) exec_memo_->Taken(pre_root, block_hash);
     if (root.ok()) {
       block_state_roots_[block_hash] = *root;

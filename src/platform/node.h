@@ -26,8 +26,10 @@ namespace bb::platform {
 
 class PlatformNode : public sim::Node, public consensus::ConsensusHost {
  public:
+  /// A trie over memkv keeps its nodes in `pool`, which the platform's
+  /// replicas share (a private pool when null; see DataLayer::Make).
   PlatformNode(sim::NodeId id, sim::Network* network, PlatformOptions options,
-               uint64_t seed);
+               uint64_t seed, storage::NodePool* pool = nullptr);
   ~PlatformNode() override;
 
   // --- Setup (before Start) ------------------------------------------------
@@ -41,11 +43,11 @@ class PlatformNode : public sim::Node, public consensus::ConsensusHost {
   /// Instantiates registered chaincode under `name` (Hyperledger model).
   Status DeployChaincode(const std::string& name,
                          const std::string& registered_as);
-  /// Writes genesis state directly (workload preloading).
-  Status PreloadState(const std::string& contract, const std::string& key,
-                      const std::string& value);
-  /// Commits preloaded state into the genesis version.
-  Status FinalizeGenesis();
+  /// Commits the platform's preloaded state into the genesis version.
+  /// The first server to commit it logs its commit in *log; the others
+  /// replay that log (StateDb::Replay).
+  Status FinalizeGenesis(const chain::StateDb::WriteSet& genesis,
+                         chain::StateDb::CommitLog* log);
   /// Applies a block of transactions bypassing consensus (fast preload of
   /// historical chain data for the Analytics workload). All nodes must be
   /// given identical batches in identical order.

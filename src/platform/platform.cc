@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "obs/recorder.h"
 #include "vm/assembler.h"
@@ -23,7 +24,7 @@ Platform::Platform(sim::Simulation* sim, PlatformOptions options,
   Rng seeder(seed);
   for (size_t i = 0; i < num_servers; ++i) {
     nodes_.push_back(std::make_unique<PlatformNode>(
-        sim::NodeId(i), network_.get(), options_, seeder.Next()));
+        sim::NodeId(i), network_.get(), options_, seeder.Next(), &node_pool_));
   }
   for (auto& n : nodes_) {
     n->set_num_peers(num_servers);
@@ -69,15 +70,15 @@ Status Platform::DeployWorkloadContract(const std::string& name,
 Status Platform::PreloadState(const std::string& contract,
                               const std::string& key,
                               const std::string& value) {
-  for (auto& n : nodes_) {
-    BB_RETURN_IF_ERROR(n->PreloadState(contract, key, value));
-  }
+  genesis_[chain::StateDb::FullKey(contract, key)] = {true, value};
   return Status::Ok();
 }
 
 Status Platform::FinalizeGenesis() {
+  const chain::StateDb::WriteSet genesis = std::exchange(genesis_, {});
+  chain::StateDb::CommitLog log;
   for (auto& n : nodes_) {
-    BB_RETURN_IF_ERROR(n->FinalizeGenesis());
+    BB_RETURN_IF_ERROR(n->FinalizeGenesis(genesis, &log));
   }
   return Status::Ok();
 }

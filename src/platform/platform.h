@@ -75,8 +75,11 @@ class Platform {
                                 const std::string& casm,
                                 const std::string& chaincode_name);
 
+  /// Buffers one genesis write for every server.
   Status PreloadState(const std::string& contract, const std::string& key,
                       const std::string& value);
+  /// Commits the buffered genesis writes on every server: the first
+  /// commits them and the others replay its commit where they can.
   Status FinalizeGenesis();
   /// Commits one block of transactions on every node, bypassing
   /// consensus (historical-chain preloading).
@@ -95,12 +98,19 @@ class Platform {
   void ExportMetrics(obs::MetricsRegistry* reg) const;
   /// The block executions the servers share (see platform/exec_memo.h).
   const ExecMemo& exec_memo() const { return exec_memo_; }
+  /// The trie nodes the servers share (see storage/node_pool.h).
+  const storage::NodePool& node_pool() const { return node_pool_; }
 
  protected:
   sim::Simulation* sim_;
   PlatformOptions options_;
   std::unique_ptr<sim::Network> network_;
   ExecMemo exec_memo_;
+  /// The trie nodes of every server whose state is a trie over memkv
+  /// (see storage/node_pool.h). Declared before nodes_, which view it.
+  storage::NodePool node_pool_;
+  /// PreloadState's writes, until FinalizeGenesis commits them.
+  chain::StateDb::WriteSet genesis_;
   std::vector<std::unique_ptr<PlatformNode>> nodes_;
 };
 

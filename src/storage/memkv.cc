@@ -2,13 +2,6 @@
 
 namespace bb::storage {
 
-namespace {
-// Per-entry bookkeeping overhead of an unordered_map node + two
-// std::string headers; counted so the capacity limit reflects resident
-// memory, not just payload bytes.
-constexpr uint64_t kPerEntryOverhead = 96;
-}  // namespace
-
 Status MemKv::Put(Slice key, Slice value) {
   auto it = map_.find(key.view());
   uint64_t new_live = live_bytes_;
@@ -18,8 +11,8 @@ Status MemKv::Put(Slice key, Slice value) {
     new_live += key.size() + value.size();
   }
   if (capacity_ > 0) {
-    uint64_t entries = map_.size() + (it == map_.end() ? 1 : 0);
-    if (new_live + entries * kPerEntryOverhead > capacity_) {
+    size_t entries = map_.size() + (it == map_.end() ? 1 : 0);
+    if (MemKvBytes(new_live, entries) > capacity_) {
       return Status::OutOfMemory("MemKv capacity exceeded");
     }
   }
@@ -54,10 +47,6 @@ void MemKv::Scan(
   for (const auto& [k, v] : map_) {
     if (!fn(k, v)) return;
   }
-}
-
-uint64_t MemKv::size_bytes() const {
-  return live_bytes_ + map_.size() * kPerEntryOverhead;
 }
 
 }  // namespace bb::storage

@@ -13,6 +13,13 @@
 
 namespace bb::storage {
 
+/// MemKv's resident size: live key+value bytes plus the bookkeeping of an
+/// unordered_map node and two std::string headers per entry, so the
+/// capacity limit reflects resident memory, not just payload bytes.
+inline uint64_t MemKvBytes(uint64_t live_bytes, size_t entries) {
+  return live_bytes + entries * 96;
+}
+
 class MemKv : public KvStore {
  public:
   /// capacity_bytes = 0 means unlimited.
@@ -25,7 +32,9 @@ class MemKv : public KvStore {
       const std::function<bool(Slice key, Slice value)>& fn) const override;
 
   size_t num_entries() const override { return map_.size(); }
-  uint64_t size_bytes() const override;
+  uint64_t size_bytes() const override {
+    return MemKvBytes(live_bytes_, map_.size());
+  }
   uint64_t live_bytes() const override { return live_bytes_; }
 
  private:

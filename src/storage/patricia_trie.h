@@ -80,10 +80,14 @@ class MerklePatriciaTrie {
                           const std::vector<std::string>& proof);
 
   const TrieStats& stats() const { return stats_; }
-  /// Counts `n` node reads made on this trie's behalf elsewhere: another
-  /// replica's reads of the same version (no cache, so the count depends
-  /// only on the root and the keys read).
+  /// Count node I/O made on this trie's behalf elsewhere: another
+  /// replica's reads or writes from the same version (no cache, so the
+  /// counts depend only on the root and the keys).
   void CountNodeReads(uint64_t n) { stats_.node_reads += n; }
+  void CountNodeWrites(uint64_t n, uint64_t bytes) {
+    stats_.node_writes += n;
+    stats_.bytes_written += bytes;
+  }
 
  private:
   struct Node {
