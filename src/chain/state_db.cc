@@ -79,8 +79,8 @@ Result<Hash256> TrieStateDb::Apply(const WriteSet& writes) {
 Result<Hash256> TrieStateDb::ApplyAndLog(const WriteSet& writes,
                                          CommitLog* log) {
   if (pool_ == nullptr) return Apply(writes);
+  assert(!log->recorded && log->puts.empty());
   const storage::TrieStats before = trie_.stats();
-  log->puts.clear();
   pool_->set_put_log(&log->puts);
   auto root = Apply(writes);
   pool_->set_put_log(nullptr);

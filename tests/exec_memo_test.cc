@@ -93,8 +93,8 @@ struct PinnedDigests {
 
 // Captured from the build before the execution memo existed, when every
 // replica ran every transaction through its own execution layer; the
-// capacity case from the build before replicas shared trie nodes, when
-// every replica committed every block into its own MemKv.
+// two capacity cases from the build before replicas shared trie nodes,
+// when every replica committed every block into its own MemKv.
 const PinnedDigests kPinned[] = {
     {{"ethereum", "ycsb", nullptr},
      "af3d94e5761c4a7663a4dc560c93218b9a7572dbf89d3d151f75ccaf14380344",
@@ -149,6 +149,18 @@ const PinnedDigests kPinned[] = {
       [](platform::PlatformOptions* o) { o->state_mem_capacity = 900'000; }},
      "c51a0d2eb942b075d896b77acd67470f494531a1375f8afee3402a0b5c24485b",
      "5a0d39db8b1cd5268dc470e7b6f8a3acab16d32c57875813a13b8afd5e366d7a",
+     true},
+    // The same with a tighter store and a partition: the replicas' stores
+    // diverge, so a replica at the recorder's root can lack the room for
+    // a commit the recorder made, and must refuse the same write.
+    {{"parity", "ycsb",
+      [](sim::Simulation* sim, platform::Platform* p) {
+        sim->At(8, [p] { p->network().Partition({0, 1}); });
+        sim->At(25, [p] { p->network().HealPartition(); });
+      },
+      [](platform::PlatformOptions* o) { o->state_mem_capacity = 800'000; }},
+     "6ab76d2da7dcdc28753c0d76c262d2ec34e6d2475d4d96a37737d4e9e77386de",
+     "3f1883e85488a1afb5b704efc79a832f35e82745d16474bbb2088d2139285e82",
      true},
 };
 
