@@ -30,6 +30,9 @@ struct Scenario {
   std::function<void(sim::Simulation*, platform::Platform*)> faults;
   /// Optional change to the registry's options.
   std::function<void(platform::PlatformOptions*)> tune = nullptr;
+  /// Smallbank's opening balance. A zero one lets balances, and so the
+  /// stored values, grow as the run goes.
+  int64_t smallbank_balance = 100'000;
 };
 
 struct Digests {
@@ -56,6 +59,7 @@ Digests RunScenario(const Scenario& sc) {
   if (std::string(sc.workload) == "smallbank") {
     workloads::SmallbankConfig cfg;
     cfg.num_accounts = 300;
+    cfg.initial_balance = sc.smallbank_balance;
     wl = std::make_unique<workloads::SmallbankWorkload>(cfg);
   } else {
     workloads::YcsbConfig cfg;
@@ -94,7 +98,9 @@ struct PinnedDigests {
 // Captured from the build before the execution memo existed, when every
 // replica ran every transaction through its own execution layer; the
 // two capacity cases from the build before replicas shared trie nodes,
-// when every replica committed every block into its own MemKv.
+// when every replica committed every block into its own MemKv; the
+// bucket capacity case from the build before bucket commits were
+// replayed, when every replica hashed every write into its own tree.
 const PinnedDigests kPinned[] = {
     {{"ethereum", "ycsb", nullptr},
      "af3d94e5761c4a7663a4dc560c93218b9a7572dbf89d3d151f75ccaf14380344",
@@ -161,6 +167,15 @@ const PinnedDigests kPinned[] = {
       [](platform::PlatformOptions* o) { o->state_mem_capacity = 800'000; }},
      "6ab76d2da7dcdc28753c0d76c262d2ec34e6d2475d4d96a37737d4e9e77386de",
      "3f1883e85488a1afb5b704efc79a832f35e82745d16474bbb2088d2139285e82",
+     true},
+    // Hyperledger's flat store holds the zero-balance genesis, but the
+    // balances grow until commits are refused part-way: the writes
+    // before the refused one stay in the bucket tree.
+    {{"hyperledger", "smallbank", nullptr,
+      [](platform::PlatformOptions* o) { o->state_mem_capacity = 70'300; },
+      0},
+     "da359c2e63fc0f9a87d2cdf0ee3604d760909f8014452699844e53fe801c5f82",
+     "13622668ded100ddcf49cbd347ded39e68aedf05a2b306b8665ce91230c6ee0d",
      true},
 };
 
