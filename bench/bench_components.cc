@@ -4,7 +4,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+
 #include "chain/block.h"
+#include "chain/state_db.h"
 #include "chain/txpool.h"
 #include "obs/memtrack.h"
 #include "obs/profiler.h"
@@ -165,6 +169,68 @@ void BM_BucketTreePut(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_BucketTreePut);
+
+// A Smallbank-shaped block for the bucket tree: 784 balance writes over a
+// store of 20k accounts, and the block that writes the old balances
+// back, so that the two can be committed, or replayed, alternately.
+struct BucketBlocks {
+  static constexpr int kKeys = 20000;
+  static constexpr int kWrites = 784;
+
+  static std::string Key(int i) {
+    return chain::StateDb::FullKey("smallbank", "c_acct" + std::to_string(i));
+  }
+  static std::unique_ptr<chain::BucketStateDb> Genesis(storage::KvStore* kv) {
+    chain::StateDb::WriteSet genesis;
+    for (int i = 0; i < kKeys; ++i) genesis[Key(i)] = {true, "i100000"};
+    auto db = std::make_unique<chain::BucketStateDb>(kv);
+    db->Commit(genesis);
+    return db;
+  }
+
+  BucketBlocks() {
+    Rng rng(5);
+    for (int i = 0; i < kWrites; ++i) {
+      const std::string key = Key(i * (kKeys / kWrites));
+      there[key] = {true, "i" + std::to_string(100000 + rng.Range(1, 99))};
+      back[key] = {true, "i100000"};
+    }
+  }
+
+  chain::StateDb::WriteSet there, back;
+};
+
+void BM_BucketCommit(benchmark::State& state) {
+  BucketBlocks blocks;
+  storage::MemKv kv;
+  auto db = BucketBlocks::Genesis(&kv);
+  bool odd = false;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(db->Commit(odd ? blocks.back : blocks.there));
+    odd = !odd;
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * BucketBlocks::kWrites);
+}
+BENCHMARK(BM_BucketCommit);
+
+// The same blocks taken from another replica's logged commits.
+void BM_BucketReplay(benchmark::State& state) {
+  BucketBlocks blocks;
+  storage::MemKv recorder_kv, kv;
+  auto recorder = BucketBlocks::Genesis(&recorder_kv);
+  auto db = BucketBlocks::Genesis(&kv);
+  chain::StateDb::CommitLog there, back;
+  recorder->Commit(blocks.there, &there);
+  recorder->Commit(blocks.back, &back);
+  bool odd = false;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(odd ? db->Replay(blocks.back, back)
+                                 : db->Replay(blocks.there, there));
+    odd = !odd;
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * BucketBlocks::kWrites);
+}
+BENCHMARK(BM_BucketReplay);
 
 void BM_MemKvPut(benchmark::State& state) {
   storage::MemKv kv;

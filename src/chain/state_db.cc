@@ -43,8 +43,7 @@ Result<Hash256> StateDb::Commit(const WriteSet& writes, CommitLog* record) {
 
 Result<Hash256> StateDb::Replay(const WriteSet& writes, const CommitLog& log) {
   assert(pending_.empty());
-  if (log.recorded && ReplayLog(log)) return log.root;
-  return Apply(writes);
+  return log.recorded ? ReplayLog(writes, log) : Apply(writes);
 }
 
 // --- TrieStateDb ------------------------------------------------------------
@@ -95,17 +94,24 @@ Result<Hash256> TrieStateDb::ApplyAndLog(const WriteSet& writes,
   return root;
 }
 
-bool TrieStateDb::ReplayLog(const CommitLog& log) {
-  if (pool_ == nullptr) return false;
-  // Profiled as a commit: every replica still commits every block.
-  BB_PROF_SCOPE("storage.trie_commit");
-  // The log's Puts are the ones this trie would make from the same root,
-  // since nodes are content-addressed and there is no cache.
-  if (!pool_->Replay(log.puts)) return false;
-  trie_.CountNodeReads(log.node_reads);
-  trie_.CountNodeWrites(log.puts.size(), log.bytes_written);
-  root_ = log.root;
-  return true;
+Result<Hash256> TrieStateDb::ReplayLog(const WriteSet& writes,
+                                       const CommitLog& log) {
+  if (pool_ == nullptr) return Apply(writes);
+  {
+    // Profiled as a commit: every replica still commits every block.
+    BB_PROF_SCOPE("storage.trie_commit");
+    // The log's Puts are the ones this trie would make from the same
+    // root, since nodes are content-addressed and there is no cache.
+    if (pool_->Replay(log.puts)) {
+      trie_.CountNodeReads(log.node_reads);
+      trie_.CountNodeWrites(log.puts.size(), log.bytes_written);
+      root_ = log.root;
+      return root_;
+    }
+  }
+  // The new nodes would overflow this store: the writes fail at the same
+  // write they would have anyway.
+  return Apply(writes);
 }
 
 Status TrieStateDb::ResetTo(const Hash256& root) {
@@ -138,6 +144,42 @@ Result<Hash256> BucketStateDb::Apply(const WriteSet& writes) {
   // the root always describes what the store holds.
   root_ = tree_.RootHash();
   if (!s.ok()) return s;
+  return root_;
+}
+
+Result<Hash256> BucketStateDb::ApplyAndLog(const WriteSet& writes,
+                                           CommitLog* log) {
+  assert(!log->recorded && log->deltas.empty());
+  log->deltas.reserve(writes.size());
+  tree_.set_delta_log(&log->deltas);
+  auto root = Apply(writes);
+  tree_.set_delta_log(nullptr);
+  if (!root.ok()) {
+    log->deltas = {};
+    return root;
+  }
+  log->recorded = true;
+  log->root = *root;
+  return root;
+}
+
+Result<Hash256> BucketStateDb::ReplayLog(const WriteSet& writes,
+                                         const CommitLog& log) {
+  // Profiled as a commit: every replica still commits every block.
+  BB_PROF_SCOPE("storage.bucket_commit");
+  assert(log.deltas.size() == writes.size());
+  auto delta = log.deltas.begin();
+  for (const auto& [key, w] : writes) {
+    Status s = w.present ? tree_.ReplayPut(key, w.value, *delta)
+                         : tree_.ReplayDelete(key, *delta);
+    ++delta;
+    if (s.ok() || s.IsNotFound()) continue;  // NotFound: an absent key
+    // Refused where Apply would be: the writes before it stay.
+    root_ = tree_.RootHash();
+    return s;
+  }
+  tree_.AdoptRoot(log.root);
+  root_ = log.root;
   return root_;
 }
 

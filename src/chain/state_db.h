@@ -39,14 +39,17 @@ class StateDb {
   /// Writes buffered since the last Commit/Abort, keyed by FullKey and
   /// applied in key order.
   using WriteSet = std::map<std::string, Write>;
-  /// What one successful commit did to a node pool shared by replicas
-  /// (storage/node_pool.h): enough for a replica at the same pre-state
-  /// root, committing the same writes, to adopt the commit without
-  /// running the tree. Only TrieStateDb over a PoolKv records one.
+  /// What one successful commit did, logged for replicas that share
+  /// the model's work: enough for a replica at the same pre-state root,
+  /// committing the same writes, to adopt the commit without running its
+  /// tree. TrieStateDb logs it over a node pool (storage/node_pool.h),
+  /// BucketStateDb always.
   struct CommitLog {
     bool recorded = false;
-    /// Pool ids of the nodes the commit Put, in order.
+    /// Trie: pool ids of the nodes the commit Put, in order.
     std::vector<storage::NodePool::Id> puts;
+    /// Bucket tree: each write's digest delta, in write order.
+    std::vector<storage::BucketMerkleTree::Delta> deltas;
     Hash256 root;
     uint64_t node_reads = 0;
     uint64_t bytes_written = 0;
@@ -79,10 +82,9 @@ class StateDb {
   /// given and the commit succeeds, logs it there if this model can.
   Result<Hash256> Commit(const WriteSet& writes, CommitLog* record = nullptr);
   /// Commits `writes`, which another replica committed from this one's
-  /// current root and logged as `log`. Replays the log when there is one
-  /// this store can take; otherwise (no log, a private store, or a log
-  /// whose new nodes would overflow this store's capacity) applies the
-  /// writes, which then fail at the same write they would have anyway.
+  /// current root and logged as `log`. Replays the log when there is
+  /// one; a write this store refuses fails the commit there, leaving the
+  /// state Commit would have.
   Result<Hash256> Replay(const WriteSet& writes, const CommitLog& log);
   /// Drops buffered writes (failed block application).
   void Abort() { pending_.clear(); }
@@ -125,14 +127,17 @@ class StateDb {
                                std::string* value) const = 0;
   /// Applies `writes` to the committed state; returns the new root.
   virtual Result<Hash256> Apply(const WriteSet& writes) = 0;
-  /// Apply that also fills *log on success; models without a shared node
-  /// pool leave it unrecorded.
+  /// Apply that also fills *log on success; models that cannot share
+  /// their commits leave it unrecorded.
   virtual Result<Hash256> ApplyAndLog(const WriteSet& writes, CommitLog*) {
     return Apply(writes);
   }
-  /// Adopts a recorded log's commit; false (changing nothing) when this
-  /// model cannot.
-  virtual bool ReplayLog(const CommitLog&) { return false; }
+  /// Commits `writes` by adopting their recorded log, where this model
+  /// can; by default it applies them.
+  virtual Result<Hash256> ReplayLog(const WriteSet& writes,
+                                    const CommitLog&) {
+    return Apply(writes);
+  }
 
  private:
   WriteSet pending_;
@@ -174,7 +179,8 @@ class TrieStateDb : public StateDb {
   Result<Hash256> Apply(const WriteSet& writes) override;
   Result<Hash256> ApplyAndLog(const WriteSet& writes,
                               CommitLog* log) override;
-  bool ReplayLog(const CommitLog& log) override;
+  Result<Hash256> ReplayLog(const WriteSet& writes,
+                            const CommitLog& log) override;
 
  private:
   storage::KvStore* store_;
@@ -198,6 +204,8 @@ class BucketStateDb : public StateDb {
   }
   bool supports_versioned_reads() const override { return false; }
   uint64_t storage_bytes() const override { return store_->size_bytes(); }
+  /// Writes the bucket tree has applied.
+  uint64_t updates() const { return tree_.updates(); }
 
  protected:
   Status ReadCommitted(const std::string& full_key,
@@ -205,6 +213,10 @@ class BucketStateDb : public StateDb {
     return tree_.Get(full_key, value);
   }
   Result<Hash256> Apply(const WriteSet& writes) override;
+  Result<Hash256> ApplyAndLog(const WriteSet& writes,
+                              CommitLog* log) override;
+  Result<Hash256> ReplayLog(const WriteSet& writes,
+                            const CommitLog& log) override;
 
  private:
   storage::KvStore* store_;

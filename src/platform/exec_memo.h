@@ -7,11 +7,14 @@
 // The first replica to apply a block from a root executes it and records
 // the outputs here; any other replica whose state sits at the same root
 // takes them instead: it adds the recorded CPU and counters and commits
-// the recorded write set into its own store. A trie over memkv keeps its
-// nodes in the platform's shared storage::NodePool, so there the taker
-// replays the recorder's logged commit instead of running the trie (see
-// StateDb::Replay). Each replica keeps its own root, byte accounting,
-// trie counters and capacity, so these come out as if it had executed.
+// the recorded write set into its own store. Where it can, the taker
+// replays the recorder's logged commit instead of running its own tree
+// (see StateDb::Replay): a trie over memkv keeps its nodes in the
+// platform's shared storage::NodePool and adopts the logged node ids; a
+// bucket tree makes the same store writes and adds the logged digest
+// deltas, with no entry hashing and no root rebuild. Each replica keeps
+// its own store, root, byte accounting, tree counters and capacity, so
+// these come out as if it had executed.
 //
 // The table belongs to one Platform: replicas of one simulation share
 // it and nothing else does, so parallel sweep jobs share no state.
@@ -42,8 +45,9 @@ class ExecMemo {
     uint64_t node_reads = 0;
     /// The block's buffered writes, as committed.
     chain::StateDb::WriteSet writes;
-    /// The recorder's commit of `writes`, when it succeeded over a node
-    /// pool: takers replay it instead of running their own trie.
+    /// The recorder's commit of `writes`, when it succeeded and its
+    /// model logs commits: takers replay it instead of running their
+    /// own tree.
     chain::StateDb::CommitLog commit;
   };
 

@@ -1,5 +1,7 @@
 #include "storage/bucket_tree.h"
 
+#include <cassert>
+
 #include "storage/merkle_tree.h"
 
 namespace bb::storage {
@@ -47,19 +49,16 @@ void BucketMerkleTree::DigestSub(Hash256* acc, const Hash256& h) {
   }
 }
 
-// Both mutators touch the digests only after the store accepted the
+// The mutators touch the digests only after the store accepted the
 // write, so a refused write (MemKv capacity) leaves them describing what
 // the store still holds.
 Status BucketMerkleTree::Put(Slice key, Slice value) {
-  std::string old;
-  Status s = store_->Get(key, &old);
+  Status s = store_->Get(key, &old_);
   if (!s.ok() && !s.IsNotFound()) return s;
   BB_RETURN_IF_ERROR(store_->Put(key, value));
-  Hash256& bucket = buckets_[BucketOf(key)];
-  if (s.ok()) DigestSub(&bucket, EntryDigest(key, old));
-  DigestAdd(&bucket, EntryDigest(key, value));
-  dirty_ = true;
-  ++updates_;
+  Hash256 delta = EntryDigest(key, value);
+  if (s.ok()) DigestSub(&delta, EntryDigest(key, old_));
+  Applied({uint32_t(BucketOf(key)), delta});
   return Status::Ok();
 }
 
@@ -68,13 +67,36 @@ Status BucketMerkleTree::Get(Slice key, std::string* value) const {
 }
 
 Status BucketMerkleTree::Delete(Slice key) {
-  std::string old;
-  BB_RETURN_IF_ERROR(store_->Get(key, &old));
+  Status s = store_->Get(key, &old_);
+  if (s.IsNotFound() && delta_log_ != nullptr) {
+    delta_log_->push_back({0, Hash256::Zero()});
+  }
+  BB_RETURN_IF_ERROR(s);
   BB_RETURN_IF_ERROR(store_->Delete(key));
-  DigestSub(&buckets_[BucketOf(key)], EntryDigest(key, old));
+  Hash256 delta = Hash256::Zero();
+  DigestSub(&delta, EntryDigest(key, old_));
+  Applied({uint32_t(BucketOf(key)), delta});
+  return Status::Ok();
+}
+
+Status BucketMerkleTree::ReplayPut(Slice key, Slice value,
+                                   const Delta& delta) {
+  BB_RETURN_IF_ERROR(store_->Put(key, value));
+  Applied(delta);
+  return Status::Ok();
+}
+
+Status BucketMerkleTree::ReplayDelete(Slice key, const Delta& delta) {
+  BB_RETURN_IF_ERROR(store_->Delete(key));
+  Applied(delta);
+  return Status::Ok();
+}
+
+void BucketMerkleTree::Applied(const Delta& delta) {
+  DigestAdd(&buckets_[delta.bucket], delta.digest);
   dirty_ = true;
   ++updates_;
-  return Status::Ok();
+  if (delta_log_ != nullptr) delta_log_->push_back(delta);
 }
 
 Hash256 BucketMerkleTree::RootHash() {
@@ -83,6 +105,12 @@ Hash256 BucketMerkleTree::RootHash() {
     dirty_ = false;
   }
   return root_;
+}
+
+void BucketMerkleTree::AdoptRoot(const Hash256& root) {
+  root_ = root;
+  dirty_ = false;
+  assert(root_ == MerkleTree(buckets_).root());
 }
 
 }  // namespace bb::storage
