@@ -1,6 +1,6 @@
 // FlightRecorder tests: ring wrap/eviction semantics, RunSpec JSON
 // round-trip, structural validation of blockbench-blackbox-v1 dumps,
-// the golden 4-node PBFT partitioned black box (pinned by digest),
+// the golden 4-node black boxes of all five engines (pinned by digest),
 // dump identity across sweep --jobs values, the replay-equivalence
 // contract (a RunSpec-reconstructed run produces a byte-identical
 // dump), and the message-seq breakpoint used by bbench --until.
@@ -189,8 +189,8 @@ void RunPartitioned(bench::MacroConfig cfg, double t_part, double t_heal) {
   (*run)->Run();
 }
 
-util::Json PartitionedPbftDump(FlightRecorder* rec) {
-  bench::MacroConfig cfg = BaseConfig("hyperledger", rec);
+util::Json PartitionedDump(const char* platform_name, FlightRecorder* rec) {
+  bench::MacroConfig cfg = BaseConfig(platform_name, rec);
   RunPartitioned(cfg, 5.0, 10.0);
   RunSpec spec = bench::RunSpecFromMacro(cfg);
   spec.partition_start = 5.0;
@@ -199,12 +199,32 @@ util::Json PartitionedPbftDump(FlightRecorder* rec) {
   return rec->ToJson(spec, trig);
 }
 
-// The golden partitioned PBFT black box: the dump must validate, carry
-// consensus/fault/commit records, and serialize byte-for-byte to the
-// pinned digest (any change is a conscious golden update: print the new
-// dump, re-verify, re-pin). This pins the whole recording pipeline —
-// hook placement, record layout, name interning, slice traversal and
-// JSON shape at once.
+util::Json PartitionedPbftDump(FlightRecorder* rec) {
+  return PartitionedDump("hyperledger", rec);
+}
+
+/// Runs `platform_name` with server 0 crashed at t=5 (never restarted,
+/// as bbench --crash does) and dumps the black box.
+util::Json CrashedDump(const char* platform_name, FlightRecorder* rec) {
+  bench::MacroConfig cfg = BaseConfig(platform_name, rec);
+  auto run = bench::MacroRun::Create(cfg);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  sim::Network* net = &(*run)->rplatform().network();
+  (*run)->rsim().At(5.0, [net] { net->Crash(0); });
+  (*run)->Run();
+  RunSpec spec = bench::RunSpecFromMacro(cfg);
+  spec.crashes = {{0, 5.0}};
+  BlackboxTrigger trig{"explicit", "", "golden test"};
+  return rec->ToJson(spec, trig);
+}
+
+// The golden black boxes, one per consensus engine: each dump must
+// validate, carry consensus/fault/commit records, and serialize
+// byte-for-byte to the pinned digest (any change is a conscious golden
+// update: print the new dump, re-verify, re-pin). This pins the whole
+// recording pipeline — hook placement, record layout, name interning,
+// slice traversal and JSON shape at once. PBFT, PoW and PoA run through
+// a partition; Tendermint and Raft lose server 0 to a crash.
 TEST(BlackboxGolden, PartitionedPbft4NodeByteForByte) {
   workloads::RegisterAllChaincodes();
   FlightRecorder rec;
@@ -223,6 +243,37 @@ TEST(BlackboxGolden, PartitionedPbft4NodeByteForByte) {
   EXPECT_EQ(Sha256::Digest(json).ToHex(),
             "c6df644d110bb703494662d4e7006fbad64672d8dd92bff93be2e25cb2640f8d")
       << "dump starts:\n" << json.substr(0, 2000);
+
+  struct Case {
+    const char* platform;
+    bool crash;  // else partitioned
+    const char* digest;
+  };
+  const Case kCases[] = {
+      {"ethereum", false,
+       "55bc98a91a43309aa0b241c69aabd60315d4a04c968d177f4f87694e69862eb3"},
+      {"parity", false,
+       "b171c2a09f10ccb5325d4b21d8115482b340088f7f498f204ed332a14ee43a60"},
+      {"erisdb", true,
+       "7bfcc165ae04d24a46239b040cc47fdcb76c5e0df010f2dd1f43861a69449e43"},
+      {"corda", true,
+       "13084426c4148c716e1ca2170688172ac652e1e4ceb2cd77308abba870a36536"},
+  };
+  for (const Case& c : kCases) {
+    auto dump_of = [&c](FlightRecorder* r) {
+      return c.crash ? CrashedDump(c.platform, r)
+                     : PartitionedDump(c.platform, r);
+    };
+    FlightRecorder a, b;
+    util::Json da = dump_of(&a);
+    ASSERT_TRUE(ValidateBlackbox(da).ok())
+        << c.platform << ": " << ValidateBlackbox(da).ToString();
+    for (uint32_t n = 0; n < 4; ++n) EXPECT_GT(a.recorded(n), 0u);
+    std::string j = da.Dump(2);
+    EXPECT_EQ(j, dump_of(&b).Dump(2)) << c.platform;  // reproducible
+    EXPECT_EQ(Sha256::Digest(j).ToHex(), c.digest)
+        << c.platform << ": dump is " << j.size() << " bytes";
+  }
 }
 
 // Replay equivalence at the harness level: reconstruct the MacroConfig

@@ -1,6 +1,6 @@
 // Observability subsystem tests: MetricsRegistry label normalization and
-// merge semantics, Tracer lifecycle-milestone rules, the golden PBFT
-// 4-node trace, and trace identity across sweep --jobs values (the
+// merge semantics, Tracer lifecycle-milestone rules, the golden 4-node
+// traces of all five engines, and trace identity across sweep --jobs values (the
 // determinism contract of docs/OBSERVABILITY.md).
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "sim/network.h"
 #include "util/sha256.h"
 
 namespace bb::obs {
@@ -418,27 +419,63 @@ bench::MacroConfig PbftConfig() {
   return cfg;
 }
 
-std::string RunPbftTrace() {
+/// The fault a golden run injects: none, a crash of server 0 at t=3, or
+/// the network split {0,1} | {2,3} during [3, 6).
+enum class Fault { kNone, kCrash, kPartition };
+
+std::string RunTrace(const char* platform_name, Fault fault) {
   Tracer tracer;
   bench::MacroConfig cfg = PbftConfig();
+  auto opts = bench::OptionsFor(platform_name);
+  EXPECT_TRUE(opts.ok());
+  cfg.options = *opts;
   cfg.tracer = &tracer;
   auto run = bench::MacroRun::Create(cfg);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
+  sim::Network* net = &(*run)->rplatform().network();
+  if (fault == Fault::kCrash) {
+    (*run)->rsim().At(3.0, [net] { net->Crash(0); });
+  } else if (fault == Fault::kPartition) {
+    (*run)->rsim().At(3.0, [net] { net->Partition({0, 1}); });
+    (*run)->rsim().At(6.0, [net] { net->HealPartition(); });
+  }
   (*run)->Run();
   return tracer.DumpChromeTrace();
 }
 
-// The golden PBFT 4-node trace: the full document is pinned by digest,
-// so any change to event content, ordering or formatting is a conscious
-// golden update (print the new digest and re-pin after verifying the
-// trace in Perfetto).
+// The golden 4-node traces, one per consensus engine: each full
+// document is pinned by digest, so any change to event content,
+// ordering or formatting is a conscious golden update (print the new
+// digest and re-pin after verifying the trace in Perfetto). PBFT runs
+// fault-free; the other engines each run through a crash or a
+// partition so fault edges, fork switches and failed rounds are pinned
+// too.
 TEST(TraceGolden, Pbft4NodeByteForByte) {
   workloads::RegisterAllChaincodes();
-  std::string trace = RunPbftTrace();
-  EXPECT_EQ(trace, RunPbftTrace());  // reproducible before golden
-  EXPECT_EQ(Sha256::Digest(trace).ToHex(),
-            "4e7d56d2718fc8a0b4ef23bba0f63002257c4a12cec7df731d5e760a24a32c59")
-      << "trace is " << trace.size() << " bytes";
+  struct Case {
+    const char* platform;
+    Fault fault;
+    const char* digest;
+  };
+  const Case kCases[] = {
+      {"hyperledger", Fault::kNone,
+       "4e7d56d2718fc8a0b4ef23bba0f63002257c4a12cec7df731d5e760a24a32c59"},
+      {"ethereum", Fault::kPartition,
+       "7608fc93107e6076789fa30dc13af0ace1fd1064b3f90f817e38cb837f2f56d4"},
+      {"parity", Fault::kPartition,
+       "c8755971efbcf23a7d5fd87018560e5545814b4e529445f661e1595c5ced260e"},
+      {"erisdb", Fault::kCrash,
+       "9aa3b7f07d881fd168024d6586404e24d9383a53caea0c8b034d75a16f48f362"},
+      {"corda", Fault::kCrash,
+       "b73e324dd17f10018d5c42541a3ce71710fea827797a3f75f232e6917a7ef779"},
+  };
+  for (const Case& c : kCases) {
+    std::string trace = RunTrace(c.platform, c.fault);
+    EXPECT_EQ(trace, RunTrace(c.platform, c.fault))  // reproducible
+        << c.platform;
+    EXPECT_EQ(Sha256::Digest(trace).ToHex(), c.digest)
+        << c.platform << ": trace is " << trace.size() << " bytes";
+  }
 }
 
 // A sweep must produce identical traces no matter how many worker
