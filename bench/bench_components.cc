@@ -10,10 +10,9 @@
 #include "chain/block.h"
 #include "chain/state_db.h"
 #include "chain/txpool.h"
+#include "obs/event.h"
 #include "obs/memtrack.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 #include "sim/network.h"
 #include "sim/node.h"
 #include "storage/bucket_tree.h"
@@ -332,18 +331,21 @@ void BM_SimulationEventLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulationEventLoop);
 
-// Same loop, but each callback pays the disabled-tracing test that every
-// instrumented hook site performs. The CI perf-smoke gate holds the
-// ratio of this benchmark to BM_SimulationEventLoop under 1.02 — the
-// "zero overhead when disabled" contract of docs/OBSERVABILITY.md.
-void BM_SimulationEventLoopTraceOff(benchmark::State& state) {
+// Same loop, but each callback pays the disabled observation-hook test
+// that every instrumented site performs (one pointer test: no tracer or
+// flight recorder attached). The CI perf-smoke gate holds the ratio of
+// this benchmark to BM_SimulationEventLoop under 1.02 — the "zero
+// overhead when disabled" contract of docs/OBSERVABILITY.md.
+void BM_SimulationEventLoopObsOff(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation sim;
     int count = 0;
     for (int i = 0; i < 10000; ++i) {
       sim.At(double(i) * 0.001, [&count, &sim] {
-        if (auto* tr = sim.tracer()) {
-          tr->Instant(0, "bench", "tick", sim.Now());
+        if (auto* hook = sim.hook()) {
+          hook->Emit({.kind = obs::EventKind::kPhase,
+                      .t = sim.Now(),
+                      .name = "bench.tick"});
         }
         ++count;
       });
@@ -353,7 +355,7 @@ void BM_SimulationEventLoopTraceOff(benchmark::State& state) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * 10000);
 }
-BENCHMARK(BM_SimulationEventLoopTraceOff);
+BENCHMARK(BM_SimulationEventLoopObsOff);
 
 // Same loop again, but each callback opens a BB_PROF_SCOPE with no
 // profiler attached to the thread — the disabled wall-profiler cost
@@ -376,29 +378,6 @@ void BM_SimulationEventLoopProfOff(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * 10000);
 }
 BENCHMARK(BM_SimulationEventLoopProfOff);
-
-// Same loop once more, with the disabled flight-recorder test each hook
-// site pays when no recorder is attached. The CI perf-smoke gate holds
-// the ratio to BM_SimulationEventLoop under 1.03 — the black box must be
-// free when disarmed (docs/OBSERVABILITY.md).
-void BM_SimulationEventLoopRecOff(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulation sim;
-    int count = 0;
-    for (int i = 0; i < 10000; ++i) {
-      sim.At(double(i) * 0.001, [&count, &sim] {
-        if (auto* rec = sim.recorder()) {
-          rec->Phase(0, sim.Now(), "bench.tick");
-        }
-        ++count;
-      });
-    }
-    sim.RunToCompletion();
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * 10000);
-}
-BENCHMARK(BM_SimulationEventLoopRecOff);
 
 // And the disabled byte-accounting cost: the pointer test every
 // instrumented container pays when no MemTracker is attached, plus a

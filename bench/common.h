@@ -32,7 +32,6 @@
 
 #include "core/driver.h"
 #include "obs/memtrack.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/recorder.h"
 #include "obs/sampler.h"
@@ -304,9 +303,6 @@ struct SweepOutcome {
   double wall_seconds = 0;    // real time for this point
   uint64_t events = 0;        // simulator events dispatched
   double events_per_sec = 0;  // events / wall_seconds
-  /// Per-node counters harvested from every layer after the run
-  /// (serialized as "node_metrics" in blockbench-sweep-v1 rows).
-  obs::MetricsRegistry metrics;
   /// Sampled gauge series when the case wired a sampler (serialized as
   /// "timeline" in blockbench-sweep-v1 rows); null otherwise.
   util::Json timeline;
@@ -477,7 +473,6 @@ class SweepRunner {
     {
       BB_PROF_SCOPE("driver.collect");
       if (cases_[i].after) cases_[i].after(**run, out.report);
-      (*run)->rplatform().ExportMetrics(&out.metrics);
       if (cases_[i].config.sampler != nullptr) {
         out.timeline = cases_[i].config.sampler->ToJson();
       }
@@ -583,7 +578,6 @@ class SweepRunner {
         sim.Set("wall_seconds", o.wall_seconds);
         sim.Set("events_per_sec", o.events_per_sec);
         r.Set("sim", std::move(sim));
-        if (!o.metrics.empty()) r.Set("node_metrics", o.metrics.ToJson());
         if (!o.timeline.is_null()) r.Set("timeline", o.timeline);
         if (!o.wall_profile.is_null()) r.Set("wall_profile", o.wall_profile);
         if (!o.mem.is_null()) r.Set("mem", o.mem);

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/event.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace bb::consensus {
 
@@ -81,9 +80,12 @@ void Pbft::ProgressCheck() {
     // protocol should be making progress on.
     bool has_work = host_->pending_txs() > 0 || !instances_.empty();
     if (has_work && now - last_progress_time_ >= CurrentTimeout()) {
-      if (auto* rec = host_->host_sim()->recorder()) {
-        rec->Timer(uint32_t(host_->node_id()), now, "pbft.progress_timeout",
-                   view_);
+      if (auto* hook = host_->host_sim()->hook()) {
+        hook->Emit({.kind = obs::EventKind::kTimer,
+                    .node = uint32_t(host_->node_id()),
+                    .t = now,
+                    .id = view_,
+                    .name = "pbft.progress_timeout"});
       }
       StartViewChange(std::max(view_ + 1, view_change_target_ + 1));
       last_progress_time_ = now;  // restart the clock for the next escalation
@@ -145,13 +147,16 @@ bool Pbft::ProposeOne() {
   last_proposed_hash_ = inst.digest;
   last_proposal_time_ = host_->HostNow();
 
-  if (auto* tr = host_->host_sim()->tracer()) {
-    tr->Instant(uint32_t(host_->node_id()), "consensus", "pbft.propose",
-                host_->HostNow(), "seq", double(seq));
-  }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pbft.propose",
-               seq, view_);
+  if (auto* hook = host_->host_sim()->hook()) {
+    hook->Emit({.kind = obs::EventKind::kPhase,
+                .node = uint32_t(host_->node_id()),
+                .t = host_->HostNow(),
+                .id = seq,
+                .aux = view_,
+                .name = "pbft.propose",
+                .start = obs::kInstant,
+                .arg = "seq",
+                .value = double(seq)});
   }
   host_->HostBroadcast(MsgKind::kPbftPrePrepare,
                        PrePrepareMsg{view_, seq, ptr}, ptr->SizeBytes());
@@ -251,16 +256,17 @@ void Pbft::MaybeSendCommit(uint64_t seq) {
   inst.sent_commit = true;
   inst.commits.insert(host_->node_id());
   inst.t_prepared = host_->HostNow();
-  if (auto* tr = host_->host_sim()->tracer()) {
-    if (inst.t_preprepare >= 0) {
-      tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                       "pbft.prepare", inst.t_preprepare, inst.t_prepared,
-                       "seq", double(seq));
-    }
-  }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pbft.prepare",
-               seq, view_);
+  if (auto* hook = host_->host_sim()->hook()) {
+    hook->Emit({.kind = obs::EventKind::kPhase,
+                .node = uint32_t(host_->node_id()),
+                .t = host_->HostNow(),
+                .id = seq,
+                .aux = view_,
+                .name = "pbft.prepare",
+                .start = inst.t_preprepare,
+                .end = inst.t_prepared,
+                .arg = "seq",
+                .value = double(seq)});
   }
   host_->HostBroadcast(MsgKind::kPbftCommit, PhaseMsg{view_, seq, inst.digest},
                        kPhaseMsgBytes);
@@ -286,18 +292,18 @@ void Pbft::MaybeExecute(double* cpu) {
     double commit_cpu = 0;
     bool ok = host_->CommitBlock(inst.block, &commit_cpu);
     *cpu += commit_cpu;
-    if (auto* tr = host_->host_sim()->tracer()) {
-      if (ok && inst.t_prepared >= 0) {
-        tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                         "pbft.commit", inst.t_prepared, host_->HostNow(),
-                         "seq", double(next));
-      }
-    }
-    if (auto* rec = host_->host_sim()->recorder()) {
-      if (ok) {
-        rec->Phase(uint32_t(host_->node_id()), host_->HostNow(),
-                   "pbft.commit", next, view_);
-      }
+    auto* hook = host_->host_sim()->hook();
+    if (hook != nullptr && ok) {
+      hook->Emit({.kind = obs::EventKind::kPhase,
+                  .node = uint32_t(host_->node_id()),
+                  .t = host_->HostNow(),
+                  .id = next,
+                  .aux = view_,
+                  .name = "pbft.commit",
+                  .start = inst.t_prepared,
+                  .end = host_->HostNow(),
+                  .arg = "seq",
+                  .value = double(next)});
     }
     // Retain the executed certificate until the stable checkpoint (low
     // watermark) passes it; GC the log tail whenever the watermark
@@ -365,18 +371,18 @@ void Pbft::OnNewView(sim::NodeId from, const NewViewMsg& m) {
 }
 
 void Pbft::EnterView(uint64_t view) {
-  if (view_change_start_ >= 0) {
-    if (auto* tr = host_->host_sim()->tracer()) {
-      tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                       "pbft.view_change", view_change_start_,
-                       host_->HostNow(), "view", double(view));
-    }
-    view_change_start_ = -1;
+  if (auto* hook = host_->host_sim()->hook()) {
+    hook->Emit({.kind = obs::EventKind::kPhase,
+                .node = uint32_t(host_->node_id()),
+                .t = host_->HostNow(),
+                .id = view,
+                .name = "pbft.view_change",
+                .start = view_change_start_,
+                .end = host_->HostNow(),
+                .arg = "view",
+                .value = double(view)});
   }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(),
-               "pbft.view_change", view);
-  }
+  view_change_start_ = -1;
   view_ = view;
   in_view_change_ = false;
   view_change_target_ = std::max(view_change_target_, view);

@@ -2,9 +2,8 @@
 
 #include <cmath>
 
+#include "obs/event.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace bb::consensus {
 
@@ -37,8 +36,12 @@ void ProofOfAuthority::ScheduleNextStep() {
 
 void ProofOfAuthority::OnStep(uint64_t step) {
   if (!active_) return;
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Timer(uint32_t(host_->node_id()), host_->HostNow(), "poa.step", step);
+  if (auto* hook = host_->host_sim()->hook()) {
+    hook->Emit({.kind = obs::EventKind::kTimer,
+                .node = uint32_t(host_->node_id()),
+                .t = host_->HostNow(),
+                .id = step,
+                .name = "poa.step"});
   }
   double build_cpu = 0;
   auto block = host_->BuildBlock(host_->chain_store().head(),
@@ -53,17 +56,21 @@ void ProofOfAuthority::OnStep(uint64_t step) {
     double commit_cpu = 0;
     host_->CommitBlock(ptr, &commit_cpu);
     host_->ChargeBackground(build_cpu + commit_cpu);
-    if (auto* tr = host_->host_sim()->tracer()) {
+    if (auto* hook = host_->host_sim()->hook()) {
       // The clock does not advance inside one event, so the seal span's
       // extent is the modeled build + commit CPU time.
       double now = host_->HostNow();
-      tr->CompleteSpan(uint32_t(host_->node_id()), "consensus", "poa.seal",
-                       now, now + build_cpu + commit_cpu, "height",
-                       double(host_->chain_store().head_height()));
-    }
-    if (auto* rec = host_->host_sim()->recorder()) {
-      rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "poa.seal",
-                 host_->chain_store().head_height(), step);
+      uint64_t height = host_->chain_store().head_height();
+      hook->Emit({.kind = obs::EventKind::kPhase,
+                  .node = uint32_t(host_->node_id()),
+                  .t = now,
+                  .id = height,
+                  .aux = step,
+                  .name = "poa.seal",
+                  .start = now,
+                  .end = now + build_cpu + commit_cpu,
+                  .arg = "height",
+                  .value = double(height)});
     }
     host_->HostBroadcast(MsgKind::kPoaBlock, ptr, ptr->SizeBytes());
   }
@@ -88,12 +95,14 @@ bool ProofOfAuthority::HandleMessage(const sim::Message& msg, double* cpu) {
     RequestSync(host_, msg.from);
   }
   *cpu += commit_cpu;
-  if (host_->chain_store().reorgs() > old_reorgs) {
-    if (auto* tr = host_->host_sim()->tracer()) {
-      tr->Instant(uint32_t(host_->node_id()), "consensus", "poa.fork_switch",
-                  host_->HostNow(), "height",
-                  double(host_->chain_store().head_height()));
-    }
+  auto* hook = host_->host_sim()->hook();
+  if (hook != nullptr && host_->chain_store().reorgs() > old_reorgs) {
+    hook->Emit({.kind = obs::EventKind::kReorg,
+                .node = uint32_t(host_->node_id()),
+                .t = host_->HostNow(),
+                .name = "poa.fork_switch",
+                .arg = "height",
+                .value = double(host_->chain_store().head_height())});
   }
   return true;
 }

@@ -2,9 +2,8 @@
 
 #include <cmath>
 
+#include "obs/event.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace bb::consensus {
 
@@ -57,14 +56,16 @@ void ProofOfWork::OnMined(uint64_t epoch) {
     // difficulty is fixed by the genesis configuration.
     block->header.weight = 1000;
     ++blocks_mined_;
-    if (auto* tr = host_->host_sim()->tracer()) {
-      tr->CompleteSpan(uint32_t(host_->node_id()), "consensus", "pow.mine",
-                       mine_start_, host_->HostNow(), "height",
-                       double(block->header.height));
-    }
-    if (auto* rec = host_->host_sim()->recorder()) {
-      rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pow.mine",
-                 block->header.height);
+    if (auto* hook = host_->host_sim()->hook()) {
+      hook->Emit({.kind = obs::EventKind::kPhase,
+                  .node = uint32_t(host_->node_id()),
+                  .t = host_->HostNow(),
+                  .id = block->header.height,
+                  .name = "pow.mine",
+                  .start = mine_start_,
+                  .end = host_->HostNow(),
+                  .arg = "height",
+                  .value = double(block->header.height)});
     }
     // Seal once; the store and every peer share the same instance.
     auto ptr = chain::Seal(std::move(*block));
@@ -100,21 +101,22 @@ bool ProofOfWork::HandleMessage(const sim::Message& msg, double* cpu) {
   }
   *cpu += commit_cpu;
   if (host_->chain_store().head() != old_head) {
-    if (auto* tr = host_->host_sim()->tracer()) {
+    if (auto* hook = host_->host_sim()->hook()) {
+      const uint32_t node = uint32_t(host_->node_id());
       if (host_->chain_store().reorgs() > old_reorgs) {
-        tr->Instant(uint32_t(host_->node_id()), "consensus",
-                    "pow.fork_switch", host_->HostNow(), "height",
-                    double(host_->chain_store().head_height()));
+        hook->Emit({.kind = obs::EventKind::kReorg,
+                    .node = node,
+                    .t = host_->HostNow(),
+                    .name = "pow.fork_switch",
+                    .arg = "height",
+                    .value = double(host_->chain_store().head_height())});
       }
       if (mining_) {
-        tr->Instant(uint32_t(host_->node_id()), "consensus",
-                    "pow.mine_abandoned", host_->HostNow());
-      }
-    }
-    if (auto* rec = host_->host_sim()->recorder()) {
-      if (mining_) {
-        rec->Phase(uint32_t(host_->node_id()), host_->HostNow(),
-                   "pow.mine_abandoned");
+        hook->Emit({.kind = obs::EventKind::kPhase,
+                    .node = node,
+                    .t = host_->HostNow(),
+                    .name = "pow.mine_abandoned",
+                    .start = obs::kInstant});
       }
     }
     // Head moved: abandon the in-flight race and mine on the new tip.

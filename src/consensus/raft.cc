@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/event.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace bb::consensus {
 
@@ -58,9 +57,12 @@ void Raft::Poll() {
 void Raft::ElectionCheck() {
   if (!active_) return;
   if (role_ != Role::kLeader && host_->HostNow() >= election_deadline_) {
-    if (auto* rec = host_->host_sim()->recorder()) {
-      rec->Timer(uint32_t(host_->node_id()), host_->HostNow(),
-                 "raft.election_timeout", term_ + 1);
+    if (auto* hook = host_->host_sim()->hook()) {
+      hook->Emit({.kind = obs::EventKind::kTimer,
+                  .node = uint32_t(host_->node_id()),
+                  .t = host_->HostNow(),
+                  .id = term_ + 1,
+                  .name = "raft.election_timeout"});
     }
     StartElection();
   }
@@ -84,18 +86,18 @@ void Raft::StartElection() {
 }
 
 void Raft::BecomeLeader() {
-  if (election_start_ >= 0) {
-    if (auto* tr = host_->host_sim()->tracer()) {
-      tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                       "raft.election", election_start_, host_->HostNow(),
-                       "term", double(term_));
-    }
-    election_start_ = -1;
+  if (auto* hook = host_->host_sim()->hook()) {
+    hook->Emit({.kind = obs::EventKind::kPhase,
+                .node = uint32_t(host_->node_id()),
+                .t = host_->HostNow(),
+                .id = term_,
+                .name = "raft.election",
+                .start = election_start_,
+                .end = host_->HostNow(),
+                .arg = "term",
+                .value = double(term_)});
   }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(),
-               "raft.election", term_);
-  }
+  election_start_ = -1;
   role_ = Role::kLeader;
   match_height_.clear();
   // Re-replicate our surviving pending tail; peers report their actual
@@ -157,9 +159,7 @@ void Raft::MaybePropose() {
   block->header.nonce = term_;
   auto ptr = chain::Seal(std::move(*block));
   pending_log_[tail + 1] = ptr;
-  if (host_->host_sim()->tracer() != nullptr) {
-    propose_time_[tail + 1] = host_->HostNow();
-  }
+  propose_time_[tail + 1] = host_->HostNow();
   last_proposal_time_ = host_->HostNow();
   sim::NodeId base = host_->peer_base();
   for (sim::NodeId peer = base; peer < base + host_->num_nodes(); ++peer) {
@@ -363,18 +363,22 @@ void Raft::AdvanceCommit(double* cpu) {
     double commit_cpu = 0;
     host_->CommitBlock(it->second, &commit_cpu);
     *cpu += commit_cpu;
-    if (auto* tr = host_->host_sim()->tracer()) {
-      auto pt = propose_time_.find(h);
-      if (pt != propose_time_.end()) {
-        tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                         "raft.replicate", pt->second, host_->HostNow(),
-                         "height", double(h));
-        propose_time_.erase(pt);
-      }
+    double proposed_at = -1;  // a follower never proposed it
+    if (auto pt = propose_time_.find(h); pt != propose_time_.end()) {
+      proposed_at = pt->second;
+      propose_time_.erase(pt);
     }
-    if (auto* rec = host_->host_sim()->recorder()) {
-      rec->Phase(uint32_t(host_->node_id()), host_->HostNow(),
-                 "raft.replicate", h, term_);
+    if (auto* hook = host_->host_sim()->hook()) {
+      hook->Emit({.kind = obs::EventKind::kPhase,
+                  .node = uint32_t(host_->node_id()),
+                  .t = host_->HostNow(),
+                  .id = h,
+                  .aux = term_,
+                  .name = "raft.replicate",
+                  .start = proposed_at,
+                  .end = host_->HostNow(),
+                  .arg = "height",
+                  .value = double(h)});
     }
     pending_log_.erase(it);
     ++committed_height_;

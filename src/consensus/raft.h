@@ -69,11 +69,11 @@ class Raft : public Engine {
   /// O(N) leader-side maps plus the uncommitted log tail (majority-ack
   /// replication keeps it short) — Raft is a linear-memory protocol,
   /// the contrast the scaling gate checks against the quorum-broadcast
-  /// engines.
+  /// engines. The span timestamps below are observation state and stay
+  /// out of the count, so an attached tracer changes no mem dump.
   uint64_t BookkeepingBytes() const override {
     uint64_t b =
-        (voted_for_.size() + match_height_.size() + propose_time_.size()) *
-            obs::mem::kMapEntryBytes +
+        (voted_for_.size() + match_height_.size()) * obs::mem::kMapEntryBytes +
         votes_.size() * obs::mem::kSetEntryBytes;
     for (const auto& [height, block] : pending_log_) {
       b += obs::mem::kMapEntryBytes;
@@ -145,8 +145,9 @@ class Raft : public Engine {
   double last_proposal_time_ = -1e9;
   uint64_t elections_started_ = 0;
 
-  /// Tracing: first election attempt of the current leaderless period
-  /// (-1 when none in flight) and leader-side proposal times by height.
+  /// Span starts: first election attempt of the current leaderless
+  /// period (-1 when none in flight) and leader-side proposal times by
+  /// height, erased at commit.
   double election_start_ = -1;
   std::map<uint64_t, double> propose_time_;
 };

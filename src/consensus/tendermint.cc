@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/event.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace bb::consensus {
 
@@ -98,13 +97,16 @@ void Tendermint::MaybePropose() {
   rs.sent_prevote = true;
   rs.prevotes.insert(host_->node_id());
   rs.t_proposal = host_->HostNow();
-  if (auto* tr = host_->host_sim()->tracer()) {
-    tr->Instant(uint32_t(host_->node_id()), "consensus", "tm.propose",
-                host_->HostNow(), "height", double(h));
-  }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "tm.propose", h,
-               round_);
+  if (auto* hook = host_->host_sim()->hook()) {
+    hook->Emit({.kind = obs::EventKind::kPhase,
+                .node = uint32_t(host_->node_id()),
+                .t = host_->HostNow(),
+                .id = h,
+                .aux = round_,
+                .name = "tm.propose",
+                .start = obs::kInstant,
+                .arg = "height",
+                .value = double(h)});
   }
   host_->HostBroadcast(MsgKind::kTmProposal, ProposalMsg{h, round_, ptr},
                        ptr->SizeBytes());
@@ -133,9 +135,12 @@ void Tendermint::OnRoundTimeout(uint64_t height, uint64_t round) {
   if (round_age < RoundTimeoutFor(config_, round)) return;
   // No progress this round and there is work to do.
   if (host_->pending_txs() > 0 || !rounds_.empty()) {
-    if (auto* rec = host_->host_sim()->recorder()) {
-      rec->Timer(uint32_t(host_->node_id()), host_->HostNow(),
-                 "tm.round_timeout", round);
+    if (auto* hook = host_->host_sim()->hook()) {
+      hook->Emit({.kind = obs::EventKind::kTimer,
+                  .node = uint32_t(host_->node_id()),
+                  .t = host_->HostNow(),
+                  .id = round,
+                  .name = "tm.round_timeout"});
     }
     AdvanceRound();
   } else {
@@ -147,13 +152,16 @@ void Tendermint::AdvanceRound() {
   ++rounds_failed_;
   ++round_;
   round_start_time_ = host_->HostNow();
-  if (auto* tr = host_->host_sim()->tracer()) {
-    tr->Instant(uint32_t(host_->node_id()), "consensus", "tm.round_failed",
-                host_->HostNow(), "round", double(round_ - 1));
-  }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(),
-               "tm.round_failed", Height() + 1, round_ - 1);
+  if (auto* hook = host_->host_sim()->hook()) {
+    hook->Emit({.kind = obs::EventKind::kPhase,
+                .node = uint32_t(host_->node_id()),
+                .t = host_->HostNow(),
+                .id = Height() + 1,
+                .aux = round_ - 1,
+                .name = "tm.round_failed",
+                .start = obs::kInstant,
+                .arg = "round",
+                .value = double(round_ - 1)});
   }
   // The failed round's proposal (ours or the proposer's) is abandoned;
   // requeue what we proposed ourselves.
@@ -226,16 +234,17 @@ void Tendermint::OnPrevote(sim::NodeId from, const VoteMsg& m) {
     rs.sent_precommit = true;
     rs.precommits.insert(host_->node_id());
     rs.t_prevote_q = host_->HostNow();
-    if (auto* tr = host_->host_sim()->tracer()) {
-      if (rs.t_proposal >= 0) {
-        tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                         "tm.prevote", rs.t_proposal, rs.t_prevote_q,
-                         "height", double(m.height));
-      }
-    }
-    if (auto* rec = host_->host_sim()->recorder()) {
-      rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "tm.prevote",
-                 m.height, m.round);
+    if (auto* hook = host_->host_sim()->hook()) {
+      hook->Emit({.kind = obs::EventKind::kPhase,
+                  .node = uint32_t(host_->node_id()),
+                  .t = host_->HostNow(),
+                  .id = m.height,
+                  .aux = m.round,
+                  .name = "tm.prevote",
+                  .start = rs.t_proposal,
+                  .end = rs.t_prevote_q,
+                  .arg = "height",
+                  .value = double(m.height)});
     }
     host_->HostBroadcast(MsgKind::kTmPrecommit,
                          VoteMsg{m.height, m.round, rs.proposal_hash},
@@ -256,16 +265,17 @@ void Tendermint::OnPrecommit(sim::NodeId from, const VoteMsg& m,
   double commit_cpu = 0;
   host_->CommitBlock(rs.proposal, &commit_cpu);
   *cpu += commit_cpu;
-  if (auto* tr = host_->host_sim()->tracer()) {
-    if (rs.t_prevote_q >= 0) {
-      tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                       "tm.precommit", rs.t_prevote_q, host_->HostNow(),
-                       "height", double(m.height));
-    }
-  }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "tm.precommit",
-               m.height, m.round);
+  if (auto* hook = host_->host_sim()->hook()) {
+    hook->Emit({.kind = obs::EventKind::kPhase,
+                .node = uint32_t(host_->node_id()),
+                .t = host_->HostNow(),
+                .id = m.height,
+                .aux = m.round,
+                .name = "tm.precommit",
+                .start = rs.t_prevote_q,
+                .end = host_->HostNow(),
+                .arg = "height",
+                .value = double(m.height)});
   }
   round_ = 0;
   last_commit_time_ = host_->HostNow();

@@ -1,7 +1,7 @@
 #include "core/client.h"
 
 #include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/event.h"
 
 namespace bb::core {
 
@@ -67,10 +67,13 @@ void DriverClient::TrySubmit(chain::Transaction tx) {
   auto [it, inserted] = outstanding_.emplace(tx.id, std::move(tx));
   (void)inserted;
   stats_->RecordSubmit(Now());
-  if (auto* tr = sim()->tracer()) {
+  if (auto* hook = sim()->hook()) {
     // A resubmission after rejection restarts the lifecycle record, so
     // traced spans telescope to the latency measured from this submit.
-    tr->TxMilestone(it->second.id, obs::Tracer::kSubmit, Now());
+    hook->Emit({.kind = obs::EventKind::kTxSubmit,
+                .node = uint32_t(id()),
+                .t = Now(),
+                .id = it->second.id});
   }
 
   // Key-partition routing (sharded platforms only): a transaction whose
@@ -152,20 +155,11 @@ void DriverClient::OnBlocks(const platform::RpcBlocks& m) {
         stats_->RecordXsCommit(Now() - it->second.submit_time);
         cross_ids_.erase(xs);
       }
-      if (auto* tr = sim()->tracer()) {
-        tr->TxMilestone(tx.id, obs::Tracer::kConfirm, Now());
-        if (const auto* ms = tr->FindTx(tx.id)) {
-          double legs[StatsCollector::kNumPhases];
-          bool complete = true;
-          for (size_t leg = 0; leg < StatsCollector::kNumPhases; ++leg) {
-            if ((*ms)[leg] < 0 || (*ms)[leg + 1] < 0) {
-              complete = false;
-              break;
-            }
-            legs[leg] = (*ms)[leg + 1] - (*ms)[leg];
-          }
-          if (complete) stats_->RecordCommitPhases(legs);
-        }
+      if (auto* hook = sim()->hook()) {
+        hook->Emit({.kind = obs::EventKind::kTxConfirm,
+                    .node = uint32_t(id()),
+                    .t = Now(),
+                    .id = tx.id});
       }
       outstanding_.erase(it);
     }

@@ -2,13 +2,9 @@
 
 #include <cstdio>
 
-#include "obs/trace.h"
 #include "util/bufwriter.h"
 
 namespace bb::core {
-
-static_assert(StatsCollector::kNumPhases == obs::Tracer::kNumTxSpans,
-              "phase breakdown legs must match the tracer's span legs");
 
 StatsCollector::StatsCollector(size_t num_clients)
     : submitted_(1.0), committed_(1.0) {
@@ -34,10 +30,6 @@ void StatsCollector::RecordCommit(double t, double latency_sec) {
   committed_.Add(t, 1);
   latency_.Add(latency_sec);
   ++total_committed_;
-}
-
-void StatsCollector::RecordCommitPhases(const double (&legs)[kNumPhases]) {
-  for (size_t i = 0; i < kNumPhases; ++i) phase_[i].Add(legs[i]);
 }
 
 void StatsCollector::ObserveQueue(double t, uint32_t client,
@@ -99,24 +91,7 @@ std::string StatsCollector::Summary(double from, double to) const {
                 (unsigned long long)total_submitted_,
                 (unsigned long long)total_committed_,
                 (unsigned long long)total_rejected_);
-  std::string out = buf;
-  if (phase_[0].count() > 0) {
-    double total_mean = 0;
-    for (const auto& h : phase_) total_mean += h.Mean();
-    std::snprintf(buf, sizeof(buf),
-                  "\ncommit latency breakdown (%llu traced txs):\n",
-                  (unsigned long long)phase_[0].count());
-    out += buf;
-    for (size_t leg = 0; leg < kNumPhases; ++leg) {
-      const Histogram& h = phase_[leg];
-      std::snprintf(buf, sizeof(buf),
-                    "  %-15s mean=%8.4fs p95=%8.4fs share=%5.1f%%\n",
-                    obs::Tracer::TxSpanName(leg), h.Mean(), h.Percentile(95),
-                    total_mean > 0 ? 100.0 * h.Mean() / total_mean : 0.0);
-      out += buf;
-    }
-  }
-  return out;
+  return buf;
 }
 
 }  // namespace bb::core

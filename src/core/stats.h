@@ -6,7 +6,6 @@
 #ifndef BLOCKBENCH_CORE_STATS_H_
 #define BLOCKBENCH_CORE_STATS_H_
 
-#include <array>
 #include <cstdint>
 
 #include "util/status.h"
@@ -23,18 +22,9 @@ class StatsCollector {
 
   void SetNumClients(size_t n);
 
-  /// Lifecycle legs in the per-phase latency breakdown; mirrors
-  /// obs::Tracer::kNumTxSpans (admission, pool wait, consensus,
-  /// confirmation).
-  static constexpr size_t kNumPhases = 4;
-
   void RecordSubmit(double t);
   void RecordReject(double t);
   void RecordCommit(double t, double latency_sec);
-  /// Per-leg durations (seconds) of one traced committed transaction, in
-  /// lifecycle order. Only called when tracing is on and all milestones
-  /// were observed; Summary() then appends a breakdown table.
-  void RecordCommitPhases(const double (&legs)[kNumPhases]);
   /// Instantaneous queue snapshot for one client (called at poll points).
   void ObserveQueue(double t, uint32_t client, size_t outstanding,
                     size_t backlog);
@@ -67,8 +57,6 @@ class StatsCollector {
   double SubmittedInSecond(size_t sec) const;
 
   const Histogram& latencies() const { return latency_; }
-  const Histogram& phase_latency(size_t leg) const { return phase_.at(leg); }
-  uint64_t traced_commits() const { return uint64_t(phase_[0].count()); }
 
   /// Sum of the most recent queue observations across clients at second
   /// `sec` (outstanding only, matching the paper's queue metric).
@@ -85,7 +73,6 @@ class StatsCollector {
   TimeSeries submitted_;
   TimeSeries committed_;
   Histogram latency_;
-  std::array<Histogram, kNumPhases> phase_;
   std::vector<TimeSeries> queue_per_client_;
   std::vector<TimeSeries> backlog_per_client_;
   uint64_t total_submitted_ = 0;

@@ -22,6 +22,46 @@ int FlightRecorder::KindFromName(const std::string& name) {
   return -1;
 }
 
+void FlightRecorder::Observe(const Event& e) {
+  if (size_t(e.kind) > size_t(Kind::kRefused)) return;
+  Record r{e.t, e.id, e.aux, e.peer,
+           Intern(e.name != nullptr ? e.name : KindName(e.kind)), e.kind};
+  switch (e.kind) {
+    case Kind::kDrop:
+      r.aux = 1;
+      break;
+    case Kind::kRefused:
+      r.kind = Kind::kSend;
+      Push(e.node, r);
+      r.kind = Kind::kDrop;
+      r.aux = 0;
+      break;
+    default:
+      break;
+  }
+  Push(e.node, r);
+}
+
+uint32_t FlightRecorder::Intern(const char* name) {
+  auto cached = name_of_ptr_.find(name);
+  if (cached != name_of_ptr_.end()) return cached->second;
+  auto [it, inserted] = name_idx_.emplace(name, uint32_t(names_.size()));
+  if (inserted) names_.push_back(name);
+  name_of_ptr_.emplace(name, it->second);
+  return it->second;
+}
+
+void FlightRecorder::Push(uint32_t node, Record r) {
+  if (node >= rings_.size()) rings_.resize(node + 1);
+  Ring& g = rings_[node];
+  if (g.buf.size() < capacity_) {
+    g.buf.push_back(r);
+  } else {
+    g.buf[g.total % capacity_] = r;
+  }
+  ++g.total;
+}
+
 const FlightRecorder::Record& FlightRecorder::At(uint32_t node,
                                                  size_t i) const {
   const Ring& g = rings_[node];

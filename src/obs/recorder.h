@@ -4,11 +4,10 @@
 // consensus phase/view transitions, block seal/commit/fork-switch,
 // timer fires, and fault-schedule edges (crash/recover/partition/heal).
 //
-// One FlightRecorder serves one sim::Simulation, attached through the
-// non-owning Simulation::set_recorder pointer exactly like set_tracer:
-// disabled mode costs one pointer test per hook site, and the recording
-// methods are inline so bb_sim (below bb_obs in the link graph) can
-// record without a link-time dependency.
+// One FlightRecorder serves one sim::Simulation as a sink of its event
+// stream (Simulation::set_recorder, see obs/event.h): disarmed, it costs
+// one pointer test per hook site. Its record kinds are the first
+// kNumRecordKinds event kinds, under the same names.
 //
 // Unlike the Tracer, the recorder is bounded: each node keeps only the
 // last `ring_capacity` records (evicted counts are reported), so it can
@@ -26,14 +25,13 @@
 #ifndef BLOCKBENCH_OBS_RECORDER_H_
 #define BLOCKBENCH_OBS_RECORDER_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "sim/msg_kind.h"
+#include "obs/event.h"
 #include "util/json.h"
 #include "util/status.h"
 
@@ -80,33 +78,13 @@ struct BlackboxTrigger {
   std::string detail;
 };
 
-class FlightRecorder {
+class FlightRecorder final : public Sink {
  public:
-  enum class Kind : uint8_t {
-    kSend = 0,    // id=Message.seq, peer=to, aux=size_bytes
-    kRecv,        // id=Message.seq, peer=from, aux=size_bytes
-    kDrop,        // id=Message.seq, peer=other end, aux: 0=at send, 1=in flight
-    kPhase,       // consensus transition; id/aux are phase-specific
-    kTimer,       // a timeout fired and changed behaviour; id=view/round/...
-    kSeal,        // id=height, aux=block-hash prefix
-    kCommit,      // id=height, aux=block-hash prefix (canonical execution)
-    kForkSwitch,  // id=new head height, aux=rewind depth
-    kCrash,       // fault-schedule edges; aux=partition side for kPartition
-    kRecover,
-    kPartition,
-    kHeal,
-  };
-  static constexpr size_t kNumKinds = 12;
-  /// Inline so the bb_sim fault hooks (below bb_obs in the link graph)
-  /// can name their records without a link-time dependency.
-  static const char* KindName(Kind k) {
-    static const char* const kNames[kNumKinds] = {
-        "send",   "recv",        "drop",  "phase",   "timer",     "seal",
-        "commit", "fork_switch", "crash", "recover", "partition", "heal",
-    };
-    return kNames[size_t(k)];
-  }
-  /// -1 when the string names no kind (validator input).
+  /// Record kinds: the event kinds below kNumRecordKinds.
+  using Kind = EventKind;
+  static constexpr size_t kNumKinds = kNumRecordKinds;
+  static const char* KindName(Kind k) { return EventKindName(k); }
+  /// -1 when the string names no record kind (validator input).
   static int KindFromName(const std::string& name);
 
   struct Record {
@@ -117,7 +95,7 @@ class FlightRecorder {
     uint32_t name = 0;  // index into the interned name table
     Kind kind = Kind::kPhase;
   };
-  static constexpr uint32_t kNoPeer = 0xffffffffu;
+  static constexpr uint32_t kNoPeer = Event::kNoPeer;
   static constexpr size_t kDefaultRingCapacity = 4096;
   /// Causal-slice size cap ("minimal" is bounded, not exhaustive).
   static constexpr size_t kMaxSliceRecords = 512;
@@ -125,52 +103,14 @@ class FlightRecorder {
   explicit FlightRecorder(size_t ring_capacity = kDefaultRingCapacity)
       : capacity_(ring_capacity == 0 ? 1 : ring_capacity) {}
 
-  // --- Recording (hot path when enabled; inline for bb_sim) --------------
-
-  void MsgSend(uint32_t node, double t, uint64_t seq, uint32_t to,
-               sim::MsgKind kind, uint64_t bytes) {
-    Push(node, Record{t, seq, bytes, to, Intern(kind), Kind::kSend});
-  }
-  void MsgRecv(uint32_t node, double t, uint64_t seq, uint32_t from,
-               sim::MsgKind kind, uint64_t bytes) {
-    Push(node, Record{t, seq, bytes, from, Intern(kind), Kind::kRecv});
-  }
-  /// in_flight=false: dropped at send time (crashed end, partition, loss,
-  /// full inbox); true: dropped at delivery time (state changed mid-hop).
-  void MsgDrop(uint32_t node, double t, uint64_t seq, uint32_t peer,
-               sim::MsgKind kind, bool in_flight) {
-    Push(node,
-         Record{t, seq, in_flight ? 1u : 0u, peer, Intern(kind), Kind::kDrop});
-  }
-  /// A consensus phase/view transition ("pbft.view_change", ...).
-  void Phase(uint32_t node, double t, const char* name, uint64_t id = 0,
-             uint64_t aux = 0) {
-    Push(node, Record{t, id, aux, kNoPeer, Intern(name), Kind::kPhase});
-  }
-  /// A timer that fired AND changed behaviour (view change started,
-  /// round advanced, election called, 2PC decision timed out).
-  void Timer(uint32_t node, double t, const char* name, uint64_t id = 0) {
-    Push(node, Record{t, id, 0, kNoPeer, Intern(name), Kind::kTimer});
-  }
-  void Seal(uint32_t node, double t, uint64_t height, uint64_t hash_prefix) {
-    Push(node,
-         Record{t, height, hash_prefix, kNoPeer, Intern("block.seal"),
-                Kind::kSeal});
-  }
-  void Commit(uint32_t node, double t, uint64_t height, uint64_t hash_prefix) {
-    Push(node,
-         Record{t, height, hash_prefix, kNoPeer, Intern("block.commit"),
-                Kind::kCommit});
-  }
-  void ForkSwitch(uint32_t node, double t, uint64_t height,
-                  uint64_t rewind_depth) {
-    Push(node,
-         Record{t, height, rewind_depth, kNoPeer, Intern("chain.fork_switch"),
-                Kind::kForkSwitch});
-  }
-  /// Fault-schedule edge; `kind` must be kCrash/kRecover/kPartition/kHeal.
-  void Fault(Kind kind, uint32_t node, double t, uint64_t aux = 0) {
-    Push(node, Record{t, 0, aux, kNoPeer, Intern(KindName(kind)), kind});
+  /// Records every event of a record kind as is, with two exceptions: a
+  /// kDrop record carries aux=1 (lost in flight), and a kRefused event
+  /// becomes a send record followed by a drop record with aux=0 (lost at
+  /// send). Fault edges are named by their kind.
+  void Observe(const Event& e) override;
+  /// The node's ring: its surviving records at sizeof(Record) each.
+  uint64_t HeldBytes(uint32_t node) const override {
+    return uint64_t(ring_size(node)) * sizeof(Record);
   }
 
   // --- Replay breakpoint --------------------------------------------------
@@ -178,7 +118,7 @@ class FlightRecorder {
   /// bbench --until=TIME,SEQ: the network hook requests a simulation
   /// stop as soon as message seq `seq` has been sent. 0 = no breakpoint.
   void set_break_seq(uint64_t seq) { break_seq_ = seq; }
-  uint64_t break_seq() const { return break_seq_; }
+  uint64_t BreakSeq() const override { return break_seq_; }
 
   // --- Introspection ------------------------------------------------------
 
@@ -206,7 +146,7 @@ class FlightRecorder {
   /// "recorder.recorded", "recorder.evicted", labelled {node=i}), so
   /// eviction pressure is visible in any metrics snapshot without
   /// writing a blackbox dump. Ring capacity rides along unlabelled.
-  void ExportMetrics(MetricsRegistry* reg) const;
+  void ExportMetrics(MetricsRegistry* reg) const override;
 
   /// The blockbench-blackbox-v1 document: run spec, trigger, the full
   /// rings, and the causal slice. Deterministic member order; contains
@@ -221,30 +161,10 @@ class FlightRecorder {
     uint64_t total = 0;
   };
 
-  uint32_t Intern(const std::string& name) {
-    auto [it, inserted] = name_idx_.emplace(name, uint32_t(names_.size()));
-    if (inserted) names_.push_back(name);
-    return it->second;
-  }
-  uint32_t Intern(const char* name) { return Intern(std::string(name)); }
-  /// A message kind's wire name, interned on first sight like any other
-  /// name (so the name table keeps first-seen order) and cached per kind.
-  uint32_t Intern(sim::MsgKind kind) {
-    uint32_t& slot = kind_name_[size_t(kind)];
-    if (slot == 0) slot = Intern(sim::MsgKindName(kind)) + 1;
-    return slot - 1;
-  }
-
-  void Push(uint32_t node, Record r) {
-    if (node >= rings_.size()) rings_.resize(node + 1);
-    Ring& g = rings_[node];
-    if (g.buf.size() < capacity_) {
-      g.buf.push_back(r);
-    } else {
-      g.buf[g.total % capacity_] = r;
-    }
-    ++g.total;
-  }
+  /// Index of `name` in the name table, interned on first sight (so the
+  /// table keeps first-seen order); cached per static string.
+  uint32_t Intern(const char* name);
+  void Push(uint32_t node, Record r);
 
   util::Json SliceToJson() const;
 
@@ -252,7 +172,7 @@ class FlightRecorder {
   std::vector<Ring> rings_;
   std::vector<std::string> names_;
   std::unordered_map<std::string, uint32_t> name_idx_;
-  std::array<uint32_t, sim::kNumMsgKinds> kind_name_{};  // name index + 1
+  std::unordered_map<const char*, uint32_t> name_of_ptr_;
   uint64_t break_seq_ = 0;
 };
 

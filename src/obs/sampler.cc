@@ -1,6 +1,6 @@
 #include "obs/sampler.h"
 
-#include "obs/trace.h"
+#include "obs/event.h"
 #include "sim/simulation.h"
 
 namespace bb::obs {
@@ -26,11 +26,17 @@ void Sampler::Schedule(sim::Simulation* sim, double end) {
 
 void Sampler::Tick(sim::Simulation* sim, double t) {
   ticks_.push_back(t);
-  Tracer* tracer = sim->tracer();
+  Hook* hook = sim->hook();
   for (GaugeSeries& g : gauges_) {
     double v = g.fn();
     g.values.push_back(v);
-    if (tracer != nullptr) tracer->Counter(g.node, "sampler", g.name, t, v);
+    if (hook != nullptr) {
+      hook->Emit({.kind = EventKind::kCounter,
+                  .node = g.node,
+                  .t = t,
+                  .name = g.name,
+                  .value = v});
+    }
   }
   for (TagSeries& s : tags_) s.values.push_back(s.fn());
 }

@@ -39,6 +39,66 @@ const char* Tracer::TxSpanName(size_t leg) {
   return leg < kNumTxSpans ? kTxSpanNames[leg] : "tx.unknown";
 }
 
+void Tracer::Observe(const Event& e) {
+  switch (e.kind) {
+    case EventKind::kSend:
+      Flow(e.node, "net.send", 's', e.t, e.id);
+      break;
+    case EventKind::kRecv:
+      Flow(e.node, "net.recv", 'f', e.t, e.id);
+      break;
+    case EventKind::kPhase:
+      if (e.start == kInstant) {
+        Push(e.node, "consensus", e.name, 'i', e.t, 0, 0, e.arg, e.value);
+      } else if (e.start >= 0) {
+        Push(e.node, "consensus", e.name, 'X', e.start, e.end - e.start, 0,
+             e.arg, e.value);
+      }
+      break;
+    case EventKind::kReorg:
+      Push(e.node, "consensus", e.name, 'i', e.t, 0, 0, e.arg, e.value);
+      break;
+    case EventKind::kCrash:
+    case EventKind::kRecover:
+    case EventKind::kPartition:
+    case EventKind::kHeal: {
+      static constexpr const char* kFaultNames[] = {
+          "fault.crash", "fault.recover", "fault.partition", "fault.heal"};
+      const char* name =
+          kFaultNames[size_t(e.kind) - size_t(EventKind::kCrash)];
+      Push(e.node, "fault", name, 'i', e.t, 0, 0, e.arg, e.value);
+      break;
+    }
+    case EventKind::kTxSubmit:
+      TxSubmit(e.id, e.t);
+      break;
+    case EventKind::kTxAdmit:
+    case EventKind::kTxPropose:
+    case EventKind::kTxCommit:
+      TxMilestone(e.id,
+                  TxPhase(size_t(e.kind) - size_t(EventKind::kTxSubmit)),
+                  e.t);
+      break;
+    case EventKind::kTxConfirm: {
+      TxMilestone(e.id, kConfirm, e.t);
+      const TxMilestones& ms = tx_.at(e.id);
+      for (size_t leg = 0; leg < kNumTxSpans; ++leg) {
+        if (ms[leg] < 0 || ms[leg + 1] < 0) return;
+      }
+      for (size_t leg = 0; leg < kNumTxSpans; ++leg) {
+        legs_[leg].Add(ms[leg + 1] - ms[leg]);
+      }
+      break;
+    }
+    case EventKind::kCounter:
+      // name + id identify one counter track per node.
+      Push(e.node, "sampler", e.name, 'C', e.t, 0, e.node, "value", e.value);
+      break;
+    default:
+      break;
+  }
+}
+
 void Tracer::TxSubmit(uint64_t tx_id, double t) {
   TxMilestones& ms = tx_[tx_id];
   ms.fill(-1);
@@ -46,10 +106,6 @@ void Tracer::TxSubmit(uint64_t tx_id, double t) {
 }
 
 void Tracer::TxMilestone(uint64_t tx_id, TxPhase phase, double t) {
-  if (phase == kSubmit) {
-    TxSubmit(tx_id, t);
-    return;
-  }
   auto it = tx_.find(tx_id);
   if (it == tx_.end()) {
     // Tx never submitted through a traced client (e.g. injected
@@ -64,8 +120,8 @@ void Tracer::TxMilestone(uint64_t tx_id, TxPhase phase, double t) {
   if (ms[leg] >= 0) {
     // Emit the async span for the completed leg; pid/tid of async
     // events are fixed at render time, here we only log endpoints.
-    PushEvent(0, "tx", TxSpanName(leg), 'b', ms[leg], 0, tx_id, nullptr, 0);
-    PushEvent(0, "tx", TxSpanName(leg), 'e', t, 0, tx_id, nullptr, 0);
+    Push(0, "tx", TxSpanName(leg), 'b', ms[leg], 0, tx_id, nullptr, 0);
+    Push(0, "tx", TxSpanName(leg), 'e', t, 0, tx_id, nullptr, 0);
   }
 }
 
@@ -74,7 +130,7 @@ const Tracer::TxMilestones* Tracer::FindTx(uint64_t tx_id) const {
   return it != tx_.end() ? &it->second : nullptr;
 }
 
-void Tracer::RenderEvent(const Event& e, std::string* out) {
+void Tracer::RenderEvent(const Record& e, std::string* out) {
   out->append("{\"ph\":\"");
   out->push_back(e.ph);
   out->push_back('"');

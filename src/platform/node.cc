@@ -6,9 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/event.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace bb::platform {
 
@@ -138,9 +137,8 @@ void PlatformNode::SyncMemGauges() {
   mem_consensus_.Set(stack_->consensus().engine().BookkeepingBytes());
   mem_chain_.Set(chain().stored_bytes());
   mem_vm_.Set(stack_->execution().footprint_bytes());
-  if (const auto* rec = sim()->recorder()) {
-    mem_obs_.Set(uint64_t(rec->ring_size(uint32_t(id()))) *
-                 sizeof(obs::FlightRecorder::Record));
+  if (const auto* hook = sim()->hook()) {
+    mem_obs_.Set(hook->HeldBytes(uint32_t(id())));
   }
 }
 
@@ -168,8 +166,11 @@ double PlatformNode::HandleClientTx(const sim::Message& msg) {
   }
   pool_.Add(m.tx);
   if (pool_.pending() > pool_peak_) pool_peak_ = pool_.pending();
-  if (auto* tr = sim()->tracer()) {
-    tr->TxMilestone(m.tx.id, obs::Tracer::kAdmit, Now());
+  if (auto* hook = sim()->hook()) {
+    hook->Emit({.kind = obs::EventKind::kTxAdmit,
+                .node = uint32_t(id()),
+                .t = Now(),
+                .id = m.tx.id});
   }
   if (options_.gossip_txs) {
     HostBroadcast(MsgKind::kGossipTx, GossipTx{m.tx}, m.tx.SizeBytes());
@@ -190,8 +191,11 @@ double PlatformNode::HandleGossipTx(const sim::Message& msg) {
   }
   if (pool_.Add(tx)) {
     if (pool_.pending() > pool_peak_) pool_peak_ = pool_.pending();
-    if (auto* tr = sim()->tracer()) {
-      tr->TxMilestone(tx.id, obs::Tracer::kAdmit, Now());
+    if (auto* hook = sim()->hook()) {
+      hook->Emit({.kind = obs::EventKind::kTxAdmit,
+                  .node = uint32_t(id()),
+                  .t = Now(),
+                  .id = tx.id});
     }
     engine().OnNewTransactions();
   }
@@ -353,11 +357,14 @@ std::optional<chain::Block> PlatformNode::BuildBlock(const Hash256& parent,
 
   if (batch.empty() && !allow_empty) return std::nullopt;
 
-  if (auto* tr = sim()->tracer()) {
+  if (auto* hook = sim()->hook()) {
     // Stamp after the gas-packing trim so requeued txs don't count as
     // proposed; speculative execution above never stamps milestones.
     for (const auto& tx : batch) {
-      tr->TxMilestone(tx.id, obs::Tracer::kPropose, Now());
+      hook->Emit({.kind = obs::EventKind::kTxPropose,
+                  .node = uint32_t(id()),
+                  .t = Now(),
+                  .id = tx.id});
     }
   }
 
@@ -372,13 +379,17 @@ std::optional<chain::Block> PlatformNode::BuildBlock(const Hash256& parent,
   b.txs = std::move(batch);
   b.SealTxRoot();
   ++blocks_produced_;
-  if (auto* rec = sim()->recorder()) {
+  if (auto* hook = sim()->hook()) {
     // 48-bit prefix: record aux values must survive the JSON double
     // round-trip losslessly. The header hash does not exist yet (the
     // engine still sets the nonce, then seals), so the tx root
     // identifies the block's content.
-    rec->Seal(uint32_t(id()), Now(), b.header.height,
-              b.header.tx_root.Prefix64() >> 16);
+    hook->Emit({.kind = obs::EventKind::kSeal,
+                .node = uint32_t(id()),
+                .t = Now(),
+                .id = b.header.height,
+                .aux = b.header.tx_root.Prefix64() >> 16,
+                .name = "block.seal"});
   }
   return b;
 }
@@ -442,10 +453,14 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
     --exec_height_;
     ++rewound;
   }
-  if (rewound > 0) {
-    if (auto* rec = sim()->recorder()) {
-      rec->ForkSwitch(uint32_t(id()), Now(), chain.head_height(), rewound);
-    }
+  auto* hook = sim()->hook();
+  if (hook != nullptr && rewound > 0) {
+    hook->Emit({.kind = obs::EventKind::kForkSwitch,
+                .node = uint32_t(id()),
+                .t = Now(),
+                .id = chain.head_height(),
+                .aux = rewound,
+                .name = "chain.fork_switch"});
   }
   if (exec_height_ == 0) exec_block_hash_ = chain.CanonicalAt(0)->HashOf();
 
@@ -460,7 +475,6 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
 
   // Apply forward along the canonical chain. A block some other replica
   // already executed from this node's root is taken from the memo.
-  obs::Tracer* tr = sim()->tracer();
   bool evm = stack_->execution().kind() == ExecEngineKind::kEvm;
   const ExecMemo::Group group{peer_base_, num_peers_};
   const bool share = exec_memo_ != nullptr && group.size > 1;
@@ -493,7 +507,12 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
     }
     for (const auto& tx : b->txs) {
       committed_ids_.insert(tx.id);
-      if (tr != nullptr) tr->TxMilestone(tx.id, obs::Tracer::kCommit, Now());
+      if (hook != nullptr) {
+        hook->Emit({.kind = obs::EventKind::kTxCommit,
+                    .node = uint32_t(id()),
+                    .t = Now(),
+                    .id = tx.id});
+      }
       if (xs_notify_.has_value() && tx.contract == kXsContract) {
         Send(*xs_notify_, MsgKind::kXsSealed, XsSealed{tx.id}, 60);
       }
@@ -501,8 +520,13 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
     // Non-empty blocks only: PoA/PoW seal empty blocks continuously and
     // a flood of zeros would drown the distribution.
     if (evm && !b->txs.empty()) gas_per_block_.Add(double(block_gas));
-    if (auto* rec = sim()->recorder()) {
-      rec->Commit(uint32_t(id()), Now(), h, block_hash.Prefix64() >> 16);
+    if (hook != nullptr) {
+      hook->Emit({.kind = obs::EventKind::kCommit,
+                  .node = uint32_t(id()),
+                  .t = Now(),
+                  .id = h,
+                  .aux = block_hash.Prefix64() >> 16,
+                  .name = "block.commit"});
     }
     auto root = taken != nullptr ? state().Replay(taken->writes, taken->commit)
                 : record != nullptr

@@ -2,8 +2,8 @@
 
 #include <string>
 
+#include "obs/event.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
 
 namespace bb::platform {
 
@@ -96,8 +96,13 @@ double ShardCoordinator::HandleClientTx(const sim::Message& msg) {
   e.shards = m.shards;
   e.client = msg.from;
   ++started_;
-  if (auto* rec = sim()->recorder()) {
-    rec->Phase(uint32_t(id()), Now(), "xs.prepare", base_id, e.shards.size());
+  if (auto* hook = sim()->hook()) {
+    hook->Emit({.kind = obs::EventKind::kPhase,
+                .node = uint32_t(id()),
+                .t = Now(),
+                .id = base_id,
+                .aux = e.shards.size(),
+                .name = "xs.prepare"});
   }
   chain::Transaction prepare = MakeRecord(e, "prepare", kXsPrepareBit);
   for (uint32_t shard : e.shards) SubmitToShard(shard, prepare);
@@ -150,8 +155,12 @@ double ShardCoordinator::HandleReject(const sim::Message& msg) {
 void ShardCoordinator::OnPrepareTimeout(uint64_t base_id) {
   auto it = entries_.find(base_id);
   if (it == entries_.end() || it->second.decided) return;
-  if (auto* rec = sim()->recorder()) {
-    rec->Timer(uint32_t(id()), Now(), "xs.prepare_timeout", base_id);
+  if (auto* hook = sim()->hook()) {
+    hook->Emit({.kind = obs::EventKind::kTimer,
+                .node = uint32_t(id()),
+                .t = Now(),
+                .id = base_id,
+                .name = "xs.prepare_timeout"});
   }
   Decide(base_id, /*commit=*/false);
   // Timeouts fire as scheduled events, outside the HandleMessage epilogue.
@@ -161,9 +170,13 @@ void ShardCoordinator::OnPrepareTimeout(uint64_t base_id) {
 void ShardCoordinator::Decide(uint64_t base_id, bool commit) {
   Entry& e = entries_.at(base_id);
   e.decided = true;
-  if (auto* rec = sim()->recorder()) {
-    rec->Phase(uint32_t(id()), Now(), commit ? "xs.commit" : "xs.abort",
-               base_id, e.shards.size());
+  if (auto* hook = sim()->hook()) {
+    hook->Emit({.kind = obs::EventKind::kPhase,
+                .node = uint32_t(id()),
+                .t = Now(),
+                .id = base_id,
+                .aux = e.shards.size(),
+                .name = commit ? "xs.commit" : "xs.abort"});
   }
   if (commit) {
     ++committed_;

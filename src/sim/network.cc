@@ -6,8 +6,6 @@
 
 #include "obs/memtrack.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 #include "sim/node.h"
 
 namespace bb::sim {
@@ -53,32 +51,29 @@ bool Network::Send(Message msg) {
   BB_PROF_COPY(msg.size_bytes);
   nodes_[msg.from]->meter().AddNetBytes(sim_->Now(), msg.size_bytes);
   nodes_[msg.from]->meter().AddMessageSent(msg.kind);
-  if (auto* rec = sim_->recorder()) {
-    rec->MsgSend(uint32_t(msg.from), sim_->Now(), msg.seq, uint32_t(msg.to),
-                 msg.kind, msg.size_bytes);
-    // Replay breakpoint: --until=TIME,SEQ stops right after send SEQ.
-    if (rec->break_seq() != 0 && msg.seq >= rec->break_seq()) {
-      sim_->RequestStop();
-    }
-  }
 
-  if (crashed_[msg.from] || crashed_[msg.to] || !SameSide(msg.from, msg.to) ||
-      (config_.drop_probability > 0 && rng_.Bernoulli(config_.drop_probability))) {
-    ++messages_dropped_;
-    if (auto* rec = sim_->recorder()) {
-      rec->MsgDrop(uint32_t(msg.from), sim_->Now(), msg.seq, uint32_t(msg.to),
-                   msg.kind, /*in_flight=*/false);
-    }
-    return false;
+  // Send-time loss: a crashed end, a partition, random loss, or the
+  // receiver's full message channel (rejected, as Fabric v0.6 does).
+  const bool refused =
+      crashed_[msg.from] || crashed_[msg.to] || !SameSide(msg.from, msg.to) ||
+      (config_.drop_probability > 0 &&
+       rng_.Bernoulli(config_.drop_probability)) ||
+      (config_.inbox_capacity > 0 &&
+       nodes_[msg.to]->inbox_depth() >= config_.inbox_capacity);
+  if (auto* hook = sim_->hook()) {
+    hook->Emit({.kind = refused ? obs::EventKind::kRefused
+                                : obs::EventKind::kSend,
+                .node = uint32_t(msg.from),
+                .t = sim_->Now(),
+                .id = msg.seq,
+                .aux = msg.size_bytes,
+                .peer = uint32_t(msg.to),
+                .name = MsgKindName(msg.kind)});
+    // Replay breakpoint: --until=TIME,SEQ stops right after send SEQ.
+    if (hook->BreaksAt(msg.seq)) sim_->RequestStop();
   }
-  if (config_.inbox_capacity > 0 &&
-      nodes_[msg.to]->inbox_depth() >= config_.inbox_capacity) {
-    // Receiver's message channel is full: reject, as Fabric v0.6 does.
+  if (refused) {
     ++messages_dropped_;
-    if (auto* rec = sim_->recorder()) {
-      rec->MsgDrop(uint32_t(msg.from), sim_->Now(), msg.seq, uint32_t(msg.to),
-                   msg.kind, /*in_flight=*/false);
-    }
     return false;
   }
   if (config_.corrupt_probability > 0 &&
@@ -88,9 +83,6 @@ bool Network::Send(Message msg) {
 
   double latency = SampleLatency(msg.size_bytes);
   NodeId to = msg.to;
-  if (auto* tr = sim_->tracer()) {
-    tr->FlowBegin(msg.from, "net", "net.send", sim_->Now(), msg.seq);
-  }
   // In-flight bytes are charged to the *receiver*: that is the node
   // whose inbound queue the scale campaign will see balloon under
   // quorum broadcast, and the attribution the mem gates reason about.
@@ -103,63 +95,55 @@ bool Network::Send(Message msg) {
     if (auto* mt = sim_->memtracker()) {
       mt->Untrack(uint32_t(to), obs::mem::kNetInflight, m.size_bytes);
     }
-    // Re-check fault state at delivery time.
-    if (crashed_[to] || !SameSide(m.from, to)) {
-      ++messages_dropped_;
-      if (auto* rec = sim_->recorder()) {
-        rec->MsgDrop(uint32_t(to), sim_->Now(), m.seq, uint32_t(m.from),
-                     m.kind, /*in_flight=*/true);
-      }
-      return;
+    // Re-check fault state at delivery time, and the channel-full check
+    // at the receiver (the arrival-time inbox, not the send-time
+    // snapshot, is what overflows under load).
+    const bool lost = crashed_[to] || !SameSide(m.from, to) ||
+                      (config_.inbox_capacity > 0 &&
+                       nodes_[to]->inbox_depth() >= config_.inbox_capacity);
+    if (lost) ++messages_dropped_;
+    if (auto* hook = sim_->hook()) {
+      hook->Emit({.kind = lost ? obs::EventKind::kDrop : obs::EventKind::kRecv,
+                  .node = uint32_t(to),
+                  .t = sim_->Now(),
+                  .id = m.seq,
+                  .aux = m.size_bytes,
+                  .peer = uint32_t(m.from),
+                  .name = MsgKindName(m.kind)});
     }
-    // Channel-full check at the receiver (the arrival-time inbox, not
-    // the send-time snapshot, is what overflows under load).
-    if (config_.inbox_capacity > 0 &&
-        nodes_[to]->inbox_depth() >= config_.inbox_capacity) {
-      ++messages_dropped_;
-      if (auto* rec = sim_->recorder()) {
-        rec->MsgDrop(uint32_t(to), sim_->Now(), m.seq, uint32_t(m.from),
-                     m.kind, /*in_flight=*/true);
-      }
-      return;
-    }
-    if (auto* tr = sim_->tracer()) {
-      tr->FlowEnd(to, "net", "net.recv", sim_->Now(), m.seq);
-    }
-    if (auto* rec = sim_->recorder()) {
-      rec->MsgRecv(uint32_t(to), sim_->Now(), m.seq, uint32_t(m.from), m.kind,
-                   m.size_bytes);
-    }
-    nodes_[to]->Deliver(std::move(m));
+    if (!lost) nodes_[to]->Deliver(std::move(m));
   });
   return true;
+}
+
+/// Fault-schedule edges land in every sink: Perfetto traces show when
+/// the fault fired, and the flight recorder keeps it in the node's
+/// black-box ring for post-mortems.
+void Network::EmitFault(obs::EventKind kind, NodeId id) {
+  if (auto* hook = sim_->hook()) {
+    const bool partition = kind == obs::EventKind::kPartition;
+    const uint64_t side = partition ? uint64_t(side_[id]) : 0;
+    hook->Emit({.kind = kind,
+                .node = uint32_t(id),
+                .t = sim_->Now(),
+                .aux = side,
+                .arg = partition ? "side" : nullptr,
+                .value = double(side)});
+  }
 }
 
 void Network::Crash(NodeId id) {
   assert(id < nodes_.size());
   crashed_[id] = true;
   nodes_[id]->set_crashed(true);
-  // Fault-schedule edges land in both observability sinks: Perfetto
-  // traces show when the fault fired, and the flight recorder keeps it
-  // in the node's black-box ring for post-mortems.
-  if (auto* tr = sim_->tracer()) {
-    tr->Instant(uint32_t(id), "fault", "fault.crash", sim_->Now());
-  }
-  if (auto* rec = sim_->recorder()) {
-    rec->Fault(obs::FlightRecorder::Kind::kCrash, uint32_t(id), sim_->Now());
-  }
+  EmitFault(obs::EventKind::kCrash, id);
 }
 
 void Network::Restart(NodeId id) {
   assert(id < nodes_.size());
   crashed_[id] = false;
   nodes_[id]->set_crashed(false);
-  if (auto* tr = sim_->tracer()) {
-    tr->Instant(uint32_t(id), "fault", "fault.recover", sim_->Now());
-  }
-  if (auto* rec = sim_->recorder()) {
-    rec->Fault(obs::FlightRecorder::Kind::kRecover, uint32_t(id), sim_->Now());
-  }
+  EmitFault(obs::EventKind::kRecover, id);
 }
 
 bool Network::IsCrashed(NodeId id) const { return crashed_.at(id); }
@@ -174,26 +158,14 @@ void Network::Partition(const std::vector<NodeId>& group_a) {
   // One edge per node, tagged with the side it landed on, so each ring
   // is self-contained for the per-node timeline.
   for (NodeId id = 0; id < side_.size(); ++id) {
-    if (auto* tr = sim_->tracer()) {
-      tr->Instant(uint32_t(id), "fault", "fault.partition", sim_->Now(),
-                  "side", double(side_[id]));
-    }
-    if (auto* rec = sim_->recorder()) {
-      rec->Fault(obs::FlightRecorder::Kind::kPartition, uint32_t(id),
-                 sim_->Now(), side_[id]);
-    }
+    EmitFault(obs::EventKind::kPartition, id);
   }
 }
 
 void Network::HealPartition() {
   partitioned_ = false;
   for (NodeId id = 0; id < side_.size(); ++id) {
-    if (auto* tr = sim_->tracer()) {
-      tr->Instant(uint32_t(id), "fault", "fault.heal", sim_->Now());
-    }
-    if (auto* rec = sim_->recorder()) {
-      rec->Fault(obs::FlightRecorder::Kind::kHeal, uint32_t(id), sim_->Now());
-    }
+    EmitFault(obs::EventKind::kHeal, id);
   }
 }
 

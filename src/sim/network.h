@@ -160,6 +160,7 @@ class Network {
 
  private:
   bool SameSide(NodeId a, NodeId b) const;
+  void EmitFault(obs::EventKind kind, NodeId id);
   double SampleLatency(uint64_t size_bytes);
 
   Simulation* sim_;

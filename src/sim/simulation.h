@@ -31,12 +31,10 @@
 #include <utility>
 #include <vector>
 
+#include "obs/event.h"
 #include "util/random.h"
 
 namespace bb::obs {
-class Tracer;
-class MetricsRegistry;
-class FlightRecorder;
 class MemTracker;
 }  // namespace bb::obs
 
@@ -137,6 +135,8 @@ class EventFn {
 class Simulation {
  public:
   explicit Simulation(uint64_t seed = 1) : rng_(seed) {}
+  Simulation(const Simulation&) = delete;  // hook() points into *this
+  Simulation& operator=(const Simulation&) = delete;
 
   SimTime Now() const { return now_; }
 
@@ -163,16 +163,17 @@ class Simulation {
   /// Simulation-global RNG; fork per-component streams from it.
   Rng& rng() { return rng_; }
 
-  /// Observability hooks. Both are non-owning and default to nullptr
-  /// (disabled); every instrumentation site guards on the pointer, so a
-  /// null tracer costs one branch. Attach before constructing the
-  /// platform so genesis-time events are captured too.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  obs::Tracer* tracer() const { return tracer_; }
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-  obs::MetricsRegistry* metrics() const { return metrics_; }
-  void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
-  obs::FlightRecorder* recorder() const { return recorder_; }
+  /// The observation hook: every instrumented site emits its obs::Event
+  /// through hook(), which is nullptr while no sink is attached — a
+  /// disabled hook costs one pointer test. set_tracer / set_recorder
+  /// attach (or, with nullptr, detach) the obs::Tracer and the
+  /// obs::FlightRecorder; both are non-owning. Attach before
+  /// constructing the platform so genesis-time events are captured too.
+  void set_tracer(obs::Sink* tracer) { Attach(obs::Hook::kTraceSlot, tracer); }
+  void set_recorder(obs::Sink* recorder) {
+    Attach(obs::Hook::kRecordSlot, recorder);
+  }
+  obs::Hook* hook() const { return active_hook_; }
   /// Out-of-line (simulation.cc) so it can bind the virtual clock into
   /// the tracker for high-water-mark timestamps.
   void set_memtracker(obs::MemTracker* memtracker);
@@ -197,6 +198,11 @@ class Simulation {
   static bool Earlier(const Handle& a, const Handle& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
+  }
+
+  void Attach(obs::Hook::Slot slot, obs::Sink* sink) {
+    hook_.Attach(slot, sink);
+    active_hook_ = hook_.empty() ? nullptr : &hook_;
   }
 
   uint32_t AllocSlot(EventFn fn);
@@ -230,9 +236,8 @@ class Simulation {
 
   Rng rng_;
 
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::FlightRecorder* recorder_ = nullptr;
+  obs::Hook hook_;
+  obs::Hook* active_hook_ = nullptr;  // &hook_ while a sink is attached
   obs::MemTracker* memtracker_ = nullptr;
   bool stop_requested_ = false;
 };

@@ -23,12 +23,27 @@ namespace {
 
 // --- Ring semantics ----------------------------------------------------------
 
+/// Feeds `rec` a consensus phase event.
+void Phase(FlightRecorder* rec, uint32_t node, double t, const char* name,
+           uint64_t id = 0) {
+  rec->Observe({.kind = EventKind::kPhase,
+                .node = node,
+                .t = t,
+                .id = id,
+                .name = name});
+}
+
 TEST(FlightRecorder, RecordsAndIntrospects) {
   FlightRecorder rec(8);
-  rec.MsgSend(0, 1.0, 7, 1, sim::MsgKind::kPbftPrepare, 100);
-  rec.MsgRecv(1, 1.5, 7, 0, sim::MsgKind::kPbftPrepare, 100);
-  rec.Phase(0, 2.0, "pbft.view_change", 3);
-  rec.Fault(FlightRecorder::Kind::kCrash, 1, 2.5);
+  const char* prepare = sim::MsgKindName(sim::MsgKind::kPbftPrepare);
+  rec.Observe({.kind = EventKind::kSend, .node = 0, .t = 1.0, .id = 7,
+               .aux = 100, .peer = 1, .name = prepare});
+  rec.Observe({.kind = EventKind::kRecv, .node = 1, .t = 1.5, .id = 7,
+               .aux = 100, .peer = 0, .name = prepare});
+  Phase(&rec, 0, 2.0, "pbft.view_change", 3);
+  rec.Observe({.kind = EventKind::kCrash, .node = 1, .t = 2.5});
+  // Tracer-only kinds leave no record.
+  rec.Observe({.kind = EventKind::kTxSubmit, .node = 1, .t = 2.6, .id = 5});
 
   EXPECT_EQ(rec.num_nodes(), 2u);
   EXPECT_EQ(rec.recorded(0), 2u);
@@ -51,10 +66,31 @@ TEST(FlightRecorder, RecordsAndIntrospects) {
   EXPECT_EQ(rec.Name(crash.name), "crash");
 }
 
+// A message refused at send is a send record then a drop record with
+// aux 0; one lost in flight is a drop record with aux 1.
+TEST(FlightRecorder, DropsRecordWhereTheMessageWasLost) {
+  FlightRecorder rec(8);
+  const char* name = sim::MsgKindName(sim::MsgKind::kRaftAppend);
+  rec.Observe({.kind = EventKind::kRefused, .node = 0, .t = 1.0, .id = 4,
+               .aux = 80, .peer = 2, .name = name});
+  rec.Observe({.kind = EventKind::kDrop, .node = 2, .t = 1.2, .id = 5,
+               .aux = 80, .peer = 0, .name = name});
+  ASSERT_EQ(rec.ring_size(0), 2u);
+  EXPECT_EQ(rec.At(0, 0).kind, FlightRecorder::Kind::kSend);
+  EXPECT_EQ(rec.At(0, 0).aux, 80u);
+  EXPECT_EQ(rec.At(0, 1).kind, FlightRecorder::Kind::kDrop);
+  EXPECT_EQ(rec.At(0, 1).aux, 0u);
+  EXPECT_EQ(rec.At(0, 1).peer, 2u);
+  ASSERT_EQ(rec.ring_size(2), 1u);
+  EXPECT_EQ(rec.At(2, 0).kind, FlightRecorder::Kind::kDrop);
+  EXPECT_EQ(rec.At(2, 0).aux, 1u);
+  EXPECT_EQ(rec.At(2, 0).id, 5u);
+}
+
 TEST(FlightRecorder, RingWrapsAndEvictsOldest) {
   FlightRecorder rec(4);
   for (int i = 0; i < 10; ++i) {
-    rec.Phase(0, double(i), "tick", uint64_t(i));
+    Phase(&rec, 0, double(i), "tick", uint64_t(i));
   }
   EXPECT_EQ(rec.recorded(0), 10u);
   EXPECT_EQ(rec.evicted(0), 6u);
@@ -68,11 +104,11 @@ TEST(FlightRecorder, RingWrapsAndEvictsOldest) {
 
 TEST(FlightRecorder, ExactlyFullRingDoesNotEvict) {
   FlightRecorder rec(4);
-  for (int i = 0; i < 4; ++i) rec.Phase(0, double(i), "tick", uint64_t(i));
+  for (int i = 0; i < 4; ++i) Phase(&rec, 0, double(i), "tick", uint64_t(i));
   EXPECT_EQ(rec.evicted(0), 0u);
   for (size_t i = 0; i < 4; ++i) EXPECT_EQ(rec.At(0, i).id, i);
   // One more push evicts exactly the oldest.
-  rec.Phase(0, 4.0, "tick", 4);
+  Phase(&rec, 0, 4.0, "tick", 4);
   EXPECT_EQ(rec.evicted(0), 1u);
   EXPECT_EQ(rec.At(0, 0).id, 1u);
   EXPECT_EQ(rec.At(0, 3).id, 4u);
@@ -80,15 +116,19 @@ TEST(FlightRecorder, ExactlyFullRingDoesNotEvict) {
 
 TEST(FlightRecorder, InternsNamesOnce) {
   FlightRecorder rec;
-  for (int i = 0; i < 100; ++i) rec.Phase(0, double(i), "pbft.prepare");
-  rec.Phase(1, 100.0, "pbft.commit");
+  for (int i = 0; i < 100; ++i) Phase(&rec, 0, double(i), "pbft.prepare");
+  Phase(&rec, 1, 100.0, "pbft.commit");
+  // Equal text behind a different pointer is the same name.
+  std::string copy = "pbft.commit";
+  Phase(&rec, 1, 101.0, copy.c_str());
   EXPECT_EQ(rec.num_names(), 2u);
+  EXPECT_EQ(rec.At(1, 0).name, rec.At(1, 1).name);
 }
 
 TEST(FlightRecorder, ExportMetricsPublishesRingPressure) {
   FlightRecorder rec(4);
-  for (int i = 0; i < 10; ++i) rec.Phase(0, double(i), "tick", uint64_t(i));
-  rec.Phase(1, 0.0, "tick", 0);
+  for (int i = 0; i < 10; ++i) Phase(&rec, 0, double(i), "tick", uint64_t(i));
+  Phase(&rec, 1, 0.0, "tick", 0);
 
   MetricsRegistry reg;
   rec.ExportMetrics(&reg);

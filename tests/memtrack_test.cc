@@ -1,7 +1,8 @@
 // MemTracker invariants: high-water marks under interleaved churn,
 // virtual-time peak stamps, dump validation (tampered documents must be
-// rejected, not rendered), and byte-identical full dumps regardless of
-// sweep parallelism.
+// rejected, not rendered), byte-identical full dumps regardless of
+// sweep parallelism, and dumps an attached tracer or recorder leaves
+// alone.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,8 @@
 
 #include "bench/common.h"
 #include "obs/memtrack.h"
+#include "obs/recorder.h"
+#include "obs/trace.h"
 #include "sim/simulation.h"
 #include "util/json.h"
 
@@ -214,6 +217,71 @@ TEST(MemDump, SweepDumpsAreIdenticalAcrossJobs) {
     auto parsed = util::Json::Parse(serial[i]);
     ASSERT_TRUE(parsed.ok());
     EXPECT_TRUE(ValidateMemDump(*parsed).ok());
+  }
+}
+
+/// The mem dump of a 4-server ycsb run of `platform_name` with server 0
+/// crashed at t=4, observed by the given sinks (either may be null).
+util::Json ObservedMemDump(const char* platform_name, Tracer* tracer,
+                           FlightRecorder* recorder) {
+  auto opts = bench::OptionsFor(platform_name);
+  EXPECT_TRUE(opts.ok());
+  MemTracker mt;
+  bench::MacroConfig cfg;
+  cfg.options = *opts;
+  cfg.servers = 4;
+  cfg.clients = 2;
+  cfg.rate = 20;
+  cfg.duration = 10;
+  cfg.drain = 5;
+  cfg.warmup = 2;
+  cfg.ycsb_records = 200;
+  cfg.tracer = tracer;
+  cfg.recorder = recorder;
+  cfg.memtracker = &mt;
+  auto run = bench::MacroRun::Create(cfg);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  sim::Network* net = &(*run)->rplatform().network();
+  (*run)->rsim().At(4.0, [net] { net->Crash(0); });
+  (*run)->Run();
+  return mt.ToJson();
+}
+
+/// The dump's subsystem entries, cluster-wide and per node, except
+/// obs.self — the footprint an armed recorder legitimately adds.
+std::vector<std::string> EntriesBesidesObsSelf(const util::Json& dump) {
+  std::vector<std::string> out;
+  auto add = [&out](const util::Json& subsystems, const std::string& where) {
+    for (const util::Json& e : subsystems.items()) {
+      if (e.Get("subsystem")->AsString() == "obs.self") continue;
+      out.push_back(where + e.Dump(0));
+    }
+  };
+  add(*dump.Get("subsystems"), "cluster ");
+  for (const util::Json& node : dump.Get("nodes")->items()) {
+    add(*node.Get("subsystems"),
+        "node " + std::to_string(node.Get("node")->AsUint()) + " ");
+  }
+  return out;
+}
+
+// Observation must not change what it observes: with a tracer attached
+// the mem dump is byte-identical to the unobserved run's, and with the
+// flight recorder armed only obs.self (its rings) may differ.
+TEST(MemDump, ObserversChangeNoMeasuredBytes) {
+  workloads::RegisterAllChaincodes();
+  for (const char* platform :
+       {"hyperledger", "ethereum", "parity", "erisdb", "corda"}) {
+    util::Json plain = ObservedMemDump(platform, nullptr, nullptr);
+    Tracer tracer;
+    util::Json traced = ObservedMemDump(platform, &tracer, nullptr);
+    EXPECT_GT(tracer.num_events(), 0u);
+    EXPECT_EQ(plain.Dump(2), traced.Dump(2)) << platform;
+    FlightRecorder recorder;
+    util::Json recorded = ObservedMemDump(platform, nullptr, &recorder);
+    EXPECT_GT(recorder.recorded(1), 0u);
+    EXPECT_EQ(EntriesBesidesObsSelf(plain), EntriesBesidesObsSelf(recorded))
+        << platform;
   }
 }
 

@@ -169,14 +169,19 @@ TEST(MetricsRegistry, ToJsonIsDeterministic) {
 
 // --- Tracer ------------------------------------------------------------------
 
+/// Feeds the tracer lifecycle milestone `kind` of `tx` at time t.
+void Milestone(Tracer* tr, uint64_t tx, EventKind kind, double t) {
+  tr->Observe({.kind = kind, .t = t, .id = tx});
+}
+
 TEST(Tracer, MilestonesFirstWinsAndSpansTelescope) {
   Tracer tr;
-  tr.TxMilestone(7, Tracer::kSubmit, 1.0);
-  tr.TxMilestone(7, Tracer::kAdmit, 1.5);
-  tr.TxMilestone(7, Tracer::kAdmit, 2.0);  // replica admit: ignored
-  tr.TxMilestone(7, Tracer::kPropose, 3.0);
-  tr.TxMilestone(7, Tracer::kCommit, 4.0);
-  tr.TxMilestone(7, Tracer::kConfirm, 5.0);
+  Milestone(&tr, 7, EventKind::kTxSubmit, 1.0);
+  Milestone(&tr, 7, EventKind::kTxAdmit, 1.5);
+  Milestone(&tr, 7, EventKind::kTxAdmit, 2.0);  // replica admit: ignored
+  Milestone(&tr, 7, EventKind::kTxPropose, 3.0);
+  Milestone(&tr, 7, EventKind::kTxCommit, 4.0);
+  Milestone(&tr, 7, EventKind::kTxConfirm, 5.0);
   const Tracer::TxMilestones* ms = tr.FindTx(7);
   ASSERT_NE(ms, nullptr);
   EXPECT_EQ((*ms)[Tracer::kAdmit], 1.5);
@@ -184,15 +189,19 @@ TEST(Tracer, MilestonesFirstWinsAndSpansTelescope) {
   // Four legs, each a b/e pair.
   EXPECT_EQ(tr.num_events(), 8u);
   EXPECT_EQ(tr.num_tx(), 1u);
+  // The confirmed tx lands in the per-leg breakdown.
+  ASSERT_EQ(tr.complete_txs(), 1u);
+  EXPECT_EQ(tr.leg_latency(0).Mean(), 0.5);
+  EXPECT_EQ(tr.leg_latency(3).Mean(), 1.0);
 }
 
 TEST(Tracer, ResubmitRestartsLifecycle) {
   Tracer tr;
-  tr.TxMilestone(9, Tracer::kSubmit, 1.0);
-  tr.TxMilestone(9, Tracer::kAdmit, 2.0);
+  Milestone(&tr, 9, EventKind::kTxSubmit, 1.0);
+  Milestone(&tr, 9, EventKind::kTxAdmit, 2.0);
   // Rejected and resubmitted: the record restarts so spans match the
   // latency measured from the last submission.
-  tr.TxMilestone(9, Tracer::kSubmit, 10.0);
+  Milestone(&tr, 9, EventKind::kTxSubmit, 10.0);
   const Tracer::TxMilestones* ms = tr.FindTx(9);
   ASSERT_NE(ms, nullptr);
   EXPECT_EQ((*ms)[Tracer::kSubmit], 10.0);
@@ -201,12 +210,15 @@ TEST(Tracer, ResubmitRestartsLifecycle) {
 
 TEST(Tracer, MilestoneWithoutSubmitStartsPartialRecord) {
   Tracer tr;
-  tr.TxMilestone(3, Tracer::kCommit, 2.0);
+  Milestone(&tr, 3, EventKind::kTxCommit, 2.0);
   const Tracer::TxMilestones* ms = tr.FindTx(3);
   ASSERT_NE(ms, nullptr);
   EXPECT_EQ((*ms)[Tracer::kSubmit], -1.0);
   EXPECT_EQ((*ms)[Tracer::kCommit], 2.0);
   EXPECT_EQ(tr.num_events(), 0u);  // no adjacent milestone, no span
+  // A confirm without every milestone stays out of the breakdown.
+  Milestone(&tr, 3, EventKind::kTxConfirm, 3.0);
+  EXPECT_EQ(tr.complete_txs(), 0u);
 }
 
 TEST(Tracer, EmptyTraceIsValidJson) {
@@ -217,13 +229,15 @@ TEST(Tracer, EmptyTraceIsValidJson) {
   ASSERT_NE(doc->Get("traceEvents"), nullptr);
 }
 
-// Flow events ('s'/'f') carry the hex id that links a send span to its
+// Send/recv events become flow events ('s'/'f') that carry the hex id that links a send span to its
 // receive span in Perfetto, and the 'f' end binds to the enclosing
 // slice ("bp":"e"). Each emits a zero-duration anchor 'X' first.
 TEST(Tracer, FlowEventsRenderIdAndBindingPoint) {
   Tracer tr;
-  tr.FlowBegin(/*node=*/0, "net", "net.send", /*t=*/1.0, /*id=*/42);
-  tr.FlowEnd(/*node=*/2, "net", "net.recv", /*t=*/1.5, /*id=*/42);
+  tr.Observe({.kind = EventKind::kSend, .node = 0, .t = 1.0, .id = 42,
+              .peer = 2});
+  tr.Observe({.kind = EventKind::kRecv, .node = 2, .t = 1.5, .id = 42,
+              .peer = 0});
   EXPECT_EQ(tr.num_events(), 4u);  // two anchors + 's' + 'f'
   std::string dump = tr.DumpChromeTrace();
   auto doc = util::Json::Parse(dump);
@@ -235,7 +249,7 @@ TEST(Tracer, FlowEventsRenderIdAndBindingPoint) {
   // An unmatched 's' is legal (the message was dropped/crashed away);
   // it must still serialize as valid JSON.
   Tracer dropped;
-  dropped.FlowBegin(1, "net", "net.send", 2.0, 7);
+  dropped.Observe({.kind = EventKind::kSend, .node = 1, .t = 2.0, .id = 7});
   auto doc2 = util::Json::Parse(dropped.DumpChromeTrace());
   ASSERT_TRUE(doc2.ok()) << doc2.status().ToString();
 }

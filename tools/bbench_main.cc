@@ -569,16 +569,15 @@ int main(int argc, char** argv) {
   }
 
   if (tracer != nullptr) {
-    const core::StatsCollector& st = driver.stats();
-    if (st.traced_commits() > 0) {
+    if (tracer->complete_txs() > 0) {
       double total_mean = 0;
-      for (size_t leg = 0; leg < core::StatsCollector::kNumPhases; ++leg) {
-        total_mean += st.phase_latency(leg).Mean();
+      for (size_t leg = 0; leg < obs::Tracer::kNumTxSpans; ++leg) {
+        total_mean += tracer->leg_latency(leg).Mean();
       }
       std::printf("\ncommit latency breakdown (%llu traced txs):\n",
-                  (unsigned long long)st.traced_commits());
-      for (size_t leg = 0; leg < core::StatsCollector::kNumPhases; ++leg) {
-        const Histogram& h = st.phase_latency(leg);
+                  (unsigned long long)tracer->complete_txs());
+      for (size_t leg = 0; leg < obs::Tracer::kNumTxSpans; ++leg) {
+        const Histogram& h = tracer->leg_latency(leg);
         std::printf("  %-15s mean %8.4f s  p95 %8.4f s  (%5.1f%%)\n",
                     obs::Tracer::TxSpanName(leg), h.Mean(), h.Percentile(95),
                     total_mean > 0 ? 100.0 * h.Mean() / total_mean : 0.0);

@@ -1,5 +1,5 @@
-// bench_report: validates and merges benchmark JSON files into one
-// BENCH_*.json snapshot. Two input formats are recognised:
+// bench_report: validates benchmark JSON files and gates same-run
+// microbenchmark ratios. Two input formats are recognised:
 //   * "blockbench-sweep-v1" documents written by the bench binaries'
 //     --json flag (macro sweeps; detected by their "rows" array), and
 //   * google-benchmark --benchmark_out=... output from bench_components
@@ -8,7 +8,7 @@
 // hard error with a non-zero exit, which is what the CI perf-smoke job
 // keys off: a run that produced malformed output must fail the gate.
 //
-//   bench_report --out=BENCH_2026-08-06.json micro.json sweep1.json ...
+//   bench_report micro.json sweep1.json ...
 //
 // --gate-ratio=NUM_NAME/DEN_NAME:MAX (repeatable) compares the cpu_time
 // of two microbenchmarks from the same run and fails (non-zero exit)
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "report_common.h"
-#include "util/flags.h"
 #include "util/json.h"
 
 using bb::util::Json;
@@ -74,11 +73,9 @@ bb::Status ValidateMicro(const Json& doc, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path =
-      bb::util::FlagValue(argc, argv, "--out").value_or("BENCH.json");
   const char* usage =
-      "usage: bench_report [--out=PATH] "
-      "[--gate-ratio=NUM_NAME/DEN_NAME:MAX]... FILE.json...\n";
+      "usage: bench_report [--gate-ratio=NUM_NAME/DEN_NAME:MAX]... "
+      "FILE.json...\n";
   std::vector<std::string> inputs;
   std::vector<RatioGateSpec> gates;
   for (int i = 1; i < argc; ++i) {
@@ -95,12 +92,9 @@ int main(int argc, char** argv) {
         gates.push_back(std::move(g));
         continue;
       }
-      if (s.rfind("--out=", 0) != 0) {
-        std::fprintf(stderr, "bench_report: unknown flag %s\n", s.c_str());
-        std::fprintf(stderr, "%s", usage);
-        return 2;
-      }
-      continue;
+      std::fprintf(stderr, "bench_report: unknown flag %s\n", s.c_str());
+      std::fprintf(stderr, "%s", usage);
+      return 2;
     }
     inputs.push_back(s);
   }
@@ -110,8 +104,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Json micro = Json::Array();
-  Json macro = Json::Array();
   // First sighting of each microbenchmark name -> cpu_time, for the
   // ratio gates.
   std::map<std::string, double> bench_cpu;
@@ -135,11 +127,6 @@ int main(int argc, char** argv) {
           bench_cpu.emplace(name->AsString(), cpu->AsDouble());
         }
       }
-      Json entry = Json::Object();
-      entry.Set("source", path);
-      if (const Json* ctx = doc->Get("context")) entry.Set("context", *ctx);
-      entry.Set("benchmarks", *doc->Get("benchmarks"));
-      micro.Push(std::move(entry));
       std::printf("bench_report: %s: %zu microbenchmarks\n", path.c_str(),
                   doc->Get("benchmarks")->items().size());
     } else if (doc->Get("rows") != nullptr) {
@@ -148,17 +135,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bench_report: %s\n", s.ToString().c_str());
         return 1;
       }
-      Json entry = Json::Object();
-      entry.Set("source", path);
-      if (const Json* schema = doc->Get("schema")) entry.Set("schema", *schema);
-      if (const Json* bench = doc->Get("bench")) entry.Set("bench", *bench);
-      if (const Json* full = doc->Get("full")) entry.Set("full", *full);
-      if (const Json* jobs = doc->Get("jobs")) entry.Set("jobs", *jobs);
-      if (const Json* w = doc->Get("wall_seconds")) {
-        entry.Set("wall_seconds", *w);
-      }
-      entry.Set("rows", *doc->Get("rows"));
-      macro.Push(std::move(entry));
       std::printf("bench_report: %s: %zu sweep rows\n", path.c_str(),
                   doc->Get("rows")->items().size());
     } else {
@@ -189,19 +165,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  Json report = Json::Object();
-  report.Set("schema", "blockbench-report-v1");
-  report.Set("micro", std::move(micro));
-  report.Set("macro", std::move(macro));
-  std::string text = report.Dump(2);
-  text.push_back('\n');
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_report: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  std::printf("bench_report: wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -283,20 +283,6 @@ int main(int argc, char** argv) {
     }
     const Json* rows = doc->Get("rows");
     if (rows == nullptr) {
-      // BENCH_*.json report snapshots nest sweeps under "macro".
-      const Json* macro = doc->Get("macro");
-      if (macro != nullptr) {
-        for (const Json& entry : macro->items()) {
-          if (entry.Get("rows") != nullptr &&
-              bb::tools::SweepRowMetric(*entry.Get("rows"), g.sel, "mem",
-                                        "peak_node_bytes") >= 0) {
-            rows = entry.Get("rows");
-            break;
-          }
-        }
-      }
-    }
-    if (rows == nullptr) {
       std::fprintf(stderr, "mem_report: baseline %s has no sweep rows\n",
                    g.file.c_str());
       return 1;
