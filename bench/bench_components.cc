@@ -343,8 +343,7 @@ void BM_SimulationEventLoopObsOff(benchmark::State& state) {
     for (int i = 0; i < 10000; ++i) {
       sim.At(double(i) * 0.001, [&count, &sim] {
         if (auto* hook = sim.hook()) {
-          hook->Emit({.kind = obs::EventKind::kPhase,
-                      .t = sim.Now(),
+          hook->Emit({.kind = obs::EventKind::kPhase, .t = sim.Now(),
                       .name = "bench.tick"});
         }
         ++count;

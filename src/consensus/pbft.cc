@@ -82,9 +82,7 @@ void Pbft::ProgressCheck() {
     if (has_work && now - last_progress_time_ >= CurrentTimeout()) {
       if (auto* hook = host_->host_sim()->hook()) {
         hook->Emit({.kind = obs::EventKind::kTimer,
-                    .node = uint32_t(host_->node_id()),
-                    .t = now,
-                    .id = view_,
+                    .node = uint32_t(host_->node_id()), .t = now, .id = view_,
                     .name = "pbft.progress_timeout"});
       }
       StartViewChange(std::max(view_ + 1, view_change_target_ + 1));
@@ -149,14 +147,9 @@ bool Pbft::ProposeOne() {
 
   if (auto* hook = host_->host_sim()->hook()) {
     hook->Emit({.kind = obs::EventKind::kPhase,
-                .node = uint32_t(host_->node_id()),
-                .t = host_->HostNow(),
-                .id = seq,
-                .aux = view_,
-                .name = "pbft.propose",
-                .start = obs::kInstant,
-                .arg = "seq",
-                .value = double(seq)});
+                .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                .id = seq, .aux = view_, .name = "pbft.propose",
+                .start = obs::kInstant, .arg = "seq", .value = double(seq)});
   }
   host_->HostBroadcast(MsgKind::kPbftPrePrepare,
                        PrePrepareMsg{view_, seq, ptr}, ptr->SizeBytes());
@@ -258,15 +251,10 @@ void Pbft::MaybeSendCommit(uint64_t seq) {
   inst.t_prepared = host_->HostNow();
   if (auto* hook = host_->host_sim()->hook()) {
     hook->Emit({.kind = obs::EventKind::kPhase,
-                .node = uint32_t(host_->node_id()),
-                .t = host_->HostNow(),
-                .id = seq,
-                .aux = view_,
-                .name = "pbft.prepare",
-                .start = inst.t_preprepare,
-                .end = inst.t_prepared,
-                .arg = "seq",
-                .value = double(seq)});
+                .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                .id = seq, .aux = view_, .name = "pbft.prepare",
+                .start = inst.t_preprepare, .end = inst.t_prepared,
+                .arg = "seq", .value = double(seq)});
   }
   host_->HostBroadcast(MsgKind::kPbftCommit, PhaseMsg{view_, seq, inst.digest},
                        kPhaseMsgBytes);
@@ -295,15 +283,10 @@ void Pbft::MaybeExecute(double* cpu) {
     auto* hook = host_->host_sim()->hook();
     if (hook != nullptr && ok) {
       hook->Emit({.kind = obs::EventKind::kPhase,
-                  .node = uint32_t(host_->node_id()),
-                  .t = host_->HostNow(),
-                  .id = next,
-                  .aux = view_,
-                  .name = "pbft.commit",
-                  .start = inst.t_prepared,
-                  .end = host_->HostNow(),
-                  .arg = "seq",
-                  .value = double(next)});
+                  .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                  .id = next, .aux = view_, .name = "pbft.commit",
+                  .start = inst.t_prepared, .end = host_->HostNow(),
+                  .arg = "seq", .value = double(next)});
     }
     // Retain the executed certificate until the stable checkpoint (low
     // watermark) passes it; GC the log tail whenever the watermark
@@ -373,14 +356,10 @@ void Pbft::OnNewView(sim::NodeId from, const NewViewMsg& m) {
 void Pbft::EnterView(uint64_t view) {
   if (auto* hook = host_->host_sim()->hook()) {
     hook->Emit({.kind = obs::EventKind::kPhase,
-                .node = uint32_t(host_->node_id()),
-                .t = host_->HostNow(),
-                .id = view,
-                .name = "pbft.view_change",
-                .start = view_change_start_,
-                .end = host_->HostNow(),
-                .arg = "view",
-                .value = double(view)});
+                .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                .id = view, .name = "pbft.view_change",
+                .start = view_change_start_, .end = host_->HostNow(),
+                .arg = "view", .value = double(view)});
   }
   view_change_start_ = -1;
   view_ = view;

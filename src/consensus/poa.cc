@@ -38,10 +38,8 @@ void ProofOfAuthority::OnStep(uint64_t step) {
   if (!active_) return;
   if (auto* hook = host_->host_sim()->hook()) {
     hook->Emit({.kind = obs::EventKind::kTimer,
-                .node = uint32_t(host_->node_id()),
-                .t = host_->HostNow(),
-                .id = step,
-                .name = "poa.step"});
+                .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                .id = step, .name = "poa.step"});
   }
   double build_cpu = 0;
   auto block = host_->BuildBlock(host_->chain_store().head(),
@@ -62,14 +60,9 @@ void ProofOfAuthority::OnStep(uint64_t step) {
       double now = host_->HostNow();
       uint64_t height = host_->chain_store().head_height();
       hook->Emit({.kind = obs::EventKind::kPhase,
-                  .node = uint32_t(host_->node_id()),
-                  .t = now,
-                  .id = height,
-                  .aux = step,
-                  .name = "poa.seal",
-                  .start = now,
-                  .end = now + build_cpu + commit_cpu,
-                  .arg = "height",
+                  .node = uint32_t(host_->node_id()), .t = now, .id = height,
+                  .aux = step, .name = "poa.seal", .start = now,
+                  .end = now + build_cpu + commit_cpu, .arg = "height",
                   .value = double(height)});
     }
     host_->HostBroadcast(MsgKind::kPoaBlock, ptr, ptr->SizeBytes());
@@ -98,10 +91,8 @@ bool ProofOfAuthority::HandleMessage(const sim::Message& msg, double* cpu) {
   auto* hook = host_->host_sim()->hook();
   if (hook != nullptr && host_->chain_store().reorgs() > old_reorgs) {
     hook->Emit({.kind = obs::EventKind::kReorg,
-                .node = uint32_t(host_->node_id()),
-                .t = host_->HostNow(),
-                .name = "poa.fork_switch",
-                .arg = "height",
+                .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                .name = "poa.fork_switch", .arg = "height",
                 .value = double(host_->chain_store().head_height())});
   }
   return true;

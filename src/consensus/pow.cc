@@ -58,14 +58,10 @@ void ProofOfWork::OnMined(uint64_t epoch) {
     ++blocks_mined_;
     if (auto* hook = host_->host_sim()->hook()) {
       hook->Emit({.kind = obs::EventKind::kPhase,
-                  .node = uint32_t(host_->node_id()),
-                  .t = host_->HostNow(),
-                  .id = block->header.height,
-                  .name = "pow.mine",
-                  .start = mine_start_,
-                  .end = host_->HostNow(),
-                  .arg = "height",
-                  .value = double(block->header.height)});
+                  .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                  .id = block->header.height, .name = "pow.mine",
+                  .start = mine_start_, .end = host_->HostNow(),
+                  .arg = "height", .value = double(block->header.height)});
     }
     // Seal once; the store and every peer share the same instance.
     auto ptr = chain::Seal(std::move(*block));
@@ -104,18 +100,14 @@ bool ProofOfWork::HandleMessage(const sim::Message& msg, double* cpu) {
     if (auto* hook = host_->host_sim()->hook()) {
       const uint32_t node = uint32_t(host_->node_id());
       if (host_->chain_store().reorgs() > old_reorgs) {
-        hook->Emit({.kind = obs::EventKind::kReorg,
-                    .node = node,
-                    .t = host_->HostNow(),
-                    .name = "pow.fork_switch",
+        hook->Emit({.kind = obs::EventKind::kReorg, .node = node,
+                    .t = host_->HostNow(), .name = "pow.fork_switch",
                     .arg = "height",
                     .value = double(host_->chain_store().head_height())});
       }
       if (mining_) {
-        hook->Emit({.kind = obs::EventKind::kPhase,
-                    .node = node,
-                    .t = host_->HostNow(),
-                    .name = "pow.mine_abandoned",
+        hook->Emit({.kind = obs::EventKind::kPhase, .node = node,
+                    .t = host_->HostNow(), .name = "pow.mine_abandoned",
                     .start = obs::kInstant});
       }
     }

@@ -59,10 +59,8 @@ void Raft::ElectionCheck() {
   if (role_ != Role::kLeader && host_->HostNow() >= election_deadline_) {
     if (auto* hook = host_->host_sim()->hook()) {
       hook->Emit({.kind = obs::EventKind::kTimer,
-                  .node = uint32_t(host_->node_id()),
-                  .t = host_->HostNow(),
-                  .id = term_ + 1,
-                  .name = "raft.election_timeout"});
+                  .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                  .id = term_ + 1, .name = "raft.election_timeout"});
     }
     StartElection();
   }
@@ -88,13 +86,9 @@ void Raft::StartElection() {
 void Raft::BecomeLeader() {
   if (auto* hook = host_->host_sim()->hook()) {
     hook->Emit({.kind = obs::EventKind::kPhase,
-                .node = uint32_t(host_->node_id()),
-                .t = host_->HostNow(),
-                .id = term_,
-                .name = "raft.election",
-                .start = election_start_,
-                .end = host_->HostNow(),
-                .arg = "term",
+                .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                .id = term_, .name = "raft.election", .start = election_start_,
+                .end = host_->HostNow(), .arg = "term",
                 .value = double(term_)});
   }
   election_start_ = -1;
@@ -370,15 +364,10 @@ void Raft::AdvanceCommit(double* cpu) {
     }
     if (auto* hook = host_->host_sim()->hook()) {
       hook->Emit({.kind = obs::EventKind::kPhase,
-                  .node = uint32_t(host_->node_id()),
-                  .t = host_->HostNow(),
-                  .id = h,
-                  .aux = term_,
-                  .name = "raft.replicate",
-                  .start = proposed_at,
-                  .end = host_->HostNow(),
-                  .arg = "height",
-                  .value = double(h)});
+                  .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                  .id = h, .aux = term_, .name = "raft.replicate",
+                  .start = proposed_at, .end = host_->HostNow(),
+                  .arg = "height", .value = double(h)});
     }
     pending_log_.erase(it);
     ++committed_height_;

@@ -99,14 +99,9 @@ void Tendermint::MaybePropose() {
   rs.t_proposal = host_->HostNow();
   if (auto* hook = host_->host_sim()->hook()) {
     hook->Emit({.kind = obs::EventKind::kPhase,
-                .node = uint32_t(host_->node_id()),
-                .t = host_->HostNow(),
-                .id = h,
-                .aux = round_,
-                .name = "tm.propose",
-                .start = obs::kInstant,
-                .arg = "height",
-                .value = double(h)});
+                .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                .id = h, .aux = round_, .name = "tm.propose",
+                .start = obs::kInstant, .arg = "height", .value = double(h)});
   }
   host_->HostBroadcast(MsgKind::kTmProposal, ProposalMsg{h, round_, ptr},
                        ptr->SizeBytes());
@@ -137,10 +132,8 @@ void Tendermint::OnRoundTimeout(uint64_t height, uint64_t round) {
   if (host_->pending_txs() > 0 || !rounds_.empty()) {
     if (auto* hook = host_->host_sim()->hook()) {
       hook->Emit({.kind = obs::EventKind::kTimer,
-                  .node = uint32_t(host_->node_id()),
-                  .t = host_->HostNow(),
-                  .id = round,
-                  .name = "tm.round_timeout"});
+                  .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                  .id = round, .name = "tm.round_timeout"});
     }
     AdvanceRound();
   } else {
@@ -154,14 +147,10 @@ void Tendermint::AdvanceRound() {
   round_start_time_ = host_->HostNow();
   if (auto* hook = host_->host_sim()->hook()) {
     hook->Emit({.kind = obs::EventKind::kPhase,
-                .node = uint32_t(host_->node_id()),
-                .t = host_->HostNow(),
-                .id = Height() + 1,
-                .aux = round_ - 1,
-                .name = "tm.round_failed",
-                .start = obs::kInstant,
-                .arg = "round",
-                .value = double(round_ - 1)});
+                .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                .id = Height() + 1, .aux = round_ - 1,
+                .name = "tm.round_failed", .start = obs::kInstant,
+                .arg = "round", .value = double(round_ - 1)});
   }
   // The failed round's proposal (ours or the proposer's) is abandoned;
   // requeue what we proposed ourselves.
@@ -236,15 +225,10 @@ void Tendermint::OnPrevote(sim::NodeId from, const VoteMsg& m) {
     rs.t_prevote_q = host_->HostNow();
     if (auto* hook = host_->host_sim()->hook()) {
       hook->Emit({.kind = obs::EventKind::kPhase,
-                  .node = uint32_t(host_->node_id()),
-                  .t = host_->HostNow(),
-                  .id = m.height,
-                  .aux = m.round,
-                  .name = "tm.prevote",
-                  .start = rs.t_proposal,
-                  .end = rs.t_prevote_q,
-                  .arg = "height",
-                  .value = double(m.height)});
+                  .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                  .id = m.height, .aux = m.round, .name = "tm.prevote",
+                  .start = rs.t_proposal, .end = rs.t_prevote_q,
+                  .arg = "height", .value = double(m.height)});
     }
     host_->HostBroadcast(MsgKind::kTmPrecommit,
                          VoteMsg{m.height, m.round, rs.proposal_hash},
@@ -267,15 +251,10 @@ void Tendermint::OnPrecommit(sim::NodeId from, const VoteMsg& m,
   *cpu += commit_cpu;
   if (auto* hook = host_->host_sim()->hook()) {
     hook->Emit({.kind = obs::EventKind::kPhase,
-                .node = uint32_t(host_->node_id()),
-                .t = host_->HostNow(),
-                .id = m.height,
-                .aux = m.round,
-                .name = "tm.precommit",
-                .start = rs.t_prevote_q,
-                .end = host_->HostNow(),
-                .arg = "height",
-                .value = double(m.height)});
+                .node = uint32_t(host_->node_id()), .t = host_->HostNow(),
+                .id = m.height, .aux = m.round, .name = "tm.precommit",
+                .start = rs.t_prevote_q, .end = host_->HostNow(),
+                .arg = "height", .value = double(m.height)});
   }
   round_ = 0;
   last_commit_time_ = host_->HostNow();

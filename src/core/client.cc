@@ -70,10 +70,8 @@ void DriverClient::TrySubmit(chain::Transaction tx) {
   if (auto* hook = sim()->hook()) {
     // A resubmission after rejection restarts the lifecycle record, so
     // traced spans telescope to the latency measured from this submit.
-    hook->Emit({.kind = obs::EventKind::kTxSubmit,
-                .node = uint32_t(id()),
-                .t = Now(),
-                .id = it->second.id});
+    hook->Emit({.kind = obs::EventKind::kTxSubmit, .node = uint32_t(id()),
+                .t = Now(), .id = it->second.id});
   }
 
   // Key-partition routing (sharded platforms only): a transaction whose
@@ -156,10 +154,8 @@ void DriverClient::OnBlocks(const platform::RpcBlocks& m) {
         cross_ids_.erase(xs);
       }
       if (auto* hook = sim()->hook()) {
-        hook->Emit({.kind = obs::EventKind::kTxConfirm,
-                    .node = uint32_t(id()),
-                    .t = Now(),
-                    .id = tx.id});
+        hook->Emit({.kind = obs::EventKind::kTxConfirm, .node = uint32_t(id()),
+                    .t = Now(), .id = tx.id});
       }
       outstanding_.erase(it);
     }

@@ -1,6 +1,5 @@
 #include "core/stats.h"
 
-#include <cstdio>
 
 #include "util/bufwriter.h"
 
@@ -79,19 +78,6 @@ Status StatsCollector::WriteCsv(const std::string& path,
                 CommittedInSecond(s), QueueLengthAt(s), BacklogAt(s));
   }
   return out.Close();
-}
-
-std::string StatsCollector::Summary(double from, double to) const {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "throughput=%.1f tx/s latency{mean=%.2fs p50=%.2fs p95=%.2fs} "
-                "submitted=%llu committed=%llu rejected=%llu",
-                Throughput(from, to), latency_.Mean(), latency_.Percentile(50),
-                latency_.Percentile(95),
-                (unsigned long long)total_submitted_,
-                (unsigned long long)total_committed_,
-                (unsigned long long)total_rejected_);
-  return buf;
 }
 
 }  // namespace bb::core

@@ -63,8 +63,6 @@ class StatsCollector {
   double QueueLengthAt(size_t sec) const;
   double BacklogAt(size_t sec) const;
 
-  std::string Summary(double from, double to) const;
-
   /// Writes per-second series (submitted, committed, queue, backlog) as
   /// CSV for external plotting. Returns Unavailable on I/O failure.
   Status WriteCsv(const std::string& path, double duration_sec) const;

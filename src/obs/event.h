@@ -20,45 +20,29 @@
 // X(enumerator, name). The first twelve kinds are the flight recorder's
 // record kinds, in blackbox wire order under these names; the kinds
 // after them the recorder keeps no record of its own kind for.
-#define BB_OBS_EVENT_KINDS(X)                                             \
-  /* message handed to the wire: node=from id=seq peer=to aux=bytes */    \
-  X(kSend, "send")                                                        \
-  /* message delivered: node=to id=seq peer=from aux=bytes */             \
-  X(kRecv, "recv")                                                        \
-  /* message lost in flight: node=to id=seq peer=from */                  \
-  X(kDrop, "drop")                                                        \
-  /* consensus or 2PC phase; id/aux are phase-specific; see start */      \
-  X(kPhase, "phase")                                                      \
-  /* a timeout fired and changed behaviour; id=view/round/... */          \
-  X(kTimer, "timer")                                                      \
-  /* block built: id=height aux=tx-root prefix */                         \
-  X(kSeal, "seal")                                                        \
-  /* canonical execution: id=height aux=block-hash prefix */              \
-  X(kCommit, "commit")                                                    \
-  /* execution rewound to a new fork: id=head height aux=rewind depth */  \
-  X(kForkSwitch, "fork_switch")                                           \
-  /* fault-schedule edges; aux=side for kPartition */                     \
-  X(kCrash, "crash")                                                      \
-  X(kRecover, "recover")                                                  \
-  X(kPartition, "partition")                                              \
-  X(kHeal, "heal")                                                        \
-  /* message refused at send (crashed end, partition, loss, full inbox);  \
-     fields as kSend */                                                   \
-  X(kRefused, "refused")                                                  \
-  /* an engine's head switched forks: a point on the engine's track */    \
-  X(kReorg, "reorg")                                                      \
-  /* transaction lifecycle milestones, in causal order: id=tx id */       \
-  X(kTxSubmit, "tx_submit")                                               \
-  X(kTxAdmit, "tx_admit")                                                 \
-  X(kTxPropose, "tx_propose")                                             \
-  X(kTxCommit, "tx_commit")                                               \
-  X(kTxConfirm, "tx_confirm")                                             \
-  /* a sampled per-node gauge: name=gauge value=sample */                 \
-  X(kCounter, "counter")
+#define BB_OBS_EVENT_KINDS(X)                                               \
+  X(kSend, "send")               /* node=from id=seq peer=to aux=bytes */   \
+  X(kRecv, "recv")               /* node=to id=seq peer=from aux=bytes */   \
+  X(kDrop, "drop")               /* lost in flight; fields as kRecv */      \
+  X(kPhase, "phase")             /* consensus/2PC; see Event::start */      \
+  X(kTimer, "timer")             /* a timeout changed behaviour */          \
+  X(kSeal, "seal")               /* id=height aux=tx-root prefix */         \
+  X(kCommit, "commit")           /* id=height aux=block-hash prefix */      \
+  X(kForkSwitch, "fork_switch")  /* id=head height aux=rewind depth */      \
+  X(kCrash, "crash")             /* fault-schedule edges */                 \
+  X(kRecover, "recover")                                                    \
+  X(kPartition, "partition")     /* aux=side */                             \
+  X(kHeal, "heal")                                                          \
+  X(kRefused, "refused")         /* lost at send; fields as kSend */        \
+  X(kReorg, "reorg")             /* an engine's head switched forks */      \
+  X(kTxSubmit, "tx_submit")      /* lifecycle milestones: id=tx id */       \
+  X(kTxAdmit, "tx_admit")                                                   \
+  X(kTxPropose, "tx_propose")                                               \
+  X(kTxCommit, "tx_commit")                                                 \
+  X(kTxConfirm, "tx_confirm")                                               \
+  X(kCounter, "counter")         /* name=gauge value=sample */
 
 namespace bb::obs {
-
-class MetricsRegistry;
 
 enum class EventKind : uint8_t {
 #define BB_OBS_EVENT_ENUM(e, name) e,
@@ -66,17 +50,11 @@ enum class EventKind : uint8_t {
 #undef BB_OBS_EVENT_ENUM
 };
 
-inline constexpr size_t kNumEventKinds = 0
-#define BB_OBS_EVENT_COUNT(e, name) +1
-    BB_OBS_EVENT_KINDS(BB_OBS_EVENT_COUNT)
-#undef BB_OBS_EVENT_COUNT
-    ;
-
 /// The kinds below kRefused are the flight recorder's record kinds.
 inline constexpr size_t kNumRecordKinds = size_t(EventKind::kRefused);
 
 constexpr const char* EventKindName(EventKind kind) {
-  constexpr std::array<const char*, kNumEventKinds> kNames = {
+  constexpr const char* kNames[] = {
 #define BB_OBS_EVENT_NAME(e, name) name,
       BB_OBS_EVENT_KINDS(BB_OBS_EVENT_NAME)
 #undef BB_OBS_EVENT_NAME
@@ -119,8 +97,6 @@ class Sink {
   /// Message seq whose send stops the run (the replay breakpoint of
   /// bbench --until); 0 = none.
   virtual uint64_t BreakSeq() const { return 0; }
-  /// Publishes this sink's own gauges into `reg`.
-  virtual void ExportMetrics(MetricsRegistry* /*reg*/) const {}
 
  protected:
   ~Sink() = default;
@@ -145,26 +121,16 @@ class Hook {
 
   uint64_t HeldBytes(uint32_t node) const {
     uint64_t bytes = 0;
-    for (Sink* s : sinks_) {
-      if (s != nullptr) bytes += s->HeldBytes(node);
-    }
+    for (Sink* s : sinks_) bytes += s != nullptr ? s->HeldBytes(node) : 0;
     return bytes;
   }
-
   /// True when sending message `seq` reaches a sink's breakpoint.
   bool BreaksAt(uint64_t seq) const {
     for (Sink* s : sinks_) {
-      if (s == nullptr) continue;
-      uint64_t at = s->BreakSeq();
+      uint64_t at = s != nullptr ? s->BreakSeq() : 0;
       if (at != 0 && seq >= at) return true;
     }
     return false;
-  }
-
-  void ExportMetrics(MetricsRegistry* reg) const {
-    for (Sink* s : sinks_) {
-      if (s != nullptr) s->ExportMetrics(reg);
-    }
   }
 
  private:

@@ -146,7 +146,7 @@ class FlightRecorder final : public Sink {
   /// "recorder.recorded", "recorder.evicted", labelled {node=i}), so
   /// eviction pressure is visible in any metrics snapshot without
   /// writing a blackbox dump. Ring capacity rides along unlabelled.
-  void ExportMetrics(MetricsRegistry* reg) const override;
+  void ExportMetrics(MetricsRegistry* reg) const;
 
   /// The blockbench-blackbox-v1 document: run spec, trigger, the full
   /// rings, and the causal slice. Deterministic member order; contains

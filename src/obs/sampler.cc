@@ -31,11 +31,8 @@ void Sampler::Tick(sim::Simulation* sim, double t) {
     double v = g.fn();
     g.values.push_back(v);
     if (hook != nullptr) {
-      hook->Emit({.kind = EventKind::kCounter,
-                  .node = g.node,
-                  .t = t,
-                  .name = g.name,
-                  .value = v});
+      hook->Emit({.kind = EventKind::kCounter, .node = g.node, .t = t,
+                  .name = g.name, .value = v});
     }
   }
   for (TagSeries& s : tags_) s.values.push_back(s.fn());

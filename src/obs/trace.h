@@ -95,7 +95,8 @@ class Tracer final : public Sink {
             double ts, double dur, uint64_t id, const char* arg_key,
             double arg_val) {
     if (tid > max_tid_) max_tid_ = tid;
-    events_.push_back(Record{cat, name, arg_key, ts, dur, arg_val, id, tid, ph});
+    events_.push_back(
+        Record{cat, name, arg_key, ts, dur, arg_val, id, tid, ph});
   }
   /// Flow arrow start/end linking a message send to its delivery across
   /// node tracks ('s'/'f' pairs share the message seq as id; Perfetto

@@ -167,10 +167,8 @@ double PlatformNode::HandleClientTx(const sim::Message& msg) {
   pool_.Add(m.tx);
   if (pool_.pending() > pool_peak_) pool_peak_ = pool_.pending();
   if (auto* hook = sim()->hook()) {
-    hook->Emit({.kind = obs::EventKind::kTxAdmit,
-                .node = uint32_t(id()),
-                .t = Now(),
-                .id = m.tx.id});
+    hook->Emit({.kind = obs::EventKind::kTxAdmit, .node = uint32_t(id()),
+                .t = Now(), .id = m.tx.id});
   }
   if (options_.gossip_txs) {
     HostBroadcast(MsgKind::kGossipTx, GossipTx{m.tx}, m.tx.SizeBytes());
@@ -192,10 +190,8 @@ double PlatformNode::HandleGossipTx(const sim::Message& msg) {
   if (pool_.Add(tx)) {
     if (pool_.pending() > pool_peak_) pool_peak_ = pool_.pending();
     if (auto* hook = sim()->hook()) {
-      hook->Emit({.kind = obs::EventKind::kTxAdmit,
-                  .node = uint32_t(id()),
-                  .t = Now(),
-                  .id = tx.id});
+      hook->Emit({.kind = obs::EventKind::kTxAdmit, .node = uint32_t(id()),
+                  .t = Now(), .id = tx.id});
     }
     engine().OnNewTransactions();
   }
@@ -361,10 +357,8 @@ std::optional<chain::Block> PlatformNode::BuildBlock(const Hash256& parent,
     // Stamp after the gas-packing trim so requeued txs don't count as
     // proposed; speculative execution above never stamps milestones.
     for (const auto& tx : batch) {
-      hook->Emit({.kind = obs::EventKind::kTxPropose,
-                  .node = uint32_t(id()),
-                  .t = Now(),
-                  .id = tx.id});
+      hook->Emit({.kind = obs::EventKind::kTxPropose, .node = uint32_t(id()),
+                  .t = Now(), .id = tx.id});
     }
   }
 
@@ -384,10 +378,8 @@ std::optional<chain::Block> PlatformNode::BuildBlock(const Hash256& parent,
     // round-trip losslessly. The header hash does not exist yet (the
     // engine still sets the nonce, then seals), so the tx root
     // identifies the block's content.
-    hook->Emit({.kind = obs::EventKind::kSeal,
-                .node = uint32_t(id()),
-                .t = Now(),
-                .id = b.header.height,
+    hook->Emit({.kind = obs::EventKind::kSeal, .node = uint32_t(id()),
+                .t = Now(), .id = b.header.height,
                 .aux = b.header.tx_root.Prefix64() >> 16,
                 .name = "block.seal"});
   }
@@ -455,11 +447,8 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
   }
   auto* hook = sim()->hook();
   if (hook != nullptr && rewound > 0) {
-    hook->Emit({.kind = obs::EventKind::kForkSwitch,
-                .node = uint32_t(id()),
-                .t = Now(),
-                .id = chain.head_height(),
-                .aux = rewound,
+    hook->Emit({.kind = obs::EventKind::kForkSwitch, .node = uint32_t(id()),
+                .t = Now(), .id = chain.head_height(), .aux = rewound,
                 .name = "chain.fork_switch"});
   }
   if (exec_height_ == 0) exec_block_hash_ = chain.CanonicalAt(0)->HashOf();
@@ -508,10 +497,8 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
     for (const auto& tx : b->txs) {
       committed_ids_.insert(tx.id);
       if (hook != nullptr) {
-        hook->Emit({.kind = obs::EventKind::kTxCommit,
-                    .node = uint32_t(id()),
-                    .t = Now(),
-                    .id = tx.id});
+        hook->Emit({.kind = obs::EventKind::kTxCommit, .node = uint32_t(id()),
+                    .t = Now(), .id = tx.id});
       }
       if (xs_notify_.has_value() && tx.contract == kXsContract) {
         Send(*xs_notify_, MsgKind::kXsSealed, XsSealed{tx.id}, 60);
@@ -521,11 +508,8 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
     // a flood of zeros would drown the distribution.
     if (evm && !b->txs.empty()) gas_per_block_.Add(double(block_gas));
     if (hook != nullptr) {
-      hook->Emit({.kind = obs::EventKind::kCommit,
-                  .node = uint32_t(id()),
-                  .t = Now(),
-                  .id = h,
-                  .aux = block_hash.Prefix64() >> 16,
+      hook->Emit({.kind = obs::EventKind::kCommit, .node = uint32_t(id()),
+                  .t = Now(), .id = h, .aux = block_hash.Prefix64() >> 16,
                   .name = "block.commit"});
     }
     auto root = taken != nullptr ? state().Replay(taken->writes, taken->commit)

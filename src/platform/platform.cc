@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "obs/event.h"
 #include "vm/assembler.h"
 
 namespace bb::platform {
@@ -112,7 +111,6 @@ uint64_t Platform::TotalTxsExecuted() const {
 
 void Platform::ExportMetrics(obs::MetricsRegistry* reg) const {
   for (const auto& n : nodes_) n->ExportMetrics(reg);
-  if (const auto* hook = sim_->hook()) hook->ExportMetrics(reg);
 }
 
 }  // namespace bb::platform

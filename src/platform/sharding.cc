@@ -97,11 +97,8 @@ double ShardCoordinator::HandleClientTx(const sim::Message& msg) {
   e.client = msg.from;
   ++started_;
   if (auto* hook = sim()->hook()) {
-    hook->Emit({.kind = obs::EventKind::kPhase,
-                .node = uint32_t(id()),
-                .t = Now(),
-                .id = base_id,
-                .aux = e.shards.size(),
+    hook->Emit({.kind = obs::EventKind::kPhase, .node = uint32_t(id()),
+                .t = Now(), .id = base_id, .aux = e.shards.size(),
                 .name = "xs.prepare"});
   }
   chain::Transaction prepare = MakeRecord(e, "prepare", kXsPrepareBit);
@@ -156,11 +153,8 @@ void ShardCoordinator::OnPrepareTimeout(uint64_t base_id) {
   auto it = entries_.find(base_id);
   if (it == entries_.end() || it->second.decided) return;
   if (auto* hook = sim()->hook()) {
-    hook->Emit({.kind = obs::EventKind::kTimer,
-                .node = uint32_t(id()),
-                .t = Now(),
-                .id = base_id,
-                .name = "xs.prepare_timeout"});
+    hook->Emit({.kind = obs::EventKind::kTimer, .node = uint32_t(id()),
+                .t = Now(), .id = base_id, .name = "xs.prepare_timeout"});
   }
   Decide(base_id, /*commit=*/false);
   // Timeouts fire as scheduled events, outside the HandleMessage epilogue.
@@ -171,11 +165,8 @@ void ShardCoordinator::Decide(uint64_t base_id, bool commit) {
   Entry& e = entries_.at(base_id);
   e.decided = true;
   if (auto* hook = sim()->hook()) {
-    hook->Emit({.kind = obs::EventKind::kPhase,
-                .node = uint32_t(id()),
-                .t = Now(),
-                .id = base_id,
-                .aux = e.shards.size(),
+    hook->Emit({.kind = obs::EventKind::kPhase, .node = uint32_t(id()),
+                .t = Now(), .id = base_id, .aux = e.shards.size(),
                 .name = commit ? "xs.commit" : "xs.abort"});
   }
   if (commit) {

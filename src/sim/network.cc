@@ -63,11 +63,8 @@ bool Network::Send(Message msg) {
   if (auto* hook = sim_->hook()) {
     hook->Emit({.kind = refused ? obs::EventKind::kRefused
                                 : obs::EventKind::kSend,
-                .node = uint32_t(msg.from),
-                .t = sim_->Now(),
-                .id = msg.seq,
-                .aux = msg.size_bytes,
-                .peer = uint32_t(msg.to),
+                .node = uint32_t(msg.from), .t = sim_->Now(), .id = msg.seq,
+                .aux = msg.size_bytes, .peer = uint32_t(msg.to),
                 .name = MsgKindName(msg.kind)});
     // Replay breakpoint: --until=TIME,SEQ stops right after send SEQ.
     if (hook->BreaksAt(msg.seq)) sim_->RequestStop();
@@ -104,11 +101,8 @@ bool Network::Send(Message msg) {
     if (lost) ++messages_dropped_;
     if (auto* hook = sim_->hook()) {
       hook->Emit({.kind = lost ? obs::EventKind::kDrop : obs::EventKind::kRecv,
-                  .node = uint32_t(to),
-                  .t = sim_->Now(),
-                  .id = m.seq,
-                  .aux = m.size_bytes,
-                  .peer = uint32_t(m.from),
+                  .node = uint32_t(to), .t = sim_->Now(), .id = m.seq,
+                  .aux = m.size_bytes, .peer = uint32_t(m.from),
                   .name = MsgKindName(m.kind)});
     }
     if (!lost) nodes_[to]->Deliver(std::move(m));
@@ -123,11 +117,8 @@ void Network::EmitFault(obs::EventKind kind, NodeId id) {
   if (auto* hook = sim_->hook()) {
     const bool partition = kind == obs::EventKind::kPartition;
     const uint64_t side = partition ? uint64_t(side_[id]) : 0;
-    hook->Emit({.kind = kind,
-                .node = uint32_t(id),
-                .t = sim_->Now(),
-                .aux = side,
-                .arg = partition ? "side" : nullptr,
+    hook->Emit({.kind = kind, .node = uint32_t(id), .t = sim_->Now(),
+                .aux = side, .arg = partition ? "side" : nullptr,
                 .value = double(side)});
   }
 }

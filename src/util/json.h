@@ -1,8 +1,7 @@
 // Minimal JSON value model, writer and parser — just enough for the
 // benchmark suite's machine-readable output (--json=<path>) and the
-// bench_report aggregator that merges those files into BENCH_*.json
-// snapshots. Objects preserve insertion order so emitted files are
-// stable and diffable across runs.
+// report tools that validate and gate those files. Objects preserve
+// insertion order so emitted files are stable and diffable across runs.
 
 #ifndef BLOCKBENCH_UTIL_JSON_H_
 #define BLOCKBENCH_UTIL_JSON_H_

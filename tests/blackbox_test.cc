@@ -64,27 +64,22 @@ TEST(FlightRecorder, RecordsAndIntrospects) {
   const auto& crash = rec.At(1, 1);
   EXPECT_EQ(crash.kind, FlightRecorder::Kind::kCrash);
   EXPECT_EQ(rec.Name(crash.name), "crash");
-}
 
-// A message refused at send is a send record then a drop record with
-// aux 0; one lost in flight is a drop record with aux 1.
-TEST(FlightRecorder, DropsRecordWhereTheMessageWasLost) {
-  FlightRecorder rec(8);
-  const char* name = sim::MsgKindName(sim::MsgKind::kRaftAppend);
-  rec.Observe({.kind = EventKind::kRefused, .node = 0, .t = 1.0, .id = 4,
-               .aux = 80, .peer = 2, .name = name});
-  rec.Observe({.kind = EventKind::kDrop, .node = 2, .t = 1.2, .id = 5,
-               .aux = 80, .peer = 0, .name = name});
-  ASSERT_EQ(rec.ring_size(0), 2u);
-  EXPECT_EQ(rec.At(0, 0).kind, FlightRecorder::Kind::kSend);
-  EXPECT_EQ(rec.At(0, 0).aux, 80u);
-  EXPECT_EQ(rec.At(0, 1).kind, FlightRecorder::Kind::kDrop);
-  EXPECT_EQ(rec.At(0, 1).aux, 0u);
-  EXPECT_EQ(rec.At(0, 1).peer, 2u);
-  ASSERT_EQ(rec.ring_size(2), 1u);
-  EXPECT_EQ(rec.At(2, 0).kind, FlightRecorder::Kind::kDrop);
-  EXPECT_EQ(rec.At(2, 0).aux, 1u);
-  EXPECT_EQ(rec.At(2, 0).id, 5u);
+  // A message refused at send is a send record then a drop record with
+  // aux 0; one lost in flight is a drop record with aux 1.
+  rec.Observe({.kind = EventKind::kRefused, .node = 2, .t = 3.0, .id = 8,
+               .aux = 100, .peer = 3, .name = prepare});
+  rec.Observe({.kind = EventKind::kDrop, .node = 3, .t = 3.2, .id = 9,
+               .aux = 100, .peer = 2, .name = prepare});
+  ASSERT_EQ(rec.ring_size(2), 2u);
+  EXPECT_EQ(rec.At(2, 0).kind, FlightRecorder::Kind::kSend);
+  EXPECT_EQ(rec.At(2, 0).aux, 100u);
+  EXPECT_EQ(rec.At(2, 1).kind, FlightRecorder::Kind::kDrop);
+  EXPECT_EQ(rec.At(2, 1).aux, 0u);
+  EXPECT_EQ(rec.At(2, 1).peer, 3u);
+  ASSERT_EQ(rec.ring_size(3), 1u);
+  EXPECT_EQ(rec.At(3, 0).kind, FlightRecorder::Kind::kDrop);
+  EXPECT_EQ(rec.At(3, 0).aux, 1u);
 }
 
 TEST(FlightRecorder, RingWrapsAndEvictsOldest) {

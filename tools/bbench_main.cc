@@ -595,6 +595,7 @@ int main(int argc, char** argv) {
   if (a.metrics) {
     obs::MetricsRegistry reg;
     chain.ExportMetrics(&reg);
+    if (recorder != nullptr) recorder->ExportMetrics(&reg);
     std::printf("\nper-node metrics:\n%s", reg.RenderTable().c_str());
     if (!a.metrics_path.empty()) {
       util::Json doc = util::Json::Object();
