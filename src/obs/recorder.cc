@@ -16,16 +16,16 @@ constexpr char kSchema[] = "blockbench-blackbox-v1";
 }  // namespace
 
 int FlightRecorder::KindFromName(const std::string& name) {
-  for (size_t i = 0; i < kNumKinds; ++i) {
-    if (name == KindName(Kind(i))) return int(i);
+  for (size_t i = 0; i < kNumRecordKinds; ++i) {
+    if (name == EventKindName(Kind(i))) return int(i);
   }
   return -1;
 }
 
 void FlightRecorder::Observe(const Event& e) {
   if (size_t(e.kind) > size_t(Kind::kRefused)) return;
-  Record r{e.t, e.id, e.aux, e.peer,
-           Intern(e.name != nullptr ? e.name : KindName(e.kind)), e.kind};
+  const char* name = e.name != nullptr ? e.name : EventKindName(e.kind);
+  Record r{e.t, e.id, e.aux, e.peer, Intern(name), e.kind};
   switch (e.kind) {
     case Kind::kDrop:
       r.aux = 1;
@@ -261,7 +261,7 @@ util::Json FlightRecorder::SliceToJson() const {
 
   const Record& tr = At(target.node, target.idx);
   util::Json tj = util::Json::Object();
-  tj.Set("kind", KindName(tr.kind));
+  tj.Set("kind", EventKindName(tr.kind));
   tj.Set("node", uint64_t(target.node));
   tj.Set("t", tr.t);
   tj.Set("height", tr.id);
@@ -274,7 +274,7 @@ util::Json FlightRecorder::SliceToJson() const {
     j.Set("node", uint64_t(p.node));
     j.Set("i", uint64_t(p.idx));
     j.Set("t", r.t);
-    j.Set("kind", KindName(r.kind));
+    j.Set("kind", EventKindName(r.kind));
     j.Set("name", names_[r.name]);
     j.Set("id", r.id);
     j.Set("aux", r.aux);
@@ -322,7 +322,7 @@ util::Json FlightRecorder::ToJson(const RunSpec& run,
       const Record& r = At(n, i);
       util::Json rec = util::Json::Array();
       rec.Push(r.t);
-      rec.Push(KindName(r.kind));
+      rec.Push(EventKindName(r.kind));
       rec.Push(uint64_t(r.name));
       rec.Push(r.id);
       rec.Push(r.aux);

@@ -80,10 +80,9 @@ struct BlackboxTrigger {
 
 class FlightRecorder final : public Sink {
  public:
-  /// Record kinds: the event kinds below kNumRecordKinds.
+  /// Record kinds: the event kinds below kNumRecordKinds, named by
+  /// EventKindName.
   using Kind = EventKind;
-  static constexpr size_t kNumKinds = kNumRecordKinds;
-  static const char* KindName(Kind k) { return EventKindName(k); }
   /// -1 when the string names no record kind (validator input).
   static int KindFromName(const std::string& name);
 
