@@ -11,7 +11,7 @@
 // N peers — per-node footprint grows ~linearly in N and the cluster-wide
 // total grows ~quadratically (the O(N^2) stressor of the scale
 // campaign) — while PoA/PoW/Raft per-node footprint stays flat and the
-// cluster total linear. mem_report --gate-scaling pins that contrast.
+// cluster total linear. bbreport mem --gate-scaling pins that contrast.
 //
 // Memory tracking is always on here (the sweep rows are useless without
 // their mem blocks); pass --mem=PREFIX to additionally write one full

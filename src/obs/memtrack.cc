@@ -354,7 +354,7 @@ Status ValidateMemDump(const util::Json& dump) {
   return Status::Ok();
 }
 
-// --- Report rendering (shared by tools/mem_report and bbench) ----------------
+// --- Report rendering (shared by bbreport mem and bbench) --------------------
 
 namespace {
 

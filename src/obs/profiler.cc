@@ -420,7 +420,7 @@ Status Profiler::WriteJson(const std::string& path) const {
   return writer.Close();
 }
 
-// --- Report rendering (prof_report) ------------------------------------------
+// --- Report rendering (bbreport prof) ----------------------------------------
 
 std::string RenderProfileAttribution(const util::Json& profile) {
   std::string out;

@@ -447,7 +447,7 @@ class Profiler {
 };
 
 /// Renders the subsystem attribution table for one profile document
-/// (parsed blockbench-profile-v1), as tools/prof_report prints it.
+/// (parsed blockbench-profile-v1), as bbreport prof prints it.
 std::string RenderProfileAttribution(const util::Json& profile);
 
 /// Renders the profile diff table (before vs after): per-subsystem self

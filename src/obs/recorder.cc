@@ -350,7 +350,7 @@ Status FlightRecorder::WriteJson(const std::string& path, const RunSpec& run,
   return Status::Ok();
 }
 
-// --- Document-side helpers (blackbox_report, tests) --------------------------
+// --- Document-side helpers (bbreport blackbox, tests) ------------------------
 
 namespace {
 

@@ -102,7 +102,7 @@ class Tracer final : public Sink {
   /// node tracks ('s'/'f' pairs share the message seq as id; Perfetto
   /// renders them as arrows), each with a zero-duration anchor span on
   /// the node track for the arrow to bind to. A send whose message is
-  /// dropped in flight leaves an unmatched 's' — trace_report treats
+  /// dropped in flight leaves an unmatched 's' — bbreport trace treats
   /// that as legal (the arrow just never lands).
   void Flow(uint32_t node, const char* name, char ph, double t, uint64_t id) {
     Push(node, "net", name, 'X', t, 0, 0, nullptr, 0);

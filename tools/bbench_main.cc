@@ -21,13 +21,13 @@
 //                         when a safety invariant was violated
 //   --profile=PATH        wall-clock profile of the run itself: writes a
 //                         blockbench-profile-v1 doc to PATH plus folded
-//                         stacks to PATH.folded (prof_report reads both)
+//                         stacks to PATH.folded (bbreport prof reads both)
 //   --metrics[=PATH]      print the per-node metrics table; with =PATH,
 //                         also write the registry as JSON to PATH
 //   --mem=PATH            per-subsystem memory accounting (logical bytes
 //                         on virtual time): prints the attribution table
 //                         and writes a blockbench-mem-v1 dump to PATH
-//                         (mem_report validates / diffs / gates it)
+//                         (bbreport mem validates / diffs / gates it)
 //   --blackbox=PATH       arm the flight recorder and dump the
 //                         blockbench-blackbox-v1 black box to PATH after
 //                         the run; with --audit, a violation dumps to
@@ -133,17 +133,17 @@ void Usage() {
   --audit=PATH (run the post-run ledger audit, write blockbench-audit-v1
                 JSON to PATH; exit code 3 on a safety-invariant violation)
   --profile=PATH (wall-clock-profile the run: blockbench-profile-v1 JSON
-                  to PATH, folded stacks to PATH.folded; see prof_report)
+                  to PATH, folded stacks to PATH.folded; see bbreport prof)
   --metrics[=PATH] (print the per-node metrics table after the run; with
                     =PATH also write the registry as JSON to PATH)
   --mem=PATH (account per-subsystem memory — logical bytes on virtual
               time; prints the attribution table and writes a
-              blockbench-mem-v1 dump to PATH for mem_report)
+              blockbench-mem-v1 dump to PATH for bbreport mem)
   --blackbox=PATH (arm the flight recorder; dump blockbench-blackbox-v1
                    JSON to PATH after the run. --audit alone also arms it
                    and dumps to AUDIT_PATH.blackbox.json on a violation)
   --replay=PATH (re-run the config recorded in a blackbox dump; explicit
-                 flags override recorded fields; see blackbox_report)
+                 flags override recorded fields; see bbreport blackbox)
   --until=TIME[,SEQ] (with --replay: stop at virtual second TIME, or as
                       soon as message seq SEQ has been sent)
   --data-dir=PATH (directory for the per-server state logs of a "/diskkv"
@@ -642,7 +642,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\nmemory attribution (logical bytes, virtual time):\n%s",
                 obs::RenderMemAttribution(memtracker->ToJson()).c_str());
-    std::printf("mem -> %s (mem_report validates / diffs / gates)\n",
+    std::printf("mem -> %s (bbreport mem validates / diffs / gates)\n",
                 a.mem_path.c_str());
   }
 
@@ -688,7 +688,7 @@ int main(int argc, char** argv) {
                    bs.ToString().c_str());
       return 1;
     }
-    std::printf("blackbox -> %s (blackbox_report %s renders the "
+    std::printf("blackbox -> %s (bbreport blackbox %s renders the "
                 "post-mortem)\n",
                 bb_path.c_str(), bb_path.c_str());
   }
