@@ -124,6 +124,38 @@ void BM_TxPoolTakeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TxPoolTakeBatch);
 
+// Gossip fan-out across one 16-replica consensus group: every sealed
+// transaction is admitted by all 16 pools (the admitting server and its
+// 15 gossip recipients), one replica takes a FIFO batch for its block,
+// and the other 15 remove the batch when the block commits.
+void BM_TxPoolGossipFanout(benchmark::State& state) {
+  const size_t kPools = 16;
+  const size_t kBatch = 200;
+  const size_t kRounds = 10;
+  std::vector<chain::Transaction> stream;
+  stream.reserve(kBatch * kRounds);
+  for (size_t i = 0; i < kBatch * kRounds; ++i) {
+    stream.push_back(BenchTx(i + 1));
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<chain::TxPool> pools(kPools);
+    state.ResumeTiming();
+    size_t next = 0;
+    for (size_t round = 0; round < kRounds; ++round) {
+      for (size_t i = 0; i < kBatch; ++i, ++next) {
+        for (auto& pool : pools) pool.Add(stream[next]);
+      }
+      auto batch = pools[0].TakeBatch(kBatch);
+      for (size_t p = 1; p < kPools; ++p) pools[p].RemoveCommitted(batch);
+      benchmark::DoNotOptimize(batch.data());
+    }
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) *
+                          int64_t(kBatch * kRounds));
+}
+BENCHMARK(BM_TxPoolGossipFanout);
+
 // Both trie benchmarks run over MemKv without a node cache, as every
 // platform builds its trie, and with fig12's Ethereum cache.
 void BM_TriePut(benchmark::State& state) {
