@@ -53,7 +53,7 @@ BENCHMARK(BM_MerkleTreeBuild)->Arg(100)->Arg(500)->Arg(2000);
 
 // --- Chain primitives ---------------------------------------------------------
 
-chain::Transaction BenchTx(uint64_t id) {
+chain::TxPtr BenchTx(uint64_t id) {
   chain::Transaction tx;
   tx.id = id;
   tx.sender = "client" + std::to_string(id % 16);
@@ -62,7 +62,7 @@ chain::Transaction BenchTx(uint64_t id) {
   tx.args = {vm::Value("user" + std::to_string(id)),
              vm::Value(std::string(100, 'v'))};
   tx.Seal();
-  return tx;
+  return chain::Share(std::move(tx));
 }
 
 chain::BlockPtr BenchBlock(size_t n_txs) {
@@ -100,8 +100,8 @@ void BM_TxPoolTakeBatch(benchmark::State& state) {
     state.ResumeTiming();
     for (int round = 0; round < kRounds; ++round) {
       for (size_t i = 0; i < kBatch + kBatch / 2; ++i) {
-        chain::Transaction tx = BenchTx(next_id++);
-        benchmark::DoNotOptimize(tx.SizeBytes());  // gossip wire size
+        chain::TxPtr tx = BenchTx(next_id++);
+        benchmark::DoNotOptimize(tx->SizeBytes());  // gossip wire size
         pool.Add(std::move(tx));
       }
       if (round % 2 == 0) {
@@ -111,9 +111,12 @@ void BM_TxPoolTakeBatch(benchmark::State& state) {
       } else {
         // A peer's block commits the next kBatch pending ids; only the id
         // matters for removal.
-        std::vector<chain::Transaction> committed(kBatch);
+        std::vector<chain::TxPtr> committed;
+        committed.reserve(kBatch);
         for (size_t i = 0; i < kBatch; ++i) {
-          committed[i].id = commit_cursor++;
+          chain::Transaction tx;
+          tx.id = commit_cursor++;
+          committed.push_back(chain::Share(std::move(tx)));
         }
         pool.RemoveCommitted(committed);
       }
@@ -132,7 +135,7 @@ void BM_TxPoolGossipFanout(benchmark::State& state) {
   const size_t kPools = 16;
   const size_t kBatch = 200;
   const size_t kRounds = 10;
-  std::vector<chain::Transaction> stream;
+  std::vector<chain::TxPtr> stream;
   stream.reserve(kBatch * kRounds);
   for (size_t i = 0; i < kBatch * kRounds; ++i) {
     stream.push_back(BenchTx(i + 1));

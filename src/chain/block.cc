@@ -29,7 +29,7 @@ void Block::SealTxRoot() {
   BB_PROF_SCOPE("hash.seal_tx_root");
   std::vector<Hash256> leaves;
   leaves.reserve(txs.size());
-  for (const auto& tx : txs) leaves.push_back(tx.HashOf());
+  for (const auto& tx : txs) leaves.push_back(tx->HashOf());
   header.tx_root = storage::MerkleTree(std::move(leaves)).root();
 }
 
@@ -37,7 +37,7 @@ BlockPtr Seal(Block block) {
   BB_PROF_SCOPE("hash.block_hash");
   block.hash_ = block.header.HashOf();
   block.size_ = kHeaderWireBytes;
-  for (const auto& tx : block.txs) block.size_ += tx.SizeBytes();
+  for (const auto& tx : block.txs) block.size_ += tx->SizeBytes();
   return std::make_shared<const Block>(std::move(block));
 }
 

@@ -44,8 +44,8 @@ using BlockPtr = std::shared_ptr<const Block>;
 /// BlockPtr, so a copy is never needed.
 struct Block {
   BlockHeader header;
-  /// Sealed transactions (Transaction::Seal).
-  std::vector<Transaction> txs;
+  /// Sealed transactions, shared with the pools that admitted them.
+  std::vector<TxPtr> txs;
 
   Block() = default;
   Block(Block&&) = default;

@@ -5,7 +5,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/sha256.h"
@@ -13,6 +15,10 @@
 
 namespace bb::chain {
 
+/// A transaction is assembled mutably, sealed (Seal) and stamped with
+/// its submit_time, then frozen behind a TxPtr (Share). From there one
+/// object travels by reference: the client's outstanding set, the
+/// submission and gossip messages, every replica's pool and the block.
 struct Transaction {
   /// Client-assigned unique id (stands in for the tx hash handed back by
   /// the JSON-RPC submit call).
@@ -54,6 +60,16 @@ struct Transaction {
   Hash256 hash_;
   size_t size_ = 0;
 };
+
+/// Shared immutable transaction handle, the unit of admission, gossip
+/// and block assembly.
+using TxPtr = std::shared_ptr<const Transaction>;
+
+/// Freezes a sealed, stamped transaction behind a TxPtr. Nothing changes
+/// it afterwards; a resubmission shares a fresh copy.
+inline TxPtr Share(Transaction tx) {
+  return std::make_shared<const Transaction>(std::move(tx));
+}
 
 }  // namespace bb::chain
 

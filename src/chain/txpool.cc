@@ -2,55 +2,57 @@
 
 namespace bb::chain {
 
-uint32_t TxPool::AllocSlot(Transaction tx) {
+uint32_t TxPool::AllocSlot(TxPtr tx) {
   uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    slots_[slot] = std::move(tx);
   } else {
     slot = uint32_t(slots_.size());
-    slots_.push_back(std::move(tx));
+    slots_.emplace_back();
     slot_ids_.push_back(0);
     slot_sizes_.push_back(0);
     slot_live_.push_back(0);
   }
-  slot_ids_[slot] = slots_[slot].id;
-  slot_sizes_[slot] = uint32_t(slots_[slot].SizeBytes());
+  slot_ids_[slot] = tx->id;
+  slot_sizes_[slot] = uint32_t(tx->SizeBytes());
   slot_live_[slot] = 1;
   slot_bytes_ += slot_sizes_[slot];
+  slots_[slot] = std::move(tx);
   return slot;
 }
 
 // Only called once the slot's order_ entry has been removed; until then a
 // recycled slot could alias the stale entry.
 void TxPool::FreeSlot(uint32_t slot) {
-  slots_[slot] = Transaction{};  // release payload memory
+  slots_[slot].reset();  // drop this pool's reference
   slot_bytes_ -= slot_sizes_[slot];
   free_slots_.push_back(slot);
 }
 
-void TxPool::Admit(Transaction tx) {
-  const uint64_t id = tx.id;
+void TxPool::Admit(TxPtr tx) {
+  const uint64_t id = tx->id;
   uint32_t slot = AllocSlot(std::move(tx));
   in_queue_.Put(id, slot);
   order_.push_back(slot);
   ++live_;
 }
 
-bool TxPool::Add(Transaction tx) {
-  // The in_queue_ check matters only when the dedup window is smaller
-  // than the pending queue: a pending id that fell out of the window
-  // must still not be admitted twice.
-  if (seen_.Contains(tx.id) || in_queue_.Find(tx.id) != nullptr) return false;
-  seen_.Insert(tx.id);
+bool TxPool::Add(TxPtr tx) {
+  // Queue membership first: it matters only when the dedup window is
+  // smaller than the pending queue, since a pending id that fell out of
+  // the window must still not be admitted twice. Then one window probe
+  // both tests and records the id.
+  if (in_queue_.Find(tx->id) != nullptr || !seen_.Insert(tx->id)) {
+    return false;
+  }
   Admit(std::move(tx));
   return true;
 }
 
-std::vector<Transaction> TxPool::TakeBatch(size_t max_count,
-                                           size_t max_bytes, bool lifo) {
-  std::vector<Transaction> batch;
+std::vector<TxPtr> TxPool::TakeBatch(size_t max_count, size_t max_bytes,
+                                     bool lifo) {
+  std::vector<TxPtr> batch;
   size_t bytes = 0;
   while (live_ > 0 && batch.size() < max_count) {
     uint32_t slot = lifo ? order_.back() : order_.front();
@@ -75,22 +77,22 @@ std::vector<Transaction> TxPool::TakeBatch(size_t max_count,
   return batch;
 }
 
-void TxPool::RemoveCommitted(const std::vector<Transaction>& txs) {
+void TxPool::RemoveCommitted(const std::vector<TxPtr>& txs) {
   for (const auto& tx : txs) {
-    seen_.Insert(tx.id);  // gossip may deliver the block before the tx
-    if (const uint32_t* slot = in_queue_.Find(tx.id)) {
+    seen_.Insert(tx->id);  // gossip may deliver the block before the tx
+    if (const uint32_t* slot = in_queue_.Find(tx->id)) {
       slot_live_[*slot] = 0;
       --live_;
-      in_queue_.Erase(tx.id);
+      in_queue_.Erase(tx->id);
     }
   }
   MaybeCompact();
 }
 
-void TxPool::Requeue(std::vector<Transaction> txs) {
-  for (auto& tx : txs) {
-    if (in_queue_.Find(tx.id) != nullptr) continue;
-    Admit(std::move(tx));
+void TxPool::Requeue(const std::vector<TxPtr>& txs) {
+  for (const auto& tx : txs) {
+    if (in_queue_.Find(tx->id) != nullptr) continue;
+    Admit(tx);
   }
 }
 

@@ -1,14 +1,17 @@
 // TxPool: a node's pending-transaction pool with id-based deduplication
 // (transactions arrive both from clients and from peer gossip).
 //
-// Layout is struct-of-arrays: transaction payloads live in a recycled slot
-// vector while the hot metadata consulted by TakeBatch/RemoveCommitted —
-// ids, wire sizes, liveness — sits in parallel flat arrays. Admission
-// order is a deque of slot indices with lazy deletion: RemoveCommitted
-// only flips a liveness bit, and dead entries are purged when the
-// FIFO/LIFO cursor reaches them or when they outnumber the live ones.
-// Observable behaviour (admission order, batch boundaries, dedup) is
-// identical to the original deque-of-Transaction implementation.
+// Slots hold TxPtr handles: every replica's pool shares the one sealed
+// transaction its admitting server gossiped, so admission, batching and
+// requeueing move pointers, never payloads. Layout is struct-of-arrays:
+// the handles live in a recycled slot vector while the hot metadata
+// consulted by TakeBatch/RemoveCommitted — ids, wire sizes, liveness —
+// sits in parallel flat arrays. Admission order is a deque of slot
+// indices with lazy deletion: RemoveCommitted only flips a liveness bit,
+// and dead entries are purged when the FIFO/LIFO cursor reaches them or
+// when they outnumber the live ones. Observable behaviour (admission
+// order, batch boundaries, dedup) is identical to the original
+// deque-of-Transaction implementation.
 
 #ifndef BLOCKBENCH_CHAIN_TXPOOL_H_
 #define BLOCKBENCH_CHAIN_TXPOOL_H_
@@ -25,27 +28,27 @@ namespace bb::chain {
 class TxPool {
  public:
   /// Adds a transaction; returns false if it was already seen (pending,
-  /// or committed within the dedup window).
-  bool Add(Transaction tx);
+  /// or committed within the dedup window). The pool shares `tx`.
+  bool Add(TxPtr tx);
 
   /// Takes up to max_count transactions whose sizes sum to at most
   /// max_bytes (0 = no byte limit). FIFO by default; lifo = true takes
   /// the most recently admitted first (Parity's effective ordering,
   /// which keeps commit latency low while old transactions starve).
-  std::vector<Transaction> TakeBatch(size_t max_count, size_t max_bytes = 0,
-                                     bool lifo = false);
+  std::vector<TxPtr> TakeBatch(size_t max_count, size_t max_bytes = 0,
+                               bool lifo = false);
 
   /// Removes committed transactions from the pending queue (e.g. when a
   /// peer's block wins) without forgetting their ids.
-  void RemoveCommitted(const std::vector<Transaction>& txs);
+  void RemoveCommitted(const std::vector<TxPtr>& txs);
 
   /// Re-queues transactions (e.g. from an orphaned block).
-  void Requeue(std::vector<Transaction> txs);
+  void Requeue(const std::vector<TxPtr>& txs);
 
   size_t pending() const { return live_; }
   /// Wire bytes resident in slots — includes committed-but-unpurged
-  /// entries whose payloads lazy deletion has not released yet, so this
-  /// is the pool's actual slot-store footprint (mem observability).
+  /// entries whose handles lazy deletion has not released yet. These are
+  /// logical bytes: a transaction shared by N pools counts in each.
   uint64_t slot_bytes() const { return slot_bytes_; }
   bool Seen(uint64_t id) const { return seen_.Contains(id); }
 
@@ -57,13 +60,12 @@ class TxPool {
   void set_seen_window(size_t window) { seen_.set_window(window); }
 
  private:
-  uint32_t AllocSlot(Transaction tx);
+  uint32_t AllocSlot(TxPtr tx);
   void FreeSlot(uint32_t slot);
-  void Admit(Transaction tx);
+  void Admit(TxPtr tx);
   void MaybeCompact();
 
-  std::deque<Transaction> slots_;      // payloads, indexed by slot; deque
-                                       // so growth never moves payloads
+  std::vector<TxPtr> slots_;           // handles, indexed by slot
   std::vector<uint64_t> slot_ids_;     // parallel: tx id
   std::vector<uint32_t> slot_sizes_;   // parallel: cached wire size
   std::vector<uint8_t> slot_live_;     // parallel: still pending?

@@ -70,8 +70,8 @@ class ConsensusHost {
   virtual size_t pending_txs() const = 0;
 
   /// Returns abandoned transactions (e.g. from a proposal discarded by a
-  /// view change) to the pool.
-  virtual void RequeueTxs(std::vector<chain::Transaction> txs) = 0;
+  /// view change) to the pool. The pool shares the block's handles.
+  virtual void RequeueTxs(const std::vector<chain::TxPtr>& txs) = 0;
 
   /// Records CPU that runs off the message-handling path (mining).
   virtual void ChargeBackground(double cpu_seconds) = 0;

@@ -64,14 +64,16 @@ void DriverClient::TrySubmit(chain::Transaction tx) {
   }
   tx.submit_time = Now();
   size_t wire_bytes = tx.SizeBytes();
-  auto [it, inserted] = outstanding_.emplace(tx.id, std::move(tx));
-  (void)inserted;
+  const uint64_t tx_id = tx.id;
+  // Stamped, so frozen: the servers' pools and blocks share this object.
+  const chain::TxPtr& shared =
+      outstanding_.emplace(tx_id, chain::Share(std::move(tx))).first->second;
   stats_->RecordSubmit(Now());
   if (auto* hook = sim()->hook()) {
     // A resubmission after rejection restarts the lifecycle record, so
     // traced spans telescope to the latency measured from this submit.
     hook->Emit({.kind = obs::EventKind::kTxSubmit, .node = uint32_t(id()),
-                .t = Now(), .id = it->second.id});
+                .t = Now(), .id = shared->id});
   }
 
   // Key-partition routing (sharded platforms only): a transaction whose
@@ -79,26 +81,26 @@ void DriverClient::TrySubmit(chain::Transaction tx) {
   // straddles shards goes to the 2PC coordinator.
   if (platform_ != nullptr && platform_->num_shards() > 1) {
     std::vector<uint32_t> shards;
-    for (const std::string& key : workload_->TouchedKeys(it->second)) {
+    for (const std::string& key : workload_->TouchedKeys(*shared)) {
       uint32_t s = platform_->ShardOfKey(key);
       bool seen = false;
       for (uint32_t have : shards) seen = seen || have == s;
       if (!seen) shards.push_back(s);
     }
     if (shards.size() > 1) {
-      cross_ids_.insert(it->second.id);
+      cross_ids_.insert(shared->id);
       stats_->RecordXsSubmit();
       Send(platform_->coordinator_id(), MsgKind::kXsClientTx,
-           platform::XsClientTx{it->second, std::move(shards)}, wire_bytes);
+           platform::XsClientTx{shared, std::move(shards)}, wire_bytes);
       return;
     }
     if (shards.size() == 1) {
       Send(platform_->ServerInShard(shards[0], client_index_),
-           MsgKind::kClientTx, platform::ClientTx{it->second}, wire_bytes);
+           MsgKind::kClientTx, platform::ClientTx{shared}, wire_bytes);
       return;
     }
   }
-  Send(server_, MsgKind::kClientTx, platform::ClientTx{it->second}, wire_bytes);
+  Send(server_, MsgKind::kClientTx, platform::ClientTx{shared}, wire_bytes);
 }
 
 void DriverClient::SubmitTransaction(const chain::Transaction& tx) {
@@ -145,17 +147,18 @@ void DriverClient::RetryTick() {
 void DriverClient::OnBlocks(const platform::RpcBlocks& m) {
   for (const auto& block : m.blocks) {
     for (const auto& tx : block->txs) {
-      auto it = outstanding_.find(tx.id);
+      auto it = outstanding_.find(tx->id);
       if (it == outstanding_.end()) continue;
-      if (!committed_.insert(tx.id).second) continue;
-      stats_->RecordCommit(Now(), Now() - it->second.submit_time);
-      if (auto xs = cross_ids_.find(tx.id); xs != cross_ids_.end()) {
-        stats_->RecordXsCommit(Now() - it->second.submit_time);
+      if (!committed_.insert(tx->id).second) continue;
+      const double submit_time = it->second->submit_time;
+      stats_->RecordCommit(Now(), Now() - submit_time);
+      if (auto xs = cross_ids_.find(tx->id); xs != cross_ids_.end()) {
+        stats_->RecordXsCommit(Now() - submit_time);
         cross_ids_.erase(xs);
       }
       if (auto* hook = sim()->hook()) {
         hook->Emit({.kind = obs::EventKind::kTxConfirm, .node = uint32_t(id()),
-                    .t = Now(), .id = tx.id});
+                    .t = Now(), .id = tx->id});
       }
       outstanding_.erase(it);
     }
@@ -192,7 +195,7 @@ double DriverClient::HandleMessage(const sim::Message& msg) {
       // rejects on prepare timeout); the retry path resubmits it as a
       // fresh cross-shard attempt.
       if (cross_ids_.erase(m.tx_id) > 0) stats_->RecordXsAbort();
-      backlog_.push_back(std::move(it->second));
+      backlog_.push_back(*it->second);
       outstanding_.erase(it);
     }
     return 0;

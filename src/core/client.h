@@ -76,10 +76,12 @@ class DriverClient : public sim::Node, public BlockchainConnector {
   uint64_t next_seq_ = 0;
   uint64_t next_req_id_ = 1;
   uint64_t last_height_ = 0;
-  // Submitted, unconfirmed, keyed by tx id. The paper's "queue". The full
-  // transaction is kept so a server rejection can re-enter the backlog.
-  std::unordered_map<uint64_t, chain::Transaction> outstanding_;
-  // Generated or rejected, waiting for submission capacity.
+  // Submitted, unconfirmed, keyed by tx id. The paper's "queue". The
+  // handle is the one the servers share; a server rejection copies it
+  // back into the backlog.
+  std::unordered_map<uint64_t, chain::TxPtr> outstanding_;
+  // Generated or rejected, waiting for submission capacity. Not yet
+  // shared: TrySubmit stamps submit_time, then wraps.
   std::deque<chain::Transaction> backlog_;
   std::unordered_set<uint64_t> committed_;
   /// Outstanding ids routed through the cross-shard coordinator.

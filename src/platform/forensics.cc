@@ -136,12 +136,13 @@ obs::NodeChainView CollectNodeView(Platform& platform, size_t i) {
               });
     std::set<uint64_t> prepared;
     for (const chain::Block* block : canonical) {
-      for (const chain::Transaction& tx : block->txs) {
-        if (tx.contract == kXsContract) prepared.insert(XsBaseId(tx.id));
+      for (const chain::TxPtr& tx : block->txs) {
+        if (tx->contract == kXsContract) prepared.insert(XsBaseId(tx->id));
       }
     }
     for (const chain::Block* block : canonical) {
-      for (const chain::Transaction& tx : block->txs) {
+      for (const chain::TxPtr& ptr : block->txs) {
+        const chain::Transaction& tx = *ptr;
         obs::XsRecord r;
         if (tx.contract == kXsContract) {
           r.base_id = XsBaseId(tx.id);

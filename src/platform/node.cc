@@ -64,7 +64,7 @@ Status PlatformNode::FinalizeGenesis(const chain::StateDb::WriteSet& genesis,
   return Status::Ok();
 }
 
-Status PlatformNode::DirectCommit(const std::vector<chain::Transaction>& txs) {
+Status PlatformNode::DirectCommit(const std::vector<chain::TxPtr>& txs) {
   chain::Block b;
   b.header.parent = chain().head();
   b.header.height = chain().head_height() + 1;
@@ -147,31 +147,31 @@ double PlatformNode::HandleClientTx(const sim::Message& msg) {
   const auto& m = msg.payload.As<ClientTx>();
   double cpu = options_.admission_cpu;
   if (msg.corrupted) return cpu;  // malformed submission dropped
-  if (committed_ids_.count(m.tx.id) || pool_.Seen(m.tx.id)) return cpu;
+  if (committed_ids_.count(m.tx->id) || pool_.Seen(m.tx->id)) return cpu;
   if (options_.admission_rate_limit > 0) {
     double rate = options_.admission_rate_limit;
     admission_tokens_ = std::min(
         rate, admission_tokens_ + (Now() - admission_refill_time_) * rate);
     admission_refill_time_ = Now();
     if (admission_tokens_ < 1.0) {
-      Send(msg.from, MsgKind::kClientTxReject, ClientTxReject{m.tx.id}, 60);
+      Send(msg.from, MsgKind::kClientTxReject, ClientTxReject{m.tx->id}, 60);
       return cpu;
     }
     admission_tokens_ -= 1.0;
   }
   if (options_.tx_pool_capacity != 0 &&
       pool_.pending() >= options_.tx_pool_capacity) {
-    Send(msg.from, MsgKind::kClientTxReject, ClientTxReject{m.tx.id}, 60);
+    Send(msg.from, MsgKind::kClientTxReject, ClientTxReject{m.tx->id}, 60);
     return cpu;
   }
   pool_.Add(m.tx);
   if (pool_.pending() > pool_peak_) pool_peak_ = pool_.pending();
   if (auto* hook = sim()->hook()) {
     hook->Emit({.kind = obs::EventKind::kTxAdmit, .node = uint32_t(id()),
-                .t = Now(), .id = m.tx.id});
+                .t = Now(), .id = m.tx->id});
   }
   if (options_.gossip_txs) {
-    HostBroadcast(MsgKind::kGossipTx, GossipTx{m.tx}, m.tx.SizeBytes());
+    HostBroadcast(MsgKind::kGossipTx, GossipTx{m.tx}, m.tx->SizeBytes());
   }
   engine().OnNewTransactions();
   return cpu;
@@ -179,10 +179,10 @@ double PlatformNode::HandleClientTx(const sim::Message& msg) {
 
 double PlatformNode::HandleGossipTx(const sim::Message& msg) {
   BB_PROF_SCOPE("driver.gossip_admit");
-  const chain::Transaction& tx = msg.payload.As<GossipTx>().tx;
+  const chain::TxPtr& tx = msg.payload.As<GossipTx>().tx;
   double cpu = options_.gossip_ingest_cpu;
   if (msg.corrupted) return cpu;
-  if (committed_ids_.count(tx.id)) return cpu;
+  if (committed_ids_.count(tx->id)) return cpu;
   if (options_.tx_pool_capacity != 0 &&
       pool_.pending() >= options_.tx_pool_capacity) {
     return cpu;
@@ -191,7 +191,7 @@ double PlatformNode::HandleGossipTx(const sim::Message& msg) {
     if (pool_.pending() > pool_peak_) pool_peak_ = pool_.pending();
     if (auto* hook = sim()->hook()) {
       hook->Emit({.kind = obs::EventKind::kTxAdmit, .node = uint32_t(id()),
-                  .t = Now(), .id = tx.id});
+                  .t = Now(), .id = tx->id});
     }
     engine().OnNewTransactions();
   }
@@ -318,12 +318,11 @@ std::optional<chain::Block> PlatformNode::BuildBlock(const Hash256& parent,
     limit = std::min(limit,
                      size_t(std::max(1.0, budget / options_.seal_sign_cpu)));
   }
-  std::vector<chain::Transaction> batch;
-  for (auto& tx :
-       pool_.TakeBatch(limit, options_.block_byte_limit, options_.pool_lifo)) {
-    if (committed_ids_.count(tx.id)) continue;  // raced in via gossip
-    batch.push_back(std::move(tx));
-  }
+  std::vector<chain::TxPtr> batch =
+      pool_.TakeBatch(limit, options_.block_byte_limit, options_.pool_lifo);
+  std::erase_if(batch, [this](const chain::TxPtr& tx) {
+    return committed_ids_.count(tx->id) != 0;  // raced in via gossip
+  });
 
   if (options_.block_gas_limit > 0 &&
       stack_->execution().kind() == ExecEngineKind::kEvm) {
@@ -335,7 +334,7 @@ std::optional<chain::Block> PlatformNode::BuildBlock(const Hash256& parent,
     uint64_t saved_exec = txs_executed_, saved_failed = txs_failed_;
     while (taken < batch.size()) {
       uint64_t gas = 0;
-      *build_cpu += ExecuteTx(batch[taken], &gas);
+      *build_cpu += ExecuteTx(*batch[taken], &gas);
       // Speculative runs must not perturb the executed/failed counters.
       gas_used += gas;
       ++taken;
@@ -345,8 +344,8 @@ std::optional<chain::Block> PlatformNode::BuildBlock(const Hash256& parent,
     txs_executed_ = saved_exec;
     txs_failed_ = saved_failed;
     if (taken < batch.size()) {
-      pool_.Requeue(std::vector<chain::Transaction>(
-          batch.begin() + long(taken), batch.end()));
+      pool_.Requeue(std::vector<chain::TxPtr>(batch.begin() + long(taken),
+                                              batch.end()));
       batch.resize(taken);
     }
   }
@@ -358,7 +357,7 @@ std::optional<chain::Block> PlatformNode::BuildBlock(const Hash256& parent,
     // proposed; speculative execution above never stamps milestones.
     for (const auto& tx : batch) {
       hook->Emit({.kind = obs::EventKind::kTxPropose, .node = uint32_t(id()),
-                  .t = Now(), .id = tx.id});
+                  .t = Now(), .id = tx->id});
     }
   }
 
@@ -439,7 +438,7 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
   while (exec_height_ > 0 && !chain.IsCanonical(exec_block_hash_)) {
     const chain::Block* rolled = chain.GetBlock(exec_block_hash_);
     assert(rolled != nullptr);
-    for (const auto& tx : rolled->txs) committed_ids_.erase(tx.id);
+    for (const auto& tx : rolled->txs) committed_ids_.erase(tx->id);
     pool_.Requeue(rolled->txs);
     exec_block_hash_ = rolled->header.parent;
     --exec_height_;
@@ -495,13 +494,13 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
       block_gas = ExecuteBlock(*b, cpu, nullptr);
     }
     for (const auto& tx : b->txs) {
-      committed_ids_.insert(tx.id);
+      committed_ids_.insert(tx->id);
       if (hook != nullptr) {
         hook->Emit({.kind = obs::EventKind::kTxCommit, .node = uint32_t(id()),
-                    .t = Now(), .id = tx.id});
+                    .t = Now(), .id = tx->id});
       }
-      if (xs_notify_.has_value() && tx.contract == kXsContract) {
-        Send(*xs_notify_, MsgKind::kXsSealed, XsSealed{tx.id}, 60);
+      if (xs_notify_.has_value() && tx->contract == kXsContract) {
+        Send(*xs_notify_, MsgKind::kXsSealed, XsSealed{tx->id}, 60);
       }
     }
     // Non-empty blocks only: PoA/PoW seal empty blocks continuously and
@@ -539,7 +538,7 @@ uint64_t PlatformNode::ExecuteBlock(const chain::Block& block, double* cpu,
   uint64_t block_gas = 0;
   for (const auto& tx : block.txs) {
     uint64_t gas = 0;
-    double tx_cpu = ExecuteTx(tx, &gas);
+    double tx_cpu = ExecuteTx(*tx, &gas);
     *cpu += tx_cpu;
     block_gas += gas;
     if (record != nullptr) record->tx_cpu.push_back(tx_cpu);
@@ -584,13 +583,13 @@ void PlatformNode::ExportMetrics(obs::MetricsRegistry* reg) const {
   stack_->data().state().ExportMetrics(reg, labels);
 }
 
-void PlatformNode::RequeueTxs(std::vector<chain::Transaction> txs) {
-  std::vector<chain::Transaction> keep;
+void PlatformNode::RequeueTxs(const std::vector<chain::TxPtr>& txs) {
+  std::vector<chain::TxPtr> keep;
   keep.reserve(txs.size());
-  for (auto& tx : txs) {
-    if (!committed_ids_.count(tx.id)) keep.push_back(std::move(tx));
+  for (const auto& tx : txs) {
+    if (!committed_ids_.count(tx->id)) keep.push_back(tx);
   }
-  pool_.Requeue(std::move(keep));
+  pool_.Requeue(keep);
 }
 
 }  // namespace bb::platform

@@ -51,7 +51,7 @@ class PlatformNode : public sim::Node, public consensus::ConsensusHost {
   /// Applies a block of transactions bypassing consensus (fast preload of
   /// historical chain data for the Analytics workload). All nodes must be
   /// given identical batches in identical order.
-  Status DirectCommit(const std::vector<chain::Transaction>& txs);
+  Status DirectCommit(const std::vector<chain::TxPtr>& txs);
 
   // --- sim::Node -------------------------------------------------------------
   void Start() override;
@@ -78,7 +78,7 @@ class PlatformNode : public sim::Node, public consensus::ConsensusHost {
     return stack_->data().chain();
   }
   size_t pending_txs() const override { return pool_.pending(); }
-  void RequeueTxs(std::vector<chain::Transaction> txs) override;
+  void RequeueTxs(const std::vector<chain::TxPtr>& txs) override;
   void ChargeBackground(double cpu_seconds) override {
     ChargeBackgroundCpu(cpu_seconds);
   }

@@ -82,7 +82,7 @@ Status Platform::FinalizeGenesis() {
   return Status::Ok();
 }
 
-Status Platform::PreloadBlock(const std::vector<chain::Transaction>& txs) {
+Status Platform::PreloadBlock(const std::vector<chain::TxPtr>& txs) {
   for (auto& n : nodes_) {
     BB_RETURN_IF_ERROR(n->DirectCommit(txs));
   }

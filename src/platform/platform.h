@@ -82,8 +82,9 @@ class Platform {
   /// commits them and the others replay its commit where they can.
   Status FinalizeGenesis();
   /// Commits one block of transactions on every node, bypassing
-  /// consensus (historical-chain preloading).
-  Status PreloadBlock(const std::vector<chain::Transaction>& txs);
+  /// consensus (historical-chain preloading). Every node's block shares
+  /// the transactions.
+  Status PreloadBlock(const std::vector<chain::TxPtr>& txs);
 
   /// Starts consensus on every server.
   void Start();

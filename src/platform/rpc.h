@@ -17,9 +17,10 @@ namespace bb::platform {
 
 using BlockPtr = std::shared_ptr<const chain::Block>;
 
-/// MsgKind::kClientTx. Client -> server transaction submission.
+/// MsgKind::kClientTx. Client -> server transaction submission. The
+/// server's pool and its gossip share the client's object.
 struct ClientTx {
-  chain::Transaction tx;
+  chain::TxPtr tx;
 };
 
 /// MsgKind::kClientTxReject. Server pool is full; client should back off.
@@ -28,9 +29,10 @@ struct ClientTxReject {
 };
 
 /// MsgKind::kGossipTx. Server -> server relay of an admitted
-/// transaction; all peers of the broadcast share the one payload.
+/// transaction; all peers of the broadcast share the one payload, and
+/// each peer's pool shares the transaction it carries.
 struct GossipTx {
-  chain::Transaction tx;
+  chain::TxPtr tx;
 };
 
 /// Cross-shard 2PC wire protocol (platform/sharding.h) ---------------------
@@ -53,7 +55,7 @@ inline uint64_t XsBaseId(uint64_t record_id) {
 /// MsgKind::kXsClientTx. Client -> coordinator: a transaction whose keys
 /// straddle `shards` (at least two of them).
 struct XsClientTx {
-  chain::Transaction tx;
+  chain::TxPtr tx;
   std::vector<uint32_t> shards;
 };
 

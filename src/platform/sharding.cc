@@ -63,9 +63,8 @@ void ShardCoordinator::SyncMemGauge() {
   mem_entries_.Set(b);
 }
 
-chain::Transaction ShardCoordinator::MakeRecord(const Entry& e,
-                                                const char* phase,
-                                                uint64_t id_bit) const {
+chain::TxPtr ShardCoordinator::MakeRecord(const Entry& e, const char* phase,
+                                          uint64_t id_bit) const {
   chain::Transaction rec;
   rec.id = e.tx.id | id_bit;
   rec.sender = "xs_coordinator";
@@ -74,25 +73,25 @@ chain::Transaction ShardCoordinator::MakeRecord(const Entry& e,
   rec.args = {vm::Value(ParticipantsCsv(e.shards))};
   rec.submit_time = Now();
   rec.Seal();
-  return rec;
+  return chain::Share(std::move(rec));
 }
 
 void ShardCoordinator::SubmitToShard(uint32_t shard,
-                                     const chain::Transaction& record) {
+                                     const chain::TxPtr& record) {
   // Records enter the shard through the same admission path as client
   // transactions (dedup, rate limit, pool capacity, gossip).
   Send(platform_->ServerInShard(shard, 0), MsgKind::kClientTx,
-       ClientTx{record}, record.SizeBytes());
+       ClientTx{record}, record->SizeBytes());
 }
 
 double ShardCoordinator::HandleClientTx(const sim::Message& msg) {
   const auto& m = msg.payload.As<XsClientTx>();
   double cpu = platform_->options().xs_coordinator_cpu;
   if (msg.corrupted) return cpu;
-  uint64_t base_id = m.tx.id;
+  uint64_t base_id = m.tx->id;
   if (entries_.count(base_id)) return cpu;  // duplicate submission
   Entry& e = entries_[base_id];
-  e.tx = m.tx;
+  e.tx = *m.tx;
   e.shards = m.shards;
   e.client = msg.from;
   ++started_;
@@ -101,7 +100,7 @@ double ShardCoordinator::HandleClientTx(const sim::Message& msg) {
                 .t = Now(), .id = base_id, .aux = e.shards.size(),
                 .name = "xs.prepare"});
   }
-  chain::Transaction prepare = MakeRecord(e, "prepare", kXsPrepareBit);
+  chain::TxPtr prepare = MakeRecord(e, "prepare", kXsPrepareBit);
   for (uint32_t shard : e.shards) SubmitToShard(shard, prepare);
   sim()->After(platform_->options().xs_prepare_timeout,
                [this, base_id] { OnPrepareTimeout(base_id); });
@@ -134,14 +133,14 @@ double ShardCoordinator::HandleReject(const sim::Message& msg) {
   // Rebuild the rejected record and retry on the same shard after a
   // back-off: 2PC must not stall on a transient admission refusal.
   uint32_t shard = uint32_t(size_t(msg.from) / platform_->servers_per_shard());
-  chain::Transaction record;
+  chain::TxPtr record;
   if (m.tx_id & kXsPrepareBit) {
     if (it->second.decided) return cpu;  // prepare phase already over
     record = MakeRecord(it->second, "prepare", kXsPrepareBit);
   } else if (m.tx_id & kXsAbortBit) {
     record = MakeRecord(it->second, "abort", kXsAbortBit);
   } else {
-    record = it->second.tx;  // the commit record
+    record = chain::Share(it->second.tx);  // the commit record
   }
   sim()->After(kResubmitDelay, [this, shard, record] {
     if (!crashed()) SubmitToShard(shard, record);
@@ -174,8 +173,8 @@ void ShardCoordinator::Decide(uint64_t base_id, bool commit) {
     if (break_atomicity_ && e.shards.size() > 1) {
       // Deliberately broken: commit lands on the first participant only,
       // the rest see an abort — the atomicity invariant's target.
-      SubmitToShard(e.shards.front(), e.tx);
-      chain::Transaction abort_rec = MakeRecord(e, "abort", kXsAbortBit);
+      SubmitToShard(e.shards.front(), chain::Share(e.tx));
+      chain::TxPtr abort_rec = MakeRecord(e, "abort", kXsAbortBit);
       for (size_t i = 1; i < e.shards.size(); ++i) {
         SubmitToShard(e.shards[i], abort_rec);
       }
@@ -184,11 +183,12 @@ void ShardCoordinator::Decide(uint64_t base_id, bool commit) {
     // The commit record is the original transaction: each participant
     // shard seals and executes it, and the client's home-shard poll
     // discovers it exactly like a single-shard commit.
-    for (uint32_t shard : e.shards) SubmitToShard(shard, e.tx);
+    chain::TxPtr commit_rec = chain::Share(e.tx);
+    for (uint32_t shard : e.shards) SubmitToShard(shard, commit_rec);
     return;
   }
   ++aborted_;
-  chain::Transaction abort_rec = MakeRecord(e, "abort", kXsAbortBit);
+  chain::TxPtr abort_rec = MakeRecord(e, "abort", kXsAbortBit);
   for (uint32_t shard : e.shards) SubmitToShard(shard, abort_rec);
   Send(e.client, MsgKind::kClientTxReject, ClientTxReject{e.tx.id}, 60);
 }

@@ -58,6 +58,8 @@ class ShardCoordinator : public sim::Node {
   size_t pending() const { return started_ - committed_ - aborted_; }
 
  private:
+  // Keeps its own copy of the client's transaction (by value: sizeof(Entry)
+  // is part of the bookkeeping bytes it reports).
   struct Entry {
     chain::Transaction tx;
     std::vector<uint32_t> shards;
@@ -71,11 +73,12 @@ class ShardCoordinator : public sim::Node {
   double HandleReject(const sim::Message& msg);
   void OnPrepareTimeout(uint64_t base_id);
   void Decide(uint64_t base_id, bool commit);
-  /// The "__xshard" prepare/abort record for `e` ("prepare"/"abort").
-  chain::Transaction MakeRecord(const Entry& e, const char* phase,
-                                uint64_t id_bit) const;
+  /// The "__xshard" prepare/abort record for `e` ("prepare"/"abort"),
+  /// sealed and shared by every shard it is submitted to.
+  chain::TxPtr MakeRecord(const Entry& e, const char* phase,
+                          uint64_t id_bit) const;
   /// Submits a record through `shard`'s normal admission path.
-  void SubmitToShard(uint32_t shard, const chain::Transaction& record);
+  void SubmitToShard(uint32_t shard, const chain::TxPtr& record);
 
   /// Logical bytes of the in-flight 2PC table (the coordinator's
   /// consensus.bookkeeping contribution).

@@ -37,7 +37,7 @@ Status SetupAnalyticsChain(platform::Platform* platform,
   Rng rng(config.seed);
   uint64_t next_id = 1;
   for (uint64_t b = 0; b < config.num_blocks; ++b) {
-    std::vector<chain::Transaction> txs;
+    std::vector<chain::TxPtr> txs;
     for (uint64_t t = 0; t < config.txs_per_block; ++t) {
       uint64_t from = rng.Uniform(config.num_accounts);
       uint64_t to = rng.Bernoulli(config.hot_account_fraction)
@@ -57,7 +57,7 @@ Status SetupAnalyticsChain(platform::Platform* platform,
         tx.value = value;
       }
       tx.Seal();
-      txs.push_back(std::move(tx));
+      txs.push_back(chain::Share(std::move(tx)));
     }
     BB_RETURN_IF_ERROR(platform->PreloadBlock(txs));
   }
@@ -139,11 +139,11 @@ double AnalyticsClient::HandleMessage(const sim::Message& msg) {
     const auto& m = msg.payload.As<platform::RpcBlock>();
     if (m.block != nullptr) {
       for (const auto& tx : m.block->txs) {
-        result_ += tx.value;
+        result_ += tx->value;
         // Hyperledger transfers carry the value as sendValue's 3rd arg.
-        if (tx.function == "sendValue" && tx.args.size() == 3 &&
-            tx.args[2].is_int()) {
-          result_ += tx.args[2].AsInt();
+        if (tx->function == "sendValue" && tx->args.size() == 3 &&
+            tx->args[2].is_int()) {
+          result_ += tx->args[2].AsInt();
         }
       }
     }

@@ -131,8 +131,8 @@ class PoolChurnTest : public testing::TestWithParam<uint64_t> {};
 TEST_P(PoolChurnTest, NoTransactionLostOrDuplicated) {
   Rng rng(GetParam());
   TxPool pool;
-  std::vector<Transaction> committed;
-  std::vector<Transaction> in_flight;  // taken, not yet committed
+  std::vector<TxPtr> committed;
+  std::vector<TxPtr> in_flight;  // taken, not yet committed
   uint64_t next_id = 1;
   uint64_t added = 0;
 
@@ -142,7 +142,7 @@ TEST_P(PoolChurnTest, NoTransactionLostOrDuplicated) {
         Transaction tx;
         tx.id = next_id++;
         tx.Seal();
-        if (pool.Add(tx)) ++added;
+        if (pool.Add(Share(std::move(tx)))) ++added;
         break;
       }
       case 1: {  // take a batch (as a proposer would)
@@ -153,8 +153,7 @@ TEST_P(PoolChurnTest, NoTransactionLostOrDuplicated) {
       }
       case 2: {  // commit some in-flight txs (block accepted)
         size_t n = std::min<size_t>(in_flight.size(), rng.Uniform(4));
-        std::vector<Transaction> block(in_flight.end() - long(n),
-                                       in_flight.end());
+        std::vector<TxPtr> block(in_flight.end() - long(n), in_flight.end());
         in_flight.resize(in_flight.size() - n);
         pool.RemoveCommitted(block);
         for (auto& tx : block) committed.push_back(std::move(tx));
@@ -173,7 +172,7 @@ TEST_P(PoolChurnTest, NoTransactionLostOrDuplicated) {
   // No duplicates among committed ids.
   std::set<uint64_t> ids;
   for (const auto& tx : committed) {
-    EXPECT_TRUE(ids.insert(tx.id).second) << "duplicate commit " << tx.id;
+    EXPECT_TRUE(ids.insert(tx->id).second) << "duplicate commit " << tx->id;
   }
 }
 

@@ -29,6 +29,10 @@ Transaction MakeTx(uint64_t id, const std::string& fn = "f") {
   return tx;
 }
 
+TxPtr Tx(uint64_t id, const std::string& fn = "f") {
+  return Share(MakeTx(id, fn));
+}
+
 // --- Transaction -----------------------------------------------------------------
 
 TEST(TransactionTest, SerializeRoundTrip) {
@@ -62,11 +66,13 @@ TEST(TransactionTest, DeserializeRejectsTruncation) {
 static_assert(!std::is_copy_constructible_v<Block>,
               "a sealed block is shared through BlockPtr, never copied");
 static_assert(std::is_nothrow_move_constructible_v<Block>);
+static_assert(std::is_same_v<decltype(Block::txs), std::vector<TxPtr>>,
+              "a block shares its transactions with the pools, never copies");
 
 TEST(BlockTest, TxRootCommitsToTransactions) {
   Block b1, b2;
-  b1.txs = {MakeTx(1), MakeTx(2)};
-  b2.txs = {MakeTx(1), MakeTx(3)};
+  b1.txs = {Tx(1), Tx(2)};
+  b2.txs = {Tx(1), Tx(3)};
   b1.SealTxRoot();
   b2.SealTxRoot();
   EXPECT_NE(b1.header.tx_root, b2.header.tx_root);
@@ -75,19 +81,19 @@ TEST(BlockTest, TxRootCommitsToTransactions) {
 
 TEST(BlockTest, TxRootIsMerkleRootOfTxHashes) {
   Block b;
-  b.txs = {MakeTx(1), MakeTx(2), MakeTx(3, "other")};
+  b.txs = {Tx(1), Tx(2), Tx(3, "other")};
   b.SealTxRoot();
   // The leaves are the serialize-then-hash digests, not just whatever the
   // sealed transactions carry.
   std::vector<Hash256> leaves;
-  for (const auto& tx : b.txs) leaves.push_back(Sha256::Digest(tx.Serialize()));
+  for (const auto& tx : b.txs) leaves.push_back(Sha256::Digest(tx->Serialize()));
   EXPECT_EQ(b.header.tx_root, storage::MerkleTree(std::move(leaves)).root());
 }
 
 TEST(BlockTest, SizeGrowsWithTxs) {
   size_t empty = Seal(Block())->SizeBytes();
   Block b;
-  b.txs.push_back(MakeTx(1));
+  b.txs.push_back(Tx(1));
   EXPECT_GT(Seal(std::move(b))->SizeBytes(), empty);
 }
 
@@ -98,7 +104,7 @@ TEST(BlockTest, SizeGrowsWithTxs) {
 
 TEST(BlockTest, SealedHashIsHeaderHash) {
   Block b;
-  b.txs = {MakeTx(1), MakeTx(2)};
+  b.txs = {Tx(1), Tx(2)};
   b.SealTxRoot();
   b.header.height = 3;
   b.header.proposer = 2;
@@ -110,10 +116,10 @@ TEST(BlockTest, SealedHashIsHeaderHash) {
 
 TEST(BlockTest, SealedSizeIsHeaderPlusTxSizes) {
   Block b;
-  b.txs = {MakeTx(1), MakeTx(2, "aLongerFunctionName")};
+  b.txs = {Tx(1), Tx(2, "aLongerFunctionName")};
   BlockPtr sealed = Seal(std::move(b));
   size_t want = 200;
-  for (const auto& tx : sealed->txs) want += tx.SizeBytes();
+  for (const auto& tx : sealed->txs) want += tx->SizeBytes();
   EXPECT_EQ(sealed->SizeBytes(), want);
 }
 
@@ -147,24 +153,24 @@ TEST(TransactionTest, ResealFollowsIdRewrite) {
 
 TEST(TxPoolTest, DeduplicatesById) {
   TxPool pool;
-  EXPECT_TRUE(pool.Add(MakeTx(1)));
-  EXPECT_FALSE(pool.Add(MakeTx(1)));
+  EXPECT_TRUE(pool.Add(Tx(1)));
+  EXPECT_FALSE(pool.Add(Tx(1)));
   EXPECT_EQ(pool.pending(), 1u);
 }
 
 TEST(TxPoolTest, TakeBatchRespectsCount) {
   TxPool pool;
-  for (uint64_t i = 0; i < 10; ++i) pool.Add(MakeTx(i));
+  for (uint64_t i = 0; i < 10; ++i) pool.Add(Tx(i));
   auto batch = pool.TakeBatch(4);
   EXPECT_EQ(batch.size(), 4u);
   EXPECT_EQ(pool.pending(), 6u);
-  EXPECT_EQ(batch[0].id, 0u);  // FIFO
+  EXPECT_EQ(batch[0]->id, 0u);  // FIFO
 }
 
 TEST(TxPoolTest, TakeBatchRespectsBytes) {
   TxPool pool;
-  for (uint64_t i = 0; i < 10; ++i) pool.Add(MakeTx(i));
-  size_t one_tx = MakeTx(0).SizeBytes();
+  for (uint64_t i = 0; i < 10; ++i) pool.Add(Tx(i));
+  size_t one_tx = Tx(0)->SizeBytes();
   auto batch = pool.TakeBatch(10, one_tx * 3);
   EXPECT_LE(batch.size(), 3u);
   EXPECT_GE(batch.size(), 1u);
@@ -172,25 +178,25 @@ TEST(TxPoolTest, TakeBatchRespectsBytes) {
 
 TEST(TxPoolTest, RemoveCommittedFiltersQueue) {
   TxPool pool;
-  for (uint64_t i = 0; i < 5; ++i) pool.Add(MakeTx(i));
-  pool.RemoveCommitted({MakeTx(1), MakeTx(3)});
+  for (uint64_t i = 0; i < 5; ++i) pool.Add(Tx(i));
+  pool.RemoveCommitted({Tx(1), Tx(3)});
   EXPECT_EQ(pool.pending(), 3u);
   auto batch = pool.TakeBatch(10);
-  EXPECT_EQ(batch[0].id, 0u);
-  EXPECT_EQ(batch[1].id, 2u);
-  EXPECT_EQ(batch[2].id, 4u);
+  EXPECT_EQ(batch[0]->id, 0u);
+  EXPECT_EQ(batch[1]->id, 2u);
+  EXPECT_EQ(batch[2]->id, 4u);
 }
 
 TEST(TxPoolTest, CommittedViaGossipNeverAdmitted) {
   TxPool pool;
-  pool.RemoveCommitted({MakeTx(9)});  // block arrived before the tx gossip
-  EXPECT_FALSE(pool.Add(MakeTx(9)));
+  pool.RemoveCommitted({Tx(9)});  // block arrived before the tx gossip
+  EXPECT_FALSE(pool.Add(Tx(9)));
   EXPECT_EQ(pool.pending(), 0u);
 }
 
 TEST(TxPoolTest, RequeueRestoresTxs) {
   TxPool pool;
-  pool.Add(MakeTx(1));
+  pool.Add(Tx(1));
   auto batch = pool.TakeBatch(10);
   EXPECT_EQ(pool.pending(), 0u);
   pool.Requeue(batch);
@@ -200,56 +206,96 @@ TEST(TxPoolTest, RequeueRestoresTxs) {
   EXPECT_EQ(pool.pending(), 1u);
 }
 
+TEST(TxPoolTest, SharesTransactionsThroughAddTakeBatchAndRequeue) {
+  TxPool pool;
+  TxPtr a = Tx(1), b = Tx(2);
+  pool.Add(a);
+  pool.Add(b);
+  auto batch = pool.TakeBatch(10);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].get(), a.get());
+  EXPECT_EQ(batch[1].get(), b.get());
+  pool.Requeue(batch);
+  auto again = pool.TakeBatch(10);
+  ASSERT_EQ(again.size(), 2u);
+  EXPECT_EQ(again[0].get(), a.get());
+  EXPECT_EQ(again[1].get(), b.get());
+}
+
+TEST(TxPoolTest, FreedSlotDropsItsReference) {
+  TxPool pool;
+  TxPtr taken = Tx(1);
+  pool.Add(taken);
+  EXPECT_EQ(taken.use_count(), 2);  // the caller and the slot
+  pool.TakeBatch(10);
+  EXPECT_EQ(taken.use_count(), 1);
+  // A committed entry is deleted lazily: its slot keeps the reference
+  // until the cursor purges it.
+  TxPtr committed = Tx(2);
+  pool.Add(committed);
+  pool.RemoveCommitted({committed});
+  EXPECT_EQ(committed.use_count(), 2);
+  pool.Add(Tx(3));
+  pool.TakeBatch(10);
+  EXPECT_EQ(committed.use_count(), 1);
+  // Compaction frees dead slots too.
+  std::vector<TxPtr> many;
+  for (uint64_t id = 10; id < 110; ++id) many.push_back(Tx(id));
+  for (const auto& tx : many) pool.Add(tx);
+  pool.RemoveCommitted(many);
+  for (const auto& tx : many) EXPECT_EQ(tx.use_count(), 1);
+}
+
 TEST(TxPoolTest, SeenWindowRecyclesOldCommittedIds) {
   TxPool pool;
   pool.set_seen_window(2);
-  pool.Add(MakeTx(1));
-  pool.Add(MakeTx(2));
+  pool.Add(Tx(1));
+  pool.Add(Tx(2));
   pool.RemoveCommitted(pool.TakeBatch(10));
   // Three more admissions rotate the two-generation window twice, so ids
   // 1 and 2 fall off the back...
-  for (uint64_t id = 3; id <= 5; ++id) pool.Add(MakeTx(id));
+  for (uint64_t id = 3; id <= 5; ++id) pool.Add(Tx(id));
   EXPECT_FALSE(pool.Seen(1));
   EXPECT_FALSE(pool.Seen(2));
   EXPECT_TRUE(pool.Seen(4));
   // ...and a recycled id is admitted again.
-  EXPECT_TRUE(pool.Add(MakeTx(1)));
-  EXPECT_FALSE(pool.Add(MakeTx(4)));
+  EXPECT_TRUE(pool.Add(Tx(1)));
+  EXPECT_FALSE(pool.Add(Tx(4)));
 }
 
 TEST(TxPoolTest, PendingIdOutsideSeenWindowNotReadmitted) {
   TxPool pool;
   pool.set_seen_window(1);
-  pool.Add(MakeTx(10));
-  pool.Add(MakeTx(11));
-  pool.Add(MakeTx(12));  // id 10 is out of the window but still pending
+  pool.Add(Tx(10));
+  pool.Add(Tx(11));
+  pool.Add(Tx(12));  // id 10 is out of the window but still pending
   EXPECT_FALSE(pool.Seen(10));
-  EXPECT_FALSE(pool.Add(MakeTx(10)));  // queue membership still dedupes
+  EXPECT_FALSE(pool.Add(Tx(10)));  // queue membership still dedupes
   EXPECT_EQ(pool.pending(), 3u);
 }
 
 TEST(TxPoolTest, LazyDeletionPreservesOrderAcrossCompaction) {
   TxPool pool;
-  for (uint64_t i = 0; i < 300; ++i) pool.Add(MakeTx(i));
+  for (uint64_t i = 0; i < 300; ++i) pool.Add(Tx(i));
   // Commit a large middle span to force the dead-entry compaction path.
-  std::vector<Transaction> committed;
-  for (uint64_t i = 10; i < 280; ++i) committed.push_back(MakeTx(i));
+  std::vector<TxPtr> committed;
+  for (uint64_t i = 10; i < 280; ++i) committed.push_back(Tx(i));
   pool.RemoveCommitted(committed);
   EXPECT_EQ(pool.pending(), 30u);
   auto batch = pool.TakeBatch(1000);
   ASSERT_EQ(batch.size(), 30u);
-  for (size_t i = 0; i < 10; ++i) EXPECT_EQ(batch[i].id, i);
-  for (size_t i = 10; i < 30; ++i) EXPECT_EQ(batch[i].id, 270 + i);
+  for (size_t i = 0; i < 10; ++i) EXPECT_EQ(batch[i]->id, i);
+  for (size_t i = 10; i < 30; ++i) EXPECT_EQ(batch[i]->id, 270 + i);
 }
 
 TEST(TxPoolTest, LifoTakesNewestFirstThroughDeadEntries) {
   TxPool pool;
-  for (uint64_t i = 0; i < 6; ++i) pool.Add(MakeTx(i));
-  pool.RemoveCommitted({MakeTx(4), MakeTx(5)});
+  for (uint64_t i = 0; i < 6; ++i) pool.Add(Tx(i));
+  pool.RemoveCommitted({Tx(4), Tx(5)});
   auto batch = pool.TakeBatch(2, 0, /*lifo=*/true);
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].id, 3u);
-  EXPECT_EQ(batch[1].id, 2u);
+  EXPECT_EQ(batch[0]->id, 3u);
+  EXPECT_EQ(batch[1]->id, 2u);
 }
 
 // --- ChainStore -------------------------------------------------------------------

@@ -56,7 +56,7 @@ class MockHost : public ConsensusHost {
       chain::Transaction tx;
       tx.id = next_tx_id++;
       tx.Seal();
-      b.txs.push_back(std::move(tx));
+      b.txs.push_back(chain::Share(std::move(tx)));
     }
     pending_supply -= take;
     b.SealTxRoot();
@@ -71,7 +71,7 @@ class MockHost : public ConsensusHost {
 
   const chain::ChainStore& chain_store() const override { return chain_; }
   size_t pending_txs() const override { return pending_supply; }
-  void RequeueTxs(std::vector<chain::Transaction> txs) override {
+  void RequeueTxs(const std::vector<chain::TxPtr>& txs) override {
     requeued += txs.size();
     pending_supply += txs.size();
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 
 #include "consensus/pbft.h"
 #include "core/driver.h"
@@ -573,6 +574,52 @@ TEST(PlatformE2E, DoNothingCommitsEverywhere) {
     Driver d(&p, &wl, dc);
     d.Run();
     EXPECT_GT(d.stats().total_committed(), 50u) << opts.name;
+  }
+}
+
+TEST(PlatformE2E, ReplicasCommitTheTransactionObjectsTheyWereGossiped) {
+  // A submitter hands each YCSB transaction to a backup (servers 1-3)
+  // and keeps its handle. The primary proposes only what gossip put in
+  // its pool, so a committed transaction that is the submitted object
+  // went client -> pool -> gossip -> pool -> block without a copy.
+  class Submitter : public sim::Node {
+   public:
+    using sim::Node::Node;
+    using sim::Node::Send;
+    double HandleMessage(const sim::Message&) override { return 0; }
+  };
+  sim::Simulation sim(1);
+  Platform p(&sim, HyperledgerOptions(), 4);
+  workloads::YcsbWorkload wl(SmallYcsb());
+  ASSERT_TRUE(wl.Setup(&p).ok());
+  Submitter client(p.first_client_id(), &p.network());
+  p.Start();
+  Rng rng(7);
+  std::map<uint64_t, chain::TxPtr> submitted;
+  for (uint64_t id = 1; id <= 60; ++id) {
+    chain::Transaction tx = wl.NextTransaction(0, rng);
+    tx.id = id;
+    tx.sender = "client0";
+    tx.Seal();
+    chain::TxPtr shared = chain::Share(std::move(tx));
+    submitted[id] = shared;
+    client.Send(sim::NodeId(1 + id % 3), sim::MsgKind::kClientTx,
+                platform::ClientTx{shared}, shared->SizeBytes());
+  }
+  sim.RunUntil(30);
+  for (size_t s = 0; s < p.num_servers(); ++s) {
+    const chain::ChainStore& chain = p.node(s).chain();
+    size_t committed = 0;
+    for (uint64_t h = 1; h <= chain.head_height(); ++h) {
+      for (const chain::TxPtr& tx : chain.CanonicalAt(h)->txs) {
+        auto it = submitted.find(tx->id);
+        ASSERT_NE(it, submitted.end()) << "server " << s << " id " << tx->id;
+        EXPECT_EQ(tx.get(), it->second.get())
+            << "server " << s << " holds a private copy of " << tx->id;
+        ++committed;
+      }
+    }
+    EXPECT_EQ(committed, submitted.size()) << "server " << s;
   }
 }
 

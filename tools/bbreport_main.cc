@@ -277,8 +277,10 @@ class Report {
 // --gate-ratio compares two microbenchmarks of the same run instead of a
 // committed snapshot, which keeps it meaningful across machines (see
 // docs/BENCHMARKING.md). A file written with --benchmark_repetitions
-// carries aggregates, and the gate then reads each benchmark's median;
-// without them it reads the benchmark's first cpu_time.
+// carries one entry per repetition; the gate divides repetition i of NUM
+// by repetition i of DEN, which random interleaving runs in the same
+// round, and reads the median of those ratios. Without repetitions it
+// divides the two benchmarks' first cpu_time.
 
 class BenchReport : public Report {
  public:
@@ -313,11 +315,13 @@ class BenchReport : public Report {
     for (const Json& b : benchmarks->items()) {
       const Json* cpu = b.Get("cpu_time");
       if (cpu == nullptr || !cpu->is_number()) continue;
-      const Json* agg = b.Get("aggregate_name");
-      const Json* run = b.Get("run_name");
-      if (agg != nullptr && agg->is_string() && agg->AsString() == "median" &&
-          run != nullptr && run->is_string()) {
-        cpu_[run->AsString()] = cpu->AsDouble();  // outranks any repetition
+      const Json* type = b.Get("run_type");
+      const Json* rep = b.Get("repetition_index");
+      if (type != nullptr && type->is_string() &&
+          type->AsString() == "iteration" && rep != nullptr &&
+          rep->is_number()) {
+        reps_[b.Get("name")->AsString()].emplace(int64_t(rep->AsDouble()),
+                                                 cpu->AsDouble());
       }
       cpu_.emplace(b.Get("name")->AsString(), cpu->AsDouble());
     }
@@ -335,20 +339,39 @@ class BenchReport : public Report {
         return Fail("gate benchmark missing: " +
                     (num == cpu_.end() ? g.num : g.den));
       }
-      if (den->second <= 0) {
-        return Fail("gate denominator " + g.den + " has cpu_time 0");
+      // (NUM, DEN) cpu_time pairs: one per repetition index both ran,
+      // else the first sightings.
+      std::vector<std::pair<double, double>> pairs;
+      const auto& den_reps = reps_[g.den];
+      for (const auto& [rep, num_cpu] : reps_[g.num]) {
+        auto den_cpu = den_reps.find(rep);
+        if (den_cpu != den_reps.end()) {
+          pairs.emplace_back(num_cpu, den_cpu->second);
+        }
       }
-      if (!Gate(g.num + "/" + g.den, num->second / den->second, g.bound)) {
-        return 1;
+      if (pairs.empty()) pairs.emplace_back(num->second, den->second);
+      std::vector<double> ratios;
+      for (const auto& [num_cpu, den_cpu] : pairs) {
+        if (den_cpu <= 0) {
+          return Fail("gate denominator " + g.den + " has cpu_time 0");
+        }
+        ratios.push_back(num_cpu / den_cpu);
       }
+      std::sort(ratios.begin(), ratios.end());
+      const size_t mid = ratios.size() / 2;
+      double ratio = ratios.size() % 2 == 1
+                         ? ratios[mid]
+                         : (ratios[mid - 1] + ratios[mid]) / 2;
+      if (!Gate(g.num + "/" + g.den, ratio, g.bound)) return 1;
     }
     return 0;
   }
 
  private:
-  // Benchmark name -> cpu_time of its median aggregate when the run has
-  // repetitions, else of its first sighting.
+  // Benchmark name -> cpu_time of its first sighting.
   std::map<std::string, double> cpu_;
+  // Benchmark name -> repetition index -> cpu_time (first sighting).
+  std::map<std::string, std::map<int64_t, double>> reps_;
 };
 
 // --- trace -------------------------------------------------------------------
@@ -1077,7 +1100,8 @@ const Sub kSubs[] = {
     {"bench", "FILE.json...",
      {{"--gate-ratio", "NUM/DEN:MAX", IsRatioGate,
        "fail when the cpu_time ratio of two benchmarks of the same run "
-       "exceeds MAX (the median of repetitions when present; repeatable)"}},
+       "exceeds MAX (with repetitions, the median of the ratios of "
+       "repetitions with equal index; repeatable)"}},
      {}, Make<BenchReport>},
     {"trace", "TRACE.json...", {}, {}, Make<TraceReport>},
     {"audit", "REPORT.json...",
