@@ -21,18 +21,16 @@ using namespace bb::bench;
 
 namespace {
 
-MacroConfig StackConfig(const platform::PlatformOptions& options,
-                        double duration) {
-  MacroConfig cfg;
-  cfg.options = options;
-  cfg.servers = 4;
-  cfg.clients = 4;
-  cfg.rate = 30;
-  cfg.duration = duration;
-  cfg.drain = 20;
-  cfg.warmup = 10;
-  cfg.ycsb_records = 1000;
-  return cfg;
+obs::RunSpec AblationSpec(const std::string& platform, double duration) {
+  obs::RunSpec spec = BaseSpec(platform);
+  spec.servers = 4;
+  spec.clients = 4;
+  spec.rate = 30;
+  spec.duration = duration;
+  spec.drain = 20;
+  spec.warmup = 10;
+  spec.ycsb_records = 1000;
+  return spec;
 }
 
 void PrintRow(const std::string& name, const core::BenchReport& r) {
@@ -68,14 +66,14 @@ int main(int argc, char** argv) {
                        options.status().ToString().c_str());
           continue;
         }
-        runner.Add(StackConfig(*options, duration), {{"stack", spec}});
+        runner.Add(AblationSpec(spec, duration), {{"stack", spec}});
         rows.push_back({spec, c});
       }
     }
   }
   for (const auto& name : platform::PlatformRegistry::Instance().Names()) {
     auto options = platform::PlatformRegistry::Instance().Make(name);
-    runner.Add(StackConfig(*options, duration), {{"platform", name}});
+    runner.Add(AblationSpec(name, duration), {{"platform", name}});
     rows.push_back(
         {name + " (" + platform::ToString(options->stack) + ")", nullptr});
   }

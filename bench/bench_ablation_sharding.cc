@@ -9,6 +9,7 @@
 // collapses.
 
 #include "common.h"
+#include "workloads/ycsb.h"
 
 using namespace bb;
 using namespace bb::bench;
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
   const size_t kShardSize = 4;
   std::vector<size_t> shard_counts = {1, 2, 4, 8};
 
-  auto opts = OptionsFor("hyperledger");
+  auto opts = platform::StackOptionsFromString("hyperledger");
   if (!opts.ok()) return UsageError(argv[0], opts.status());
 
   // Each shard-count point owns its Simulation, so the points fan out

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   BenchArgs args = ParseBenchArgs(argc, argv);
   double duration = args.full ? 240 : 90;
 
-  auto base = OptionsFor("parity");
+  auto base = platform::StackOptionsFromString("parity");
   if (!base.ok()) return UsageError(argv[0], base.status());
 
   const char* names[4] = {"parity (baseline)", "parity, signing removed",
@@ -21,31 +21,33 @@ int main(int argc, char** argv) {
                           "parity, no admission cap"};
   SweepRunner runner("ablation_signing", args);
   for (int variant = 0; variant < 4; ++variant) {
-    MacroConfig cfg;
-    cfg.options = *base;
-    cfg.rate = 256;
-    cfg.duration = duration;
+    SweepCase c;
+    c.spec = BaseSpec("parity");
+    c.spec.rate = 256;
+    c.spec.duration = duration;
+    platform::PlatformOptions& o = c.options.emplace(*base);
     switch (variant) {
       case 0:
         break;
       case 1:
         // Remove the whole signing-bound client stack: per-tx sealing
         // cost AND the admission rate limit derived from it.
-        cfg.options.seal_sign_cpu = 0;
-        cfg.options.block_tx_limit = 820;
-        cfg.options.admission_rate_limit = 0;
+        o.seal_sign_cpu = 0;
+        o.block_tx_limit = 820;
+        o.admission_rate_limit = 0;
         break;
       case 2:
-        cfg.options.seal_sign_cpu /= 2;
-        cfg.options.admission_rate_limit *= 2;
+        o.seal_sign_cpu /= 2;
+        o.admission_rate_limit *= 2;
         break;
       default:
         // Admission cap removed but signing kept: throughput must stay
         // at the signing ceiling, proving which stage binds.
-        cfg.options.admission_rate_limit = 0;
+        o.admission_rate_limit = 0;
         break;
     }
-    runner.Add(std::move(cfg), {{"variant", names[variant]}});
+    c.labels = {{"variant", names[variant]}};
+    runner.Add(std::move(c));
   }
 
   PrintHeader("Ablation: Parity with and without the signing stage (YCSB, "

@@ -14,19 +14,8 @@ int main(int argc, char** argv) {
   double duration = args.full ? 180 : 80;
   std::vector<size_t> sizes = {4, 8, 16};
 
-  struct Engine {
-    const char* name;
-    platform::PlatformOptions opts;
-    double rate;
-  };
-  std::vector<Engine> engines;
-  for (const char* name : {"ethereum", "parity", "hyperledger"}) {
-    auto opts = OptionsFor(name);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
-    engines.push_back({name, *opts, 128});
-  }
-  engines.push_back({"erisdb", platform::ErisDbOptions(), 128});
-  engines.push_back({"corda", platform::CordaOptions(), 128});
+  const char* engines[] = {"ethereum", "parity", "hyperledger", "erisdb",
+                           "corda"};
   const char* consensus_names[] = {"PoW", "PoA", "PBFT", "Tendermint",
                                    "Raft(CFT)"};
 
@@ -37,22 +26,23 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   std::vector<double> blocks;
-  for (size_t ri = 0; ri < engines.size(); ++ri) {
+  for (size_t ri = 0; ri < std::size(engines); ++ri) {
     for (size_t n : sizes) {
       SweepCase c;
-      c.config.options = engines[ri].opts;
-      c.config.servers = n;
-      c.config.clients = n;
-      c.config.rate = engines[ri].rate;
-      c.config.duration = duration;
-      c.labels = {{"platform", engines[ri].name},
+      c.spec = BaseSpec(engines[ri]);
+      c.spec.servers = n;
+      c.spec.clients = n;
+      c.spec.rate = 128;
+      c.spec.duration = duration;
+      c.labels = {{"platform", engines[ri]},
                   {"consensus", consensus_names[ri]},
                   {"n", std::to_string(n)}};
       size_t slot = rows.size();
       blocks.push_back(0.0);
-      c.after = [&blocks, slot](MacroRun& run, const core::BenchReport&) {
+      c.after = [&blocks, slot](workloads::RunStack& run,
+                                const core::BenchReport&) {
         blocks[slot] =
-            double(run.rplatform().node(0).chain().main_chain_blocks());
+            double(run.platform().node(0).chain().main_chain_blocks());
       };
       runner.Add(std::move(c));
       rows.push_back({ri, n});
@@ -65,7 +55,7 @@ int main(int argc, char** argv) {
   bool ok = runner.Run([&](size_t i, const SweepOutcome& o) {
     if (!o.status.ok()) return;
     std::printf("%-12s %-12s %4zu | %10.1f %12.2f %10.2f\n",
-                engines[rows[i].ri].name, consensus_names[rows[i].ri],
+                engines[rows[i].ri], consensus_names[rows[i].ri],
                 rows[i].n, o.report.throughput, o.report.latency_p50,
                 blocks[i] / (duration + 30));
   });

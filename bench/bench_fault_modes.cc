@@ -38,26 +38,23 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   std::vector<uint64_t> orphans;
   for (const char* p : kAllPlatforms) {
-    auto opts = OptionsFor(p);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
     for (double delay : {0.0, 0.05, 0.2, 0.5}) {
       SweepCase c;
-      c.config.options = *opts;
-      c.config.rate = 40;
-      c.config.duration = duration;
+      c.spec = BaseSpec(p);
+      c.spec.rate = 40;
+      c.spec.duration = duration;
+      c.spec.delay = delay;
       c.labels = {{"platform", p},
                   {"mode", "delay"},
                   {"delay_ms", std::to_string(int(delay * 1e3))}};
-      c.before = [delay](MacroRun& run) {
-        run.rplatform().network().InjectDelay(delay);
-      };
       size_t slot = rows.size();
       orphans.push_back(0);
-      c.after = [&orphans, slot](MacroRun& run, const core::BenchReport&) {
+      c.after = [&orphans, slot](workloads::RunStack& run,
+                                 const core::BenchReport&) {
         uint64_t worst = 0;
-        for (size_t i = 0; i < run.rplatform().num_servers(); ++i) {
+        for (size_t i = 0; i < run.platform().num_servers(); ++i) {
           worst = std::max<uint64_t>(
-              worst, run.rplatform().node(i).chain().orphaned_blocks());
+              worst, run.platform().node(i).chain().orphaned_blocks());
         }
         orphans[slot] = worst;
       };
@@ -66,20 +63,15 @@ int main(int argc, char** argv) {
     }
   }
   for (const char* p : kAllPlatforms) {
-    auto opts = OptionsFor(p);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
     for (double frac : {0.0, 0.02, 0.10, 0.25}) {
-      SweepCase c;
-      c.config.options = *opts;
-      c.config.rate = 40;
-      c.config.duration = duration;
-      c.labels = {{"platform", p},
+      obs::RunSpec spec = BaseSpec(p);
+      spec.rate = 40;
+      spec.duration = duration;
+      spec.corrupt = frac;
+      runner.Add(std::move(spec),
+                 {{"platform", p},
                   {"mode", "corrupt"},
-                  {"corrupt_pct", std::to_string(int(frac * 100))}};
-      c.before = [frac](MacroRun& run) {
-        run.rplatform().network().SetCorruptProbability(frac);
-      };
-      runner.Add(std::move(c));
+                  {"corrupt_pct", std::to_string(int(frac * 100))}});
       orphans.push_back(0);
       rows.push_back({p, true, frac});
     }

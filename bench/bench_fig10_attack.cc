@@ -30,36 +30,31 @@ int main(int argc, char** argv) {
 
   SweepRunner runner("fig10_attack", args);
   for (int pi = 0; pi < 3; ++pi) {
-    auto opts = OptionsFor(kPlatforms[pi]);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
     samplers[size_t(pi)] =
         std::make_unique<obs::Sampler>(obs::Sampler::Config{10.0, 0.0});
     SweepCase c;
-    c.config.options = *opts;
-    c.config.servers = 8;
-    c.config.clients = 8;
-    c.config.rate = 60;
-    c.config.duration = end_time;
-    c.config.drain = 0;
-    c.config.sampler = samplers[size_t(pi)].get();
+    c.spec = BaseSpec(kPlatforms[pi]);
+    c.spec.servers = 8;
+    c.spec.clients = 8;
+    c.spec.rate = 60;
+    c.spec.duration = end_time;
+    c.spec.drain = 0;
+    // Servers {0, 1, 2, 3} are cut off from {4, ..., 7}.
+    c.spec.partition_start = t_partition;
+    c.spec.partition_end = t_heal;
+    c.sinks.sampler = samplers[size_t(pi)].get();
     recorders[size_t(pi)] = std::make_unique<obs::FlightRecorder>();
-    c.config.recorder = recorders[size_t(pi)].get();
-    specs[size_t(pi)] = RunSpecFromMacro(c.config);
-    specs[size_t(pi)].partition_start = t_partition;
-    specs[size_t(pi)].partition_end = t_heal;
+    c.sinks.recorder = recorders[size_t(pi)].get();
+    specs[size_t(pi)] = c.spec;
     c.labels = {{"platform", kPlatforms[pi]}};
     std::vector<double>* tot = &totals[size_t(pi)];
     std::vector<double>* mn = &mains[size_t(pi)];
     obs::AuditReport* audit = &audits[size_t(pi)];
-    c.before = [t_partition, t_heal, end_time, tot, mn](MacroRun& run) {
-      auto& net = run.rplatform().network();
-      run.rsim().At(t_partition, [&net] { net.Partition({0, 1, 2, 3}); });
-      run.rsim().At(t_heal, [&net] { net.HealPartition(); });
-
+    c.before = [end_time, tot, mn](workloads::RunStack& run) {
       // Sample block counts every 10 s (writes only this case's storage).
       for (double t = 10; t <= end_time; t += 10) {
-        run.rsim().At(t, [&run, tot, mn] {
-          auto& p = run.rplatform();
+        run.sim().At(t, [&run, tot, mn] {
+          auto& p = run.platform();
           // Total blocks produced across all proposers; main-branch blocks
           // as agreed by a node from each partition side (max view).
           uint64_t best_main = 0;
@@ -72,13 +67,8 @@ int main(int argc, char** argv) {
         });
       }
     };
-    c.after = [audit, t_heal, end_time](MacroRun& run,
-                                        const core::BenchReport&) {
-      obs::AuditorConfig ac;
-      ac.confirmation_depth = run.config().options.confirmation_depth;
-      ac.heal_time = t_heal;
-      ac.end_time = end_time;
-      *audit = platform::RunAudit(run.rplatform(), ac);
+    c.after = [audit](workloads::RunStack& run, const core::BenchReport&) {
+      *audit = platform::RunAudit(run.platform(), run.audit_config());
     };
     runner.Add(std::move(c));
   }
@@ -112,21 +102,11 @@ int main(int argc, char** argv) {
   for (int pi = 0; pi < 3; ++pi) {
     const obs::AuditReport& audit = audits[size_t(pi)];
     std::printf("%s:\n%s", kPlatforms[pi], audit.RenderTable().c_str());
-    if (!audit.ok()) {
-      std::string dump =
-          std::string("fig10-") + kPlatforms[pi] + ".blackbox.json";
-      obs::BlackboxTrigger trig{"audit_violation",
-                                audit.violations.front().invariant,
-                                audit.violations.front().detail};
-      Status ws = recorders[size_t(pi)]->WriteJson(dump, specs[size_t(pi)],
-                                                   trig);
-      if (ws.ok()) {
-        std::printf("    repro: bbench --replay=%s\n", dump.c_str());
-      } else {
-        std::fprintf(stderr, "fig10: blackbox write failed: %s\n",
-                     ws.ToString().c_str());
-        ok = false;
-      }
+    if (!audit.ok() &&
+        !DumpViolation("fig10", *recorders[size_t(pi)], specs[size_t(pi)],
+                       audit, std::string("fig10-") + kPlatforms[pi] +
+                                  ".blackbox.json")) {
+      ok = false;
     }
   }
   return ok ? 0 : 1;

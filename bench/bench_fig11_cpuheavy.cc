@@ -73,9 +73,9 @@ int main(int argc, char** argv) {
       ? std::vector<int64_t>{1'000'000, 10'000'000, 100'000'000}
       : std::vector<int64_t>{10'000, 100'000, 1'000'000};
 
-  auto eth = OptionsFor("ethereum");
+  auto eth = platform::StackOptionsFromString("ethereum");
   if (!eth.ok()) return UsageError(argv[0], eth.status());
-  auto par = OptionsFor("parity");
+  auto par = platform::StackOptionsFromString("parity");
   if (!par.ok()) return UsageError(argv[0], par.status());
   // Model the testbed's 32 GB memory ceiling relative to the sweep: the
   // geth-style engine (2200 B/word accounted) dies at the largest size,

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
               "#blocks", "latency (s)", "#RPCs", "result");
 
   for (const char* pname : kPlatforms) {
-    auto opts = OptionsFor(pname);
+    auto opts = platform::StackOptionsFromString(pname);
     if (!opts.ok()) return UsageError(argv[0], opts.status());
     sim::Simulation sim(7);
     platform::Platform p(&sim, *opts, 1);

@@ -15,8 +15,7 @@ int main(int argc, char** argv) {
   double duration = args.full ? 300 : 90;
   // Saturating rates per platform (found by the Fig 5 sweep).
   double sat_rate[3] = {256, 64, 384};
-  WorkloadKind kinds[3] = {WorkloadKind::kSmallbank, WorkloadKind::kYcsb,
-                           WorkloadKind::kDoNothing};
+  const char* workloads[3] = {"smallbank", "ycsb", "donothing"};
 
   SweepRunner runner("fig13_donothing", args);
   struct Row {
@@ -25,16 +24,14 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   for (int pi = 0; pi < 3; ++pi) {
-    auto opts = OptionsFor(kPlatforms[pi]);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
     for (int wi = 0; wi < 3; ++wi) {
-      MacroConfig cfg;
-      cfg.options = *opts;
-      cfg.rate = sat_rate[pi];
-      cfg.duration = duration;
-      cfg.workload = kinds[wi];
-      runner.Add(std::move(cfg), {{"platform", kPlatforms[pi]},
-                                  {"workload", WorkloadName(kinds[wi])}});
+      obs::RunSpec spec = BaseSpec(kPlatforms[pi]);
+      spec.rate = sat_rate[pi];
+      spec.duration = duration;
+      spec.workload = workloads[wi];
+      runner.Add(std::move(spec),
+                 {{"platform", kPlatforms[pi]},
+                  {"workload", WorkloadLabel(workloads[wi])}});
       rows.push_back({pi, wi});
     }
   }

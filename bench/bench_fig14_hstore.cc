@@ -120,17 +120,14 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   for (int pi = 0; pi < 3; ++pi) {
-    auto opts = OptionsFor(kPlatforms[pi]);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
     for (int wi = 0; wi < 2; ++wi) {
-      WorkloadKind w = wi == 0 ? WorkloadKind::kYcsb : WorkloadKind::kSmallbank;
-      MacroConfig cfg;
-      cfg.options = *opts;
-      cfg.rate = sat_rate[pi];
-      cfg.duration = chain_duration;
-      cfg.workload = w;
-      runner.Add(std::move(cfg), {{"platform", kPlatforms[pi]},
-                                  {"workload", WorkloadName(w)}});
+      const char* w = wi == 0 ? "ycsb" : "smallbank";
+      obs::RunSpec spec = BaseSpec(kPlatforms[pi]);
+      spec.rate = sat_rate[pi];
+      spec.duration = chain_duration;
+      spec.workload = w;
+      runner.Add(std::move(spec), {{"platform", kPlatforms[pi]},
+                                   {"workload", WorkloadLabel(w)}});
       rows.push_back({pi, wi});
     }
   }

@@ -40,23 +40,19 @@ int main(int argc, char** argv) {
   for (size_t shards : shard_counts) {
     for (double ratio : ratios) {
       if (shards == 1 && ratio > 0) continue;  // nothing to straddle
-      std::string spec = "hyperledger";
-      if (shards > 1) spec += "@shards=" + std::to_string(shards);
-      auto opts = OptionsFor(spec);
-      if (!opts.ok()) return UsageError(argv[0], opts.status());
-      MacroConfig cfg;
-      cfg.options = *opts;
-      cfg.servers = kShardSize;  // per shard
-      cfg.clients = kClientsPerShard * shards;
-      cfg.rate = kRate;
-      cfg.duration = duration;
-      cfg.drain = 30;
-      cfg.workload = WorkloadKind::kSmallbank;
-      cfg.cross_shard_ratio = ratio;
+      obs::RunSpec spec = BaseSpec("hyperledger");
+      if (shards > 1) spec.platform += "@shards=" + std::to_string(shards);
+      spec.servers = kShardSize;  // per shard
+      spec.clients = kClientsPerShard * shards;
+      spec.rate = kRate;
+      spec.duration = duration;
+      spec.drain = 30;
+      spec.workload = "smallbank";
+      spec.cross_shard = ratio;
       char ratio_label[16];
       std::snprintf(ratio_label, sizeof(ratio_label), "%.2f", ratio);
-      runner.Add(std::move(cfg), {{"shards", std::to_string(shards)},
-                                  {"ratio", ratio_label}});
+      runner.Add(std::move(spec), {{"shards", std::to_string(shards)},
+                                   {"ratio", ratio_label}});
       rows.push_back({shards, ratio});
     }
   }

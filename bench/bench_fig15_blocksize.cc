@@ -28,32 +28,32 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   std::vector<double> blocks(9, 0.0);
   for (int pi = 0; pi < 3; ++pi) {
-    auto opts = OptionsFor(kPlatforms[pi]);
+    auto opts = platform::StackOptionsFromString(kPlatforms[pi]);
     if (!opts.ok()) return UsageError(argv[0], opts.status());
     for (int si = 0; si < 3; ++si) {
       double factor = si == 0 ? 0.5 : (si == 1 ? 1.0 : 2.0);
       SweepCase c;
-      c.config.options = *opts;
-      c.config.rate = 384;
-      c.config.duration = duration;
-      c.config.drain = 10;
+      c.spec = BaseSpec(kPlatforms[pi]);
+      c.spec.rate = 384;
+      c.spec.duration = duration;
+      c.spec.drain = 10;
+      platform::PlatformOptions& o = c.options.emplace(*opts);
       if (std::string(kPlatforms[pi]) == "ethereum") {
-        c.config.options.block_tx_limit =
-            size_t(double(c.config.options.block_tx_limit) * factor);
+        o.block_tx_limit = size_t(double(o.block_tx_limit) * factor);
         // Difficulty response to the heavier blocks.
-        c.config.options.pow.base_block_interval *= factor;
+        o.pow.base_block_interval *= factor;
       } else if (std::string(kPlatforms[pi]) == "parity") {
-        c.config.options.poa.step_duration *= 2.0 * factor;  // 1 / 2 / 4 s
+        o.poa.step_duration *= 2.0 * factor;  // 1 / 2 / 4 s
       } else {
-        c.config.options.pbft.batch_size =
-            size_t(double(c.config.options.pbft.batch_size) * factor);
-        c.config.options.block_tx_limit = c.config.options.pbft.batch_size;
+        o.pbft.batch_size = size_t(double(o.pbft.batch_size) * factor);
+        o.block_tx_limit = o.pbft.batch_size;
       }
       c.labels = {{"platform", kPlatforms[pi]}, {"size", size_names[si]}};
       size_t slot = rows.size();
-      c.after = [&blocks, slot](MacroRun& run, const core::BenchReport&) {
+      c.after = [&blocks, slot](workloads::RunStack& run,
+                                const core::BenchReport&) {
         blocks[slot] =
-            double(run.rplatform().node(0).chain().main_chain_blocks());
+            double(run.platform().node(0).chain().main_chain_blocks());
       };
       runner.Add(std::move(c));
       rows.push_back({kPlatforms[pi], size_names[si]});

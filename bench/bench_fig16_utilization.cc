@@ -22,20 +22,18 @@ int main(int argc, char** argv) {
 
   SweepRunner runner("fig16_utilization", args);
   for (int pi = 0; pi < 3; ++pi) {
-    auto opts = OptionsFor(kPlatforms[pi]);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
     SweepCase c;
-    c.config.options = *opts;
-    c.config.rate = sat_rate[pi];
-    c.config.duration = duration;
-    c.config.drain = 0;
+    c.spec = BaseSpec(kPlatforms[pi]);
+    c.spec.rate = sat_rate[pi];
+    c.spec.duration = duration;
+    c.spec.drain = 0;
     c.labels = {{"platform", kPlatforms[pi]}};
     std::vector<double>* cpu_out = &cpu[size_t(pi)];
     std::vector<double>* mbps_out = &mbps[size_t(pi)];
     sim::MsgCounts* msgs_out = &msgs[size_t(pi)];
     c.after = [cpu_out, mbps_out, msgs_out, duration](
-                  MacroRun& run, const core::BenchReport&) {
-      const auto& meter = run.rplatform().node(1).meter();
+                  workloads::RunStack& run, const core::BenchReport&) {
+      const auto& meter = run.platform().node(1).meter();
       for (size_t s = 0; s < size_t(duration); s += 5) {
         cpu_out->push_back(meter.CpuUtilizationAt(s) * 100);
         mbps_out->push_back(meter.NetworkMbpsAt(s));

@@ -22,18 +22,16 @@ int main(int argc, char** argv) {
 
   SweepRunner runner("fig17_latency_cdf", args);
   for (int wi = 0; wi < 2; ++wi) {
-    WorkloadKind w = wi == 0 ? WorkloadKind::kYcsb : WorkloadKind::kSmallbank;
+    const char* w = wi == 0 ? "ycsb" : "smallbank";
     for (int pi = 0; pi < 3; ++pi) {
-      auto opts = OptionsFor(kPlatforms[pi]);
-      if (!opts.ok()) return UsageError(argv[0], opts.status());
       SweepCase c;
-      c.config.options = *opts;
-      c.config.rate = rates[pi];
-      c.config.duration = duration;
-      c.config.workload = w;
-      c.labels = {{"platform", kPlatforms[pi]}, {"workload", WorkloadName(w)}};
+      c.spec = BaseSpec(kPlatforms[pi]);
+      c.spec.rate = rates[pi];
+      c.spec.duration = duration;
+      c.spec.workload = w;
+      c.labels = {{"platform", kPlatforms[pi]}, {"workload", WorkloadLabel(w)}};
       Histogram* out = &hists[wi][pi];
-      c.after = [out](MacroRun& run, const core::BenchReport&) {
+      c.after = [out](workloads::RunStack& run, const core::BenchReport&) {
         *out = run.driver().stats().latencies();
       };
       runner.Add(std::move(c));
@@ -43,8 +41,8 @@ int main(int argc, char** argv) {
   bool ok = runner.Run(nullptr);
 
   for (int wi = 0; wi < 2; ++wi) {
-    WorkloadKind w = wi == 0 ? WorkloadKind::kYcsb : WorkloadKind::kSmallbank;
-    PrintHeader(std::string("Figure 17: latency CDF, ") + WorkloadName(w));
+    const char* w = wi == 0 ? "ycsb" : "smallbank";
+    PrintHeader(std::string("Figure 17: latency CDF, ") + WorkloadLabel(w));
     std::printf("%6s | %12s %12s %12s\n", "pct", "ethereum(s)", "parity(s)",
                 "hyperledger(s)");
     for (double pct : {1., 5., 10., 25., 50., 75., 90., 95., 99., 99.9}) {

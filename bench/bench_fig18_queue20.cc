@@ -20,18 +20,17 @@ int main(int argc, char** argv) {
 
   SweepRunner runner("fig18_queue20", args);
   for (int pi = 0; pi < 3; ++pi) {
-    auto opts = OptionsFor(kPlatforms[pi]);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
     SweepCase c;
-    c.config.options = *opts;
-    c.config.servers = 20;
-    c.config.clients = 20;
-    c.config.rate = 100;  // overload: at 20 nodes Hyperledger stops generating blocks
-    c.config.duration = duration;
-    c.config.drain = 0;
+    c.spec = BaseSpec(kPlatforms[pi]);
+    c.spec.servers = 20;
+    c.spec.clients = 20;
+    c.spec.rate = 100;  // overload: at 20 nodes Hyperledger stops generating blocks
+    c.spec.duration = duration;
+    c.spec.drain = 0;
     c.labels = {{"platform", kPlatforms[pi]}};
     std::vector<double>* out = &queues[size_t(pi)];
-    c.after = [out, duration](MacroRun& run, const core::BenchReport&) {
+    c.after = [out, duration](workloads::RunStack& run,
+                              const core::BenchReport&) {
       for (size_t s = 0; s < size_t(duration); s += 10) {
         out->push_back(run.driver().stats().QueueLengthAt(s));
       }

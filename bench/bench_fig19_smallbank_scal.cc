@@ -21,19 +21,16 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   for (int pi = 0; pi < 3; ++pi) {
-    auto opts = OptionsFor(kPlatforms[pi]);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
     for (size_t n : sizes) {
-      MacroConfig cfg;
-      cfg.options = *opts;
-      cfg.servers = n;
-      cfg.clients = n;
-      cfg.rate = 80;
-      cfg.duration = duration;
-      cfg.drain = 20;
-      cfg.workload = WorkloadKind::kSmallbank;
-      runner.Add(std::move(cfg), {{"platform", kPlatforms[pi]},
-                                  {"n", std::to_string(n)}});
+      obs::RunSpec spec = BaseSpec(kPlatforms[pi]);
+      spec.servers = n;
+      spec.clients = n;
+      spec.rate = 80;
+      spec.duration = duration;
+      spec.drain = 20;
+      spec.workload = "smallbank";
+      runner.Add(std::move(spec), {{"platform", kPlatforms[pi]},
+                                   {"n", std::to_string(n)}});
       rows.push_back({kPlatforms[pi], n});
     }
   }

@@ -27,20 +27,17 @@ int main(int argc, char** argv) {
     double rate;
   };
   std::vector<Row> rows;
+  const char* workloads[2] = {"ycsb", "smallbank"};
   for (int pi = 0; pi < 3; ++pi) {
-    auto opts = OptionsFor(kPlatforms[pi]);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
     for (int wi = 0; wi < 2; ++wi) {
-      WorkloadKind w = wi == 0 ? WorkloadKind::kYcsb : WorkloadKind::kSmallbank;
       for (double rate : rates) {
-        MacroConfig cfg;
-        cfg.options = *opts;
-        cfg.rate = rate;
-        cfg.duration = duration;
-        cfg.workload = w;
-        runner.Add(std::move(cfg),
+        obs::RunSpec spec = BaseSpec(kPlatforms[pi]);
+        spec.rate = rate;
+        spec.duration = duration;
+        spec.workload = workloads[wi];
+        runner.Add(std::move(spec),
                    {{"platform", kPlatforms[pi]},
-                    {"workload", WorkloadName(w)},
+                    {"workload", WorkloadLabel(workloads[wi])},
                     {"rate", std::to_string(int(rate))}});
         rows.push_back({pi, wi, rate});
       }
@@ -61,10 +58,9 @@ int main(int argc, char** argv) {
   bool ok = runner.Run([&](size_t i, const SweepOutcome& o) {
     if (!o.status.ok()) return;
     const Row& row = rows[i];
-    WorkloadKind w = row.wi == 0 ? WorkloadKind::kYcsb
-                                 : WorkloadKind::kSmallbank;
     std::printf("%-12s %-10s %8.0f | %10.1f %12.2f %12.2f\n",
-                kPlatforms[row.pi], WorkloadName(w), row.rate,
+                kPlatforms[row.pi], WorkloadLabel(workloads[row.wi]).c_str(),
+                row.rate,
                 o.report.throughput, o.report.latency_p50,
                 o.report.latency_mean);
     if (o.report.throughput > peak[row.pi][row.wi].tput) {

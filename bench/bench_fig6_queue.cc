@@ -21,17 +21,16 @@ int main(int argc, char** argv) {
   std::vector<double> queues[2][3];
   for (int ri = 0; ri < 2; ++ri) {
     for (int pi = 0; pi < 3; ++pi) {
-      auto opts = OptionsFor(kPlatforms[pi]);
-      if (!opts.ok()) return UsageError(argv[0], opts.status());
       SweepCase c;
-      c.config.options = *opts;
-      c.config.rate = rates[ri];
-      c.config.duration = duration;
-      c.config.drain = 0;
+      c.spec = BaseSpec(kPlatforms[pi]);
+      c.spec.rate = rates[ri];
+      c.spec.duration = duration;
+      c.spec.drain = 0;
       c.labels = {{"platform", kPlatforms[pi]},
                   {"rate", std::to_string(int(rates[ri]))}};
       std::vector<double>* out = &queues[ri][pi];
-      c.after = [out, duration](MacroRun& run, const core::BenchReport&) {
+      c.after = [out, duration](workloads::RunStack& run,
+                                const core::BenchReport&) {
         for (size_t s = 0; s < size_t(duration); s += 10) {
           out->push_back(run.driver().stats().QueueLengthAt(s));
         }

@@ -24,17 +24,14 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   for (int pi = 0; pi < 3; ++pi) {
-    auto opts = OptionsFor(kPlatforms[pi]);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
     for (size_t n : sizes) {
-      MacroConfig cfg;
-      cfg.options = *opts;
-      cfg.servers = n;
-      cfg.clients = n;
-      cfg.rate = 80;  // saturates every platform; drives PBFT past its channel capacity beyond 16 nodes
-      cfg.duration = duration;
-      cfg.drain = 20;
-      runner.Add(std::move(cfg), {{"platform", kPlatforms[pi]},
+      obs::RunSpec spec = BaseSpec(kPlatforms[pi]);
+      spec.servers = n;
+      spec.clients = n;
+      spec.rate = 80;  // saturates every platform; drives PBFT past its channel capacity beyond 16 nodes
+      spec.duration = duration;
+      spec.drain = 20;
+      runner.Add(std::move(spec), {{"platform", kPlatforms[pi]},
                                   {"n", std::to_string(n)}});
       rows.push_back({kPlatforms[pi], n});
     }

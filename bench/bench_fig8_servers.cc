@@ -24,17 +24,14 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   for (int pi = 0; pi < 3; ++pi) {
-    auto opts = OptionsFor(kPlatforms[pi]);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
     for (size_t n : sizes) {
-      MacroConfig cfg;
-      cfg.options = *opts;
-      cfg.servers = n;
-      cfg.clients = 8;
-      cfg.rate = 140;  // saturates Ethereum; keeps Hyperledger under its ceiling
-      cfg.duration = duration;
-      cfg.drain = 20;
-      runner.Add(std::move(cfg), {{"platform", kPlatforms[pi]},
+      obs::RunSpec spec = BaseSpec(kPlatforms[pi]);
+      spec.servers = n;
+      spec.clients = 8;
+      spec.rate = 140;  // saturates Ethereum; keeps Hyperledger under its ceiling
+      spec.duration = duration;
+      spec.drain = 20;
+      runner.Add(std::move(spec), {{"platform", kPlatforms[pi]},
                                   {"servers", std::to_string(n)}});
       rows.push_back({kPlatforms[pi], n});
     }

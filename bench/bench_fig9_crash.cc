@@ -28,37 +28,27 @@ int main(int argc, char** argv) {
 
   SweepRunner runner("fig9_crash", args);
   for (int pi = 0; pi < 3; ++pi) {
-    auto opts = OptionsFor(kPlatforms[pi]);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
     for (int si = 0; si < 2; ++si) {
       size_t servers = si == 0 ? 12 : 16;
       SweepCase c;
-      c.config.options = *opts;
-      c.config.servers = servers;
-      c.config.clients = 8;
-      c.config.rate = 60;
-      c.config.duration = end_time;
-      c.config.drain = 0;
+      c.spec = BaseSpec(kPlatforms[pi]);
+      c.spec.servers = servers;
+      c.spec.clients = 8;
+      c.spec.rate = 60;
+      c.spec.duration = end_time;
+      c.spec.drain = 0;
+      // Kill the last four servers (none of them hosts a client).
+      for (size_t k = servers - 4; k < servers; ++k) {
+        c.spec.crashes.emplace_back(uint64_t(k), kill_time);
+      }
       c.labels = {{"platform", kPlatforms[pi]},
                   {"servers", std::to_string(servers)}};
       recorders[size_t(pi)].push_back(std::make_unique<obs::FlightRecorder>());
-      c.config.recorder = recorders[size_t(pi)].back().get();
-      obs::RunSpec& spec = specs[size_t(pi)][size_t(si)];
-      spec = RunSpecFromMacro(c.config);
-      for (size_t k = servers - 4; k < servers; ++k) {
-        spec.crashes.emplace_back(uint64_t(k), kill_time);
-      }
-      c.before = [servers, kill_time](MacroRun& run) {
-        // Kill the last four servers (none of them hosts a client).
-        run.rsim().At(kill_time, [&run, servers] {
-          for (size_t k = servers - 4; k < servers; ++k) {
-            run.rplatform().network().Crash(sim::NodeId(k));
-          }
-        });
-      };
+      c.sinks.recorder = recorders[size_t(pi)].back().get();
+      specs[size_t(pi)][size_t(si)] = c.spec;
       std::vector<double>* out = &series[size_t(pi)][size_t(si)];
       obs::AuditReport* audit = &audits[size_t(pi)][size_t(si)];
-      c.after = [out, audit, end_time](MacroRun& run,
+      c.after = [out, audit, end_time](workloads::RunStack& run,
                                        const core::BenchReport&) {
         for (size_t s = 0; s < size_t(end_time); s += 10) {
           double sum = 0;
@@ -67,10 +57,7 @@ int main(int argc, char** argv) {
           }
           out->push_back(sum);
         }
-        obs::AuditorConfig ac;
-        ac.confirmation_depth = run.config().options.confirmation_depth;
-        ac.end_time = end_time;
-        *audit = platform::RunAudit(run.rplatform(), ac);
+        *audit = platform::RunAudit(run.platform(), run.audit_config());
       };
       runner.Add(std::move(c));
     }
@@ -100,23 +87,12 @@ int main(int argc, char** argv) {
       const obs::AuditReport& audit = audits[size_t(pi)][size_t(si)];
       std::printf("%s-%d:\n%s", kPlatforms[pi], si == 0 ? 12 : 16,
                   audit.RenderTable().c_str());
-      if (!audit.ok()) {
-        // Violated invariant -> dump the black box and print the exact
-        // replay-to-failure command next to it.
-        std::string dump = std::string("fig9-") + kPlatforms[pi] + "-" +
-                           (si == 0 ? "12" : "16") + ".blackbox.json";
-        obs::BlackboxTrigger trig{"audit_violation",
-                                  audit.violations.front().invariant,
-                                  audit.violations.front().detail};
-        Status ws = recorders[size_t(pi)][size_t(si)]->WriteJson(
-            dump, specs[size_t(pi)][size_t(si)], trig);
-        if (ws.ok()) {
-          std::printf("    repro: bbench --replay=%s\n", dump.c_str());
-        } else {
-          std::fprintf(stderr, "fig9: blackbox write failed: %s\n",
-                       ws.ToString().c_str());
-          ok = false;
-        }
+      if (!audit.ok() &&
+          !DumpViolation("fig9", *recorders[size_t(pi)][size_t(si)],
+                         specs[size_t(pi)][size_t(si)], audit,
+                         std::string("fig9-") + kPlatforms[pi] + "-" +
+                             (si == 0 ? "12" : "16") + ".blackbox.json")) {
+        ok = false;
       }
     }
   }

@@ -39,21 +39,18 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   for (const char* platform : platforms) {
-    auto opts = OptionsFor(platform);
-    if (!opts.ok()) return UsageError(argv[0], opts.status());
     for (size_t n : sizes) {
-      MacroConfig cfg;
-      cfg.options = *opts;
-      cfg.servers = n;
+      obs::RunSpec spec = BaseSpec(platform);
+      spec.servers = n;
       // Light fixed load, no state writes: the volume terms are small
       // and N-independent by construction, so the fit isolates what the
       // *protocol* holds per node as the cluster grows.
-      cfg.clients = 4;
-      cfg.rate = 5;
-      cfg.workload = WorkloadKind::kDoNothing;
-      cfg.duration = duration;
-      cfg.drain = 15;
-      runner.Add(std::move(cfg),
+      spec.clients = 4;
+      spec.rate = 5;
+      spec.workload = "donothing";
+      spec.duration = duration;
+      spec.drain = 15;
+      runner.Add(std::move(spec),
                  {{"platform", platform}, {"n", std::to_string(n)}});
       rows.push_back({platform, n});
     }

@@ -1,7 +1,7 @@
-// Shared harness for the figure benchmarks: constructs a platform +
-// workload + driver stack in one object, and fans independent sweep
-// points out across a thread pool (each MacroRun owns its Simulation,
-// so points never share state). Every bench binary built on this header
+// Shared harness for the figure benchmarks: each sweep point is an
+// obs::RunSpec that workloads::RunStack builds and runs, and the points
+// fan out across a thread pool (each RunStack owns its Simulation, so
+// points never share state). Every bench binary built on this header
 // understands:
 //   --full         the long (paper-scale) sweep
 //   --jobs=N       worker threads (default: hardware concurrency)
@@ -26,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,191 +44,35 @@
 #include "util/json.h"
 #include "util/thread_pool.h"
 #include "workloads/contracts.h"
-#include "workloads/donothing.h"
-#include "workloads/smallbank.h"
-#include "workloads/ycsb.h"
+#include "workloads/run.h"
 
 namespace bb::bench {
 
-enum class WorkloadKind { kYcsb, kSmallbank, kDoNothing };
-
-inline const char* WorkloadName(WorkloadKind w) {
-  switch (w) {
-    case WorkloadKind::kYcsb: return "YCSB";
-    case WorkloadKind::kSmallbank: return "Smallbank";
-    case WorkloadKind::kDoNothing: return "DoNothing";
-  }
-  return "?";
-}
-
-/// Resolves a registered platform name or a "pbft+trie+evm"-style stack
-/// spec via the PlatformRegistry. InvalidArgument on unknown names —
-/// bench mains report it and exit non-zero (no abort).
-inline Result<platform::PlatformOptions> OptionsFor(const std::string& name) {
-  return platform::StackOptionsFromString(name);
-}
-
 inline const char* kPlatforms[] = {"ethereum", "parity", "hyperledger"};
 
-struct MacroConfig {
-  platform::PlatformOptions options;
-  size_t servers = 8;
-  size_t clients = 8;
-  double rate = 8;            // per client, tx/s
-  size_t max_outstanding = 0;
-  double duration = 120;
-  double drain = 30;
-  double warmup = 15;
-  WorkloadKind workload = WorkloadKind::kYcsb;
-  uint64_t seed = 1;
-  /// Fraction of YCSB/Smallbank transactions that deliberately straddle
-  /// shards (only meaningful when options.num_shards > 1). `servers` is
-  /// then the per-shard cluster size.
-  double cross_shard_ratio = 0;
-  /// Smaller preloads keep bench startup fast without changing shape.
-  uint64_t ycsb_records = 2000;
-  uint64_t smallbank_accounts = 2000;
-  /// Optional tracer, attached to the simulation before the platform is
-  /// built (so every layer sees it). Not owned; must outlive the run.
-  obs::Tracer* tracer = nullptr;
-  /// Optional live sampler. Init() attaches the standard per-server
-  /// probes and schedules ticks through duration + drain; the timeline
-  /// lands in the sweep row / trace counter tracks. Not owned; must
-  /// outlive the run, and each sweep case needs its own instance.
-  obs::Sampler* sampler = nullptr;
-  /// Optional flight recorder (black-box event rings + replay dumps).
-  /// Attached before the platform is built, like the tracer. Not owned;
-  /// must outlive the run, one instance per sweep case.
-  obs::FlightRecorder* recorder = nullptr;
-  /// Optional per-subsystem memory accounting (logical bytes, virtual
-  /// time). Attached before the platform is built so node construction
-  /// binds the layer gauges. Not owned; one instance per sweep case.
-  obs::MemTracker* memtracker = nullptr;
-};
-
-/// The RunSpec a blackbox dump embeds for a MacroRun-driven experiment,
-/// so `bbench --replay=DUMP` re-runs it. The bench harness seeds the
-/// three layers differently (simulation = config.seed, platform =
-/// MakePlatform's default, driver = DriverConfig's default), so all
-/// three land in the spec explicitly. Fault-schedule fields stay at
-/// their "none" defaults; benches that inject faults in a `before` hook
-/// fill them in before dumping.
-inline obs::RunSpec RunSpecFromMacro(const MacroConfig& c) {
+/// A figure's base run over `platform`: 8 servers, 8 clients at 8 tx/s
+/// each, 15 s warmup, 120 s load, 30 s drain, and 2000-entry preloads
+/// (fast startup, same shape). The seeds every figure was measured with:
+/// simulation 1, platform 42, driver 7.
+inline obs::RunSpec BaseSpec(std::string platform) {
   obs::RunSpec s;
-  s.platform = c.options.name;
-  if (c.options.num_shards > 1 &&
-      s.platform.find("@shards=") == std::string::npos) {
-    s.platform += "@shards=" + std::to_string(c.options.num_shards);
-  }
-  switch (c.workload) {
-    case WorkloadKind::kYcsb: s.workload = "ycsb"; break;
-    case WorkloadKind::kSmallbank: s.workload = "smallbank"; break;
-    case WorkloadKind::kDoNothing: s.workload = "donothing"; break;
-  }
-  s.servers = c.servers;
-  s.clients = c.clients;
-  s.cross_shard = c.cross_shard_ratio;
-  s.rate = c.rate;
-  s.duration = c.duration;
-  s.warmup = c.warmup;
-  s.drain = c.drain;
-  s.max_outstanding = c.max_outstanding;
-  s.seed = c.seed;
-  s.platform_seed = 42;  // MakePlatform's default (MacroRun passes none)
-  s.driver_seed = core::DriverConfig{}.seed;
-  s.ycsb_records = c.ycsb_records;
-  s.smallbank_accounts = c.smallbank_accounts;
+  s.platform = std::move(platform);
+  s.rate = 8;
+  s.warmup = 15;
+  s.seed = 1;
+  s.driver_seed = 7;
+  s.ycsb_records = 2000;
+  s.smallbank_accounts = 2000;
   return s;
 }
 
-/// One macro experiment: platform cluster + driver + workload.
-class MacroRun {
- public:
-  /// Builds the full stack; InvalidArgument/Internal instead of abort
-  /// when the options are inconsistent or workload setup fails.
-  static Result<std::unique_ptr<MacroRun>> Create(MacroConfig config) {
-    auto run = std::unique_ptr<MacroRun>(new MacroRun(std::move(config)));
-    Status s = run->Init();
-    if (!s.ok()) return s;
-    return run;
-  }
-
-  /// Schedule fault/attack events before calling Run().
-  sim::Simulation& rsim() { return *sim_; }
-  platform::Platform& rplatform() { return *platform_; }
-  core::Driver& driver() { return *driver_; }
-
-  core::BenchReport Run() {
-    driver_->Run();
-    return driver_->Report();
-  }
-
-  const MacroConfig& config() const { return config_; }
-
- private:
-  explicit MacroRun(MacroConfig config) : config_(std::move(config)) {}
-
-  Status Init() {
-    BB_RETURN_IF_ERROR(config_.options.Validate());
-    sim_ = std::make_unique<sim::Simulation>(config_.seed);
-    if (config_.tracer != nullptr) sim_->set_tracer(config_.tracer);
-    if (config_.recorder != nullptr) sim_->set_recorder(config_.recorder);
-    if (config_.memtracker != nullptr) sim_->set_memtracker(config_.memtracker);
-    // MakePlatform dispatches on options.num_shards: `servers` is the
-    // per-shard cluster size, so the sharded total is shards * servers.
-    platform_ = platform::MakePlatform(sim_.get(), config_.options,
-                                       config_.servers);
-    switch (config_.workload) {
-      case WorkloadKind::kYcsb: {
-        workloads::YcsbConfig yc;
-        yc.record_count = config_.ycsb_records;
-        yc.cross_shard_ratio = config_.cross_shard_ratio;
-        workload_ = std::make_unique<workloads::YcsbWorkload>(yc);
-        break;
-      }
-      case WorkloadKind::kSmallbank: {
-        workloads::SmallbankConfig sc;
-        sc.num_accounts = config_.smallbank_accounts;
-        sc.cross_shard_ratio = config_.cross_shard_ratio;
-        workload_ = std::make_unique<workloads::SmallbankWorkload>(sc);
-        break;
-      }
-      case WorkloadKind::kDoNothing:
-        workload_ = std::make_unique<workloads::DoNothingWorkload>();
-        break;
-    }
-    Status s = workload_->Setup(platform_.get());
-    if (!s.ok()) {
-      return Status::Internal("workload setup failed: " + s.ToString());
-    }
-    core::DriverConfig dc;
-    dc.num_clients = config_.clients;
-    dc.request_rate = config_.rate;
-    dc.max_outstanding = config_.max_outstanding;
-    dc.duration = config_.duration;
-    dc.drain = config_.drain;
-    dc.warmup = config_.warmup;
-    driver_ = std::make_unique<core::Driver>(platform_.get(), workload_.get(),
-                                             dc);
-    if (config_.sampler != nullptr) {
-      platform::AttachStandardProbes(config_.sampler, platform_.get());
-      config_.sampler->Schedule(sim_.get(),
-                                config_.duration + config_.drain);
-    }
-    return Status::Ok();
-  }
-
-  MacroConfig config_;
-  std::unique_ptr<sim::Simulation> sim_;
-  std::unique_ptr<platform::Platform> platform_;
-  std::unique_ptr<core::WorkloadConnector> workload_;
-  std::unique_ptr<core::Driver> driver_;
-};
-
-using util::FlagDouble;
-using util::FlagUint;
-using util::FlagValue;
-using util::HasFlag;
+/// How tables and sweep rows name a workload ("ycsb" -> "YCSB").
+inline std::string WorkloadLabel(const std::string& workload) {
+  if (workload == "ycsb") return "YCSB";
+  if (workload == "smallbank") return "Smallbank";
+  if (workload == "donothing") return "DoNothing";
+  return workload;
+}
 
 /// Flags every bench binary shares.
 struct BenchArgs {
@@ -262,11 +107,12 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
     }
   }
   BenchArgs args;
-  args.full = HasFlag(argc, argv, "--full");
-  args.jobs = size_t(FlagUint(argc, argv, "--jobs", 0));
-  args.json_path = FlagValue(argc, argv, "--json").value_or("");
-  args.profile_prefix = FlagValue(argc, argv, "--profile").value_or("");
-  args.mem_prefix = FlagValue(argc, argv, "--mem").value_or("");
+  args.full = util::HasFlag(argc, argv, "--full");
+  args.jobs = size_t(util::FlagUint(argc, argv, "--jobs", 0));
+  args.json_path = util::FlagValue(argc, argv, "--json").value_or("");
+  args.profile_prefix =
+      util::FlagValue(argc, argv, "--profile").value_or("");
+  args.mem_prefix = util::FlagValue(argc, argv, "--mem").value_or("");
   return args;
 }
 
@@ -281,19 +127,26 @@ inline int UsageError(const char* bench, const Status& status) {
   return 2;
 }
 
-/// One sweep point: a config plus optional hooks that run on the worker
-/// thread (fault injection before Run, metric extraction after).
+/// One sweep point: a run spec plus optional hooks that run on the
+/// worker thread (extra scheduling before Run, metric extraction after).
 struct SweepCase {
   /// Row identity in the JSON output, e.g. {{"platform","ethereum"},
   /// {"n","8"}}. Purely descriptive for the text table.
   std::vector<std::pair<std::string, std::string>> labels;
-  MacroConfig config;
-  /// Runs after Create() and before Run() — schedule faults/attacks.
-  std::function<void(MacroRun&)> before;
+  obs::RunSpec spec;
+  /// Set by the benches that edit the options resolved from
+  /// spec.platform (fig15's block sizes, the signing ablation); the
+  /// stack is then built over these.
+  std::optional<platform::PlatformOptions> options;
+  /// This case's own observers; the runner adds a memtracker when
+  /// memory tracking is on.
+  workloads::RunSinks sinks;
+  /// Runs after the stack is built and before it runs.
+  std::function<void(workloads::RunStack&)> before;
   /// Runs after Run() — pull histograms/meters/chain state out while
   /// the platform is still alive. Touch only this case's storage: hooks
   /// for different cases run concurrently.
-  std::function<void(MacroRun&, const core::BenchReport&)> after;
+  std::function<void(workloads::RunStack&, const core::BenchReport&)> after;
 };
 
 /// Everything one sweep point produced.
@@ -316,9 +169,11 @@ struct SweepOutcome {
   /// called EnableMemTracking(); null otherwise. Logical bytes on
   /// virtual time: deterministic, allowed in golden digests.
   util::Json mem;
+  /// Consensus groups of the built platform (0 when the build failed).
+  size_t num_shards = 0;
 };
 
-/// Runs a set of independent MacroRun sweep points, `--jobs` at a time,
+/// Runs a set of independent sweep points, `--jobs` at a time,
 /// and reports rows in deterministic case order no matter which worker
 /// finishes first. With jobs=1 everything runs inline on the calling
 /// thread — byte-identical output is the determinism contract
@@ -333,11 +188,11 @@ class SweepRunner {
     return cases_.size() - 1;
   }
 
-  /// Convenience for the common "just run this config" case.
-  size_t Add(MacroConfig config,
+  /// Convenience for the common "just run this spec" case.
+  size_t Add(obs::RunSpec spec,
              std::vector<std::pair<std::string, std::string>> labels = {}) {
     SweepCase c;
-    c.config = std::move(config);
+    c.spec = std::move(spec);
     c.labels = std::move(labels);
     return Add(std::move(c));
   }
@@ -453,35 +308,32 @@ class SweepRunner {
       prof = profilers_[i].get();
     }
     obs::Profiler::ThreadScope prof_scope(prof);
+    SweepCase& c = cases_[i];
     if (!memtrackers_.empty()) {
       memtrackers_[i] = std::make_unique<obs::MemTracker>();
-      cases_[i].config.memtracker = memtrackers_[i].get();
+      c.sinks.memtracker = memtrackers_[i].get();
     }
     auto t0 = std::chrono::steady_clock::now();
-    Result<std::unique_ptr<MacroRun>> run = [this, i] {
-      // Setup (platform build, workload preload) attributed to the
-      // driver subsystem; hashing/storage scopes nest inside.
-      BB_PROF_SCOPE("driver.setup");
-      return MacroRun::Create(cases_[i].config);
-    }();
+    auto run = c.options ? workloads::RunStack::Create(c.spec, *c.options,
+                                                       c.sinks)
+                         : workloads::RunStack::Create(c.spec, c.sinks);
     if (!run.ok()) {
       out.status = run.status();
       return;
     }
-    if (cases_[i].before) cases_[i].before(**run);
-    out.report = (*run)->Run();
+    if (c.before) c.before(**run);
+    out.report = (*run)->Execute();
     {
       BB_PROF_SCOPE("driver.collect");
-      if (cases_[i].after) cases_[i].after(**run, out.report);
-      if (cases_[i].config.sampler != nullptr) {
-        out.timeline = cases_[i].config.sampler->ToJson();
-      }
+      if (c.after) c.after(**run, out.report);
+      if (c.sinks.sampler != nullptr) out.timeline = c.sinks.sampler->ToJson();
     }
     if (!memtrackers_.empty() && memtrackers_[i] != nullptr) {
       memtrackers_[i]->set_committed(uint64_t(out.report.committed));
       out.mem = memtrackers_[i]->ToSweepJson();
     }
-    out.events = (*run)->rsim().events_executed();
+    out.events = (*run)->sim().events_executed();
+    out.num_shards = (*run)->platform().num_shards();
     out.wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
@@ -543,15 +395,15 @@ class SweepRunner {
       for (const auto& [k, v] : c.labels) labels.Set(k, v);
       r.Set("labels", std::move(labels));
       util::Json config = util::Json::Object();
-      config.Set("servers", c.config.servers);
-      config.Set("clients", c.config.clients);
-      config.Set("rate", c.config.rate);
-      config.Set("duration", c.config.duration);
-      config.Set("workload", WorkloadName(c.config.workload));
-      config.Set("seed", c.config.seed);
-      if (c.config.options.num_shards > 1) {
-        config.Set("num_shards", c.config.options.num_shards);
-        config.Set("cross_shard_ratio", c.config.cross_shard_ratio);
+      config.Set("servers", c.spec.servers);
+      config.Set("clients", c.spec.clients);
+      config.Set("rate", c.spec.rate);
+      config.Set("duration", c.spec.duration);
+      config.Set("workload", WorkloadLabel(c.spec.workload));
+      config.Set("seed", c.spec.seed);
+      if (o.num_shards > 1) {
+        config.Set("num_shards", o.num_shards);
+        config.Set("cross_shard_ratio", c.spec.cross_shard);
       }
       r.Set("config", std::move(config));
       r.Set("status", o.status.ToString());
@@ -610,6 +462,24 @@ class SweepRunner {
   bool mem_always_ = false;
   double wall_seconds_ = 0;
 };
+
+/// For a case whose audit failed: writes its black box to `path` and
+/// prints the bbench line that replays it. False when the write fails.
+inline bool DumpViolation(const char* bench, const obs::FlightRecorder& rec,
+                          const obs::RunSpec& spec,
+                          const obs::AuditReport& audit,
+                          const std::string& path) {
+  const obs::AuditViolation& v = audit.violations.front();
+  Status ws = rec.WriteJson(path, spec, {"audit_violation", v.invariant,
+                                         v.detail});
+  if (!ws.ok()) {
+    std::fprintf(stderr, "%s: blackbox write failed: %s\n", bench,
+                 ws.ToString().c_str());
+    return false;
+  }
+  std::printf("    repro: bbench --replay=%s\n", path.c_str());
+  return true;
+}
 
 inline void PrintHeader(const std::string& title) {
   std::printf("\n==============================================================\n");

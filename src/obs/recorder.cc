@@ -69,95 +69,6 @@ const FlightRecorder::Record& FlightRecorder::At(uint32_t node,
   return g.buf[(g.total + i) % capacity_];
 }
 
-// --- RunSpec -----------------------------------------------------------------
-
-util::Json RunSpec::ToJson() const {
-  util::Json run = util::Json::Object();
-  run.Set("platform", platform);
-  run.Set("workload", workload);
-  run.Set("servers", servers);
-  run.Set("clients", clients);
-  run.Set("cross_shard", cross_shard);
-  run.Set("rate", rate);
-  run.Set("duration", duration);
-  run.Set("warmup", warmup);
-  run.Set("drain", drain);
-  run.Set("max_outstanding", max_outstanding);
-  run.Set("seed", seed);
-  run.Set("platform_seed", platform_seed);
-  run.Set("driver_seed", driver_seed);
-  run.Set("ycsb_records", ycsb_records);
-  run.Set("smallbank_accounts", smallbank_accounts);
-  util::Json cr = util::Json::Array();
-  for (const auto& [id, t] : crashes) {
-    util::Json c = util::Json::Array();
-    c.Push(id);
-    c.Push(t);
-    cr.Push(std::move(c));
-  }
-  run.Set("crashes", std::move(cr));
-  run.Set("partition_start", partition_start);
-  run.Set("partition_end", partition_end);
-  run.Set("delay", delay);
-  run.Set("corrupt", corrupt);
-  return run;
-}
-
-Result<RunSpec> RunSpec::FromJson(const util::Json& run) {
-  if (!run.is_object()) {
-    return Status::InvalidArgument("run spec is not an object");
-  }
-  RunSpec s;
-  // Required fields: a dump a replay cannot faithfully re-run from is a
-  // validation error, not a silent default.
-  const char* required[] = {"platform", "workload", "servers",       "clients",
-                            "rate",     "duration", "warmup",        "drain",
-                            "seed",     "platform_seed", "driver_seed"};
-  for (const char* key : required) {
-    if (run.Get(key) == nullptr) {
-      return Status::InvalidArgument(std::string("run spec missing \"") + key +
-                                     "\"");
-    }
-  }
-  s.platform = run.Get("platform")->AsString();
-  s.workload = run.Get("workload")->AsString();
-  s.servers = run.Get("servers")->AsUint();
-  s.clients = run.Get("clients")->AsUint();
-  s.rate = run.Get("rate")->AsDouble();
-  s.duration = run.Get("duration")->AsDouble();
-  s.warmup = run.Get("warmup")->AsDouble();
-  s.drain = run.Get("drain")->AsDouble();
-  s.seed = run.Get("seed")->AsUint();
-  s.platform_seed = run.Get("platform_seed")->AsUint();
-  s.driver_seed = run.Get("driver_seed")->AsUint();
-  if (const auto* v = run.Get("cross_shard")) s.cross_shard = v->AsDouble();
-  if (const auto* v = run.Get("max_outstanding")) {
-    s.max_outstanding = v->AsUint();
-  }
-  if (const auto* v = run.Get("ycsb_records")) s.ycsb_records = v->AsUint();
-  if (const auto* v = run.Get("smallbank_accounts")) {
-    s.smallbank_accounts = v->AsUint();
-  }
-  if (const auto* v = run.Get("crashes")) {
-    if (!v->is_array()) {
-      return Status::InvalidArgument("run spec \"crashes\" is not an array");
-    }
-    for (const auto& c : v->items()) {
-      if (!c.is_array() || c.size() != 2) {
-        return Status::InvalidArgument("run spec crash entry is not [id, t]");
-      }
-      s.crashes.emplace_back(c.items()[0].AsUint(), c.items()[1].AsDouble());
-    }
-  }
-  if (const auto* v = run.Get("partition_start")) {
-    s.partition_start = v->AsDouble();
-  }
-  if (const auto* v = run.Get("partition_end")) s.partition_end = v->AsDouble();
-  if (const auto* v = run.Get("delay")) s.delay = v->AsDouble();
-  if (const auto* v = run.Get("corrupt")) s.corrupt = v->AsDouble();
-  return s;
-}
-
 // --- Causal slice ------------------------------------------------------------
 
 namespace {

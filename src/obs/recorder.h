@@ -32,43 +32,13 @@
 #include <vector>
 
 #include "obs/event.h"
+#include "obs/run_spec.h"
 #include "util/json.h"
 #include "util/status.h"
 
 namespace bb::obs {
 
 class MetricsRegistry;
-
-/// The run configuration a blackbox dump embeds — every knob needed to
-/// re-run the recorded experiment bit-for-bit through bbench --replay.
-/// bbench fills it from its CLI args; the bench harness fills it from a
-/// MacroConfig (the three seeds differ between the two front ends, so
-/// all three are recorded explicitly).
-struct RunSpec {
-  std::string platform = "hyperledger";  // registry name or stack spec
-  std::string workload = "ycsb";
-  uint64_t servers = 8;  // per shard when the spec carries @shards=
-  uint64_t clients = 8;
-  double cross_shard = 0;
-  double rate = 100;
-  double duration = 120;
-  double warmup = 10;
-  double drain = 30;
-  uint64_t max_outstanding = 0;
-  uint64_t seed = 42;           // Simulation seed
-  uint64_t platform_seed = 42;  // MakePlatform seed
-  uint64_t driver_seed = 42;    // DriverConfig seed
-  /// 0 = the workload's own default preload size.
-  uint64_t ycsb_records = 0;
-  uint64_t smallbank_accounts = 0;
-  std::vector<std::pair<uint64_t, double>> crashes;  // (server, time)
-  double partition_start = -1, partition_end = -1;   // < 0 = none
-  double delay = 0;
-  double corrupt = 0;
-
-  util::Json ToJson() const;
-  static Result<RunSpec> FromJson(const util::Json& run);
-};
 
 /// Why a dump was written: "audit_violation" carries the first violated
 /// invariant, "explicit" means --blackbox / a test asked for it.

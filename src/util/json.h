@@ -51,7 +51,11 @@ class Json {
 
   bool AsBool() const { return is_bool() && bool_; }
   double AsDouble() const { return is_number() ? num_ : 0; }
-  uint64_t AsUint() const { return is_number() && num_ > 0 ? uint64_t(num_) : 0; }
+  /// Saturates at 2^64, where converting to uint64_t is undefined.
+  uint64_t AsUint() const {
+    if (!is_number() || !(num_ > 0)) return 0;
+    return num_ < 0x1p64 ? uint64_t(num_) : UINT64_MAX;
+  }
   const std::string& AsString() const { return str_; }
 
   /// Array access. Push() asserts the value is (or becomes) an array.

@@ -233,37 +233,30 @@ TEST(Auditor, ReportJsonIsWellFormedAndDeterministic) {
 
 // --- End-to-end audits -------------------------------------------------------
 
-bench::MacroConfig BaseConfig(const char* platform_name) {
-  auto opts = bench::OptionsFor(platform_name);
-  EXPECT_TRUE(opts.ok());
-  bench::MacroConfig cfg;
-  cfg.options = *opts;
-  cfg.servers = 4;
-  cfg.clients = 2;
-  cfg.rate = 10;
-  cfg.duration = 20;
-  cfg.drain = 10;
-  cfg.warmup = 2;
-  cfg.ycsb_records = 200;
-  return cfg;
+RunSpec BaseSpec(const char* platform_name) {
+  RunSpec spec = bench::BaseSpec(platform_name);
+  spec.servers = 4;
+  spec.clients = 2;
+  spec.rate = 10;
+  spec.duration = 20;
+  spec.drain = 10;
+  spec.warmup = 2;
+  spec.ycsb_records = 200;
+  return spec;
 }
 
-/// Runs `cfg` with the network split in half during [t_part, t_heal) and
-/// returns the audit report + its config.
-std::pair<AuditReport, AuditorConfig> RunPartitioned(bench::MacroConfig cfg,
+/// Runs `spec` with the network split in half ({0, 1} | {2, 3}) during
+/// [t_part, t_heal) and returns the audit report + its config.
+std::pair<AuditReport, AuditorConfig> RunPartitioned(RunSpec spec,
                                                      double t_part,
                                                      double t_heal) {
-  auto run = bench::MacroRun::Create(cfg);
+  spec.partition_start = t_part;
+  spec.partition_end = t_heal;
+  auto run = workloads::RunStack::Create(spec);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
-  sim::Network* net = &(*run)->rplatform().network();
-  (*run)->rsim().At(t_part, [net] { net->Partition({0, 1}); });
-  (*run)->rsim().At(t_heal, [net] { net->HealPartition(); });
-  (*run)->Run();
-  AuditorConfig ac;
-  ac.confirmation_depth = cfg.options.confirmation_depth;
-  ac.heal_time = t_heal;
-  ac.end_time = cfg.duration + cfg.drain;
-  return {platform::RunAudit((*run)->rplatform(), ac), ac};
+  (*run)->Execute();
+  AuditorConfig ac = (*run)->audit_config();
+  return {platform::RunAudit((*run)->platform(), ac), ac};
 }
 
 // The golden partitioned PBFT audit: 4 nodes, quorum 3, a 2/2 split —
@@ -272,14 +265,14 @@ std::pair<AuditReport, AuditorConfig> RunPartitioned(bench::MacroConfig cfg,
 // conscious golden update: print the new report, re-verify, re-pin).
 TEST(AuditGolden, PartitionedPbft4NodeByteForByte) {
   workloads::RegisterAllChaincodes();
-  auto [rep, ac] = RunPartitioned(BaseConfig("hyperledger"), 5.0, 10.0);
+  auto [rep, ac] = RunPartitioned(BaseSpec("hyperledger"), 5.0, 10.0);
   EXPECT_EQ(rep.forked_blocks, 0u);
   EXPECT_EQ(rep.branches, 0u);
   EXPECT_TRUE(rep.ok()) << rep.RenderTable();
   EXPECT_GE(rep.recovery_gap, 0.0) << "chain never resumed after heal";
 
   std::string json = rep.ToJson(ac).Dump(2);
-  auto [rep2, ac2] = RunPartitioned(BaseConfig("hyperledger"), 5.0, 10.0);
+  auto [rep2, ac2] = RunPartitioned(BaseSpec("hyperledger"), 5.0, 10.0);
   EXPECT_EQ(json, rep2.ToJson(ac2).Dump(2));  // reproducible before golden
   EXPECT_EQ(Sha256::Digest(json).ToHex(),
             "518f4ab5044b57cb0ae65c8a8b5ab478dbacedbeecc841a83c5dc25e38c548f9")
@@ -292,10 +285,10 @@ TEST(AuditGolden, PartitionedPbft4NodeByteForByte) {
 // realized double-spend window), so the audit must NOT be clean.
 TEST(AuditForensics, PartitionedPowForksDoubleDigit) {
   workloads::RegisterAllChaincodes();
-  bench::MacroConfig cfg = BaseConfig("ethereum");
-  cfg.duration = 60;
-  cfg.drain = 10;
-  auto [rep, ac] = RunPartitioned(cfg, 10.0, 50.0);
+  RunSpec spec = BaseSpec("ethereum");
+  spec.duration = 60;
+  spec.drain = 10;
+  auto [rep, ac] = RunPartitioned(spec, 10.0, 50.0);
   EXPECT_GE(rep.forked_pct, 10.0) << rep.RenderTable();
   EXPECT_GT(rep.max_branch_depth, ac.confirmation_depth);
   EXPECT_FALSE(rep.ok());
@@ -322,25 +315,18 @@ TEST(AuditDeterminism, JobsOneVersusJobsEight) {
     args.jobs = jobs;
     bench::SweepRunner runner("audit_jobs_test", args);
     for (size_t ci = 0; ci < 2; ++ci) {
-      bench::MacroConfig cfg = BaseConfig("ethereum");
-      cfg.duration = 40;
-      cfg.drain = 5;
-      cfg.rate = ci == 0 ? 10 : 20;
       bench::SweepCase c;
-      c.config = cfg;
-      c.before = [](bench::MacroRun& run) {
-        sim::Network* net = &run.rplatform().network();
-        run.rsim().At(10.0, [net] { net->Partition({0, 1}); });
-        run.rsim().At(30.0, [net] { net->HealPartition(); });
-      };
-      c.after = [audits, ci, cfg](bench::MacroRun& run,
-                                  const core::BenchReport&) {
-        AuditorConfig ac;
-        ac.confirmation_depth = cfg.options.confirmation_depth;
-        ac.heal_time = 30.0;
-        ac.end_time = cfg.duration + cfg.drain;
+      c.spec = BaseSpec("ethereum");
+      c.spec.duration = 40;
+      c.spec.drain = 5;
+      c.spec.rate = ci == 0 ? 10 : 20;
+      c.spec.partition_start = 10.0;
+      c.spec.partition_end = 30.0;
+      c.after = [audits, ci](workloads::RunStack& run,
+                             const core::BenchReport&) {
+        AuditorConfig ac = run.audit_config();
         (*audits)[ci] =
-            platform::RunAudit(run.rplatform(), ac).ToJson(ac).Dump(2);
+            platform::RunAudit(run.platform(), ac).ToJson(ac).Dump(2);
       };
       runner.Add(std::move(c));
     }

@@ -195,43 +195,98 @@ TEST(RunSpec, FromJsonRejectsMissingSeed) {
   EXPECT_FALSE(RunSpec::FromJson(stripped).ok());
 }
 
+// A dump's spec is checked field by field: a wrong type, a count that is
+// negative, fractional or zero servers, a malformed crash entry or a
+// partition healing before it starts is rejected with the field's name.
+TEST(RunSpec, FromJsonRejectsWrongTypes) {
+  util::Json crash_not_array = util::Json::Array();
+  crash_not_array.Push(5);
+  util::Json crash_id_string = util::Json::Array();
+  crash_id_string.Push("0");
+  crash_id_string.Push(5.0);
+  util::Json crash_string_id = util::Json::Array();
+  crash_string_id.Push(std::move(crash_id_string));
+  struct Case {
+    const char* key;
+    util::Json value;
+  };
+  const Case kCases[] = {
+      {"platform", util::Json(8)},
+      {"workload", util::Json()},
+      {"servers", util::Json("8")},
+      {"servers", util::Json(-4)},
+      {"servers", util::Json(0)},
+      {"clients", util::Json(2.5)},
+      {"seed", util::Json("1")},
+      {"driver_seed", util::Json(true)},
+      {"ycsb_records", util::Json(-1)},
+      {"rate", util::Json("fast")},
+      {"duration", util::Json::Object()},
+      {"crashes", util::Json("none")},
+      {"crashes", crash_not_array},
+      {"crashes", crash_string_id},
+      {"partition_start", util::Json(10)},  // partition_end stays -1
+  };
+  util::Json good = RunSpec{}.ToJson();
+  ASSERT_TRUE(RunSpec::FromJson(good).ok());
+  for (const Case& c : kCases) {
+    util::Json bad = good;
+    bad.Set(c.key, c.value);
+    auto spec = RunSpec::FromJson(bad);
+    ASSERT_FALSE(spec.ok()) << c.key << " = " << c.value.Dump(0);
+    std::string field =
+        std::string(c.key) == "partition_start" ? "partition_end" : c.key;
+    EXPECT_NE(spec.status().ToString().find(field), std::string::npos)
+        << spec.status().ToString();
+  }
+  // Every count and seed must be a whole number a double holds exactly.
+  for (const char* key :
+       {"servers", "clients", "seed", "platform_seed", "driver_seed",
+        "max_outstanding", "ycsb_records", "smallbank_accounts"}) {
+    for (double v : {1e30, -1.0, 0.5, 18446744073709551616.0}) {
+      util::Json bad = good;
+      bad.Set(key, v);
+      auto spec = RunSpec::FromJson(bad);
+      ASSERT_FALSE(spec.ok()) << key << " = " << v;
+      EXPECT_NE(spec.status().ToString().find(key), std::string::npos)
+          << spec.status().ToString();
+    }
+  }
+}
+
 // --- End-to-end dumps --------------------------------------------------------
 
-bench::MacroConfig BaseConfig(const char* platform_name,
-                              FlightRecorder* rec) {
-  auto opts = bench::OptionsFor(platform_name);
-  EXPECT_TRUE(opts.ok());
-  bench::MacroConfig cfg;
-  cfg.options = *opts;
-  cfg.servers = 4;
-  cfg.clients = 2;
-  cfg.rate = 10;
-  cfg.duration = 20;
-  cfg.drain = 10;
-  cfg.warmup = 2;
-  cfg.ycsb_records = 200;
-  cfg.recorder = rec;
-  return cfg;
+RunSpec BaseSpec(const char* platform_name) {
+  RunSpec spec = bench::BaseSpec(platform_name);
+  spec.servers = 4;
+  spec.clients = 2;
+  spec.rate = 10;
+  spec.duration = 20;
+  spec.drain = 10;
+  spec.warmup = 2;
+  spec.ycsb_records = 200;
+  return spec;
 }
 
-/// Runs `cfg` with the network split in half during [t_part, t_heal).
-void RunPartitioned(bench::MacroConfig cfg, double t_part, double t_heal) {
-  auto run = bench::MacroRun::Create(cfg);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  sim::Network* net = &(*run)->rplatform().network();
-  (*run)->rsim().At(t_part, [net] { net->Partition({0, 1}); });
-  (*run)->rsim().At(t_heal, [net] { net->HealPartition(); });
-  (*run)->Run();
-}
-
-util::Json PartitionedDump(const char* platform_name, FlightRecorder* rec) {
-  bench::MacroConfig cfg = BaseConfig(platform_name, rec);
-  RunPartitioned(cfg, 5.0, 10.0);
-  RunSpec spec = bench::RunSpecFromMacro(cfg);
-  spec.partition_start = 5.0;
-  spec.partition_end = 10.0;
+/// Runs `spec` with the recorder armed and dumps the black box.
+util::Json RecordedDump(const RunSpec& spec, FlightRecorder* rec) {
+  workloads::RunSinks sinks;
+  sinks.recorder = rec;
+  auto run = workloads::RunStack::Create(spec, sinks);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return util::Json();
+  (*run)->Execute();
   BlackboxTrigger trig{"explicit", "", "golden test"};
   return rec->ToJson(spec, trig);
+}
+
+/// Runs `platform_name` with the network split in half ({0, 1} | {2, 3})
+/// during [5, 10) and dumps the black box.
+util::Json PartitionedDump(const char* platform_name, FlightRecorder* rec) {
+  RunSpec spec = BaseSpec(platform_name);
+  spec.partition_start = 5.0;
+  spec.partition_end = 10.0;
+  return RecordedDump(spec, rec);
 }
 
 util::Json PartitionedPbftDump(FlightRecorder* rec) {
@@ -241,16 +296,9 @@ util::Json PartitionedPbftDump(FlightRecorder* rec) {
 /// Runs `platform_name` with server 0 crashed at t=5 (never restarted,
 /// as bbench --crash does) and dumps the black box.
 util::Json CrashedDump(const char* platform_name, FlightRecorder* rec) {
-  bench::MacroConfig cfg = BaseConfig(platform_name, rec);
-  auto run = bench::MacroRun::Create(cfg);
-  EXPECT_TRUE(run.ok()) << run.status().ToString();
-  sim::Network* net = &(*run)->rplatform().network();
-  (*run)->rsim().At(5.0, [net] { net->Crash(0); });
-  (*run)->Run();
-  RunSpec spec = bench::RunSpecFromMacro(cfg);
+  RunSpec spec = BaseSpec(platform_name);
   spec.crashes = {{0, 5.0}};
-  BlackboxTrigger trig{"explicit", "", "golden test"};
-  return rec->ToJson(spec, trig);
+  return RecordedDump(spec, rec);
 }
 
 // The golden black boxes, one per consensus engine: each dump must
@@ -311,9 +359,9 @@ TEST(BlackboxGolden, PartitionedPbft4NodeByteForByte) {
   }
 }
 
-// Replay equivalence at the harness level: reconstruct the MacroConfig
-// from the dumped RunSpec alone (as bbench --replay does from the file)
-// and the re-run must produce a byte-identical black box.
+// Replay equivalence at the harness level: rebuild the run from the
+// dumped RunSpec alone (as bbench --replay does from the file) and the
+// re-run must produce a byte-identical black box.
 TEST(Blackbox, ReplayFromRunSpecIsByteIdentical) {
   workloads::RegisterAllChaincodes();
   FlightRecorder rec;
@@ -322,23 +370,7 @@ TEST(Blackbox, ReplayFromRunSpecIsByteIdentical) {
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
 
   FlightRecorder replay_rec;
-  auto opts = bench::OptionsFor(spec->platform);
-  ASSERT_TRUE(opts.ok());
-  bench::MacroConfig cfg;
-  cfg.options = *opts;
-  cfg.servers = size_t(spec->servers);
-  cfg.clients = size_t(spec->clients);
-  cfg.rate = spec->rate;
-  cfg.duration = spec->duration;
-  cfg.drain = spec->drain;
-  cfg.warmup = spec->warmup;
-  cfg.seed = spec->seed;
-  cfg.ycsb_records = spec->ycsb_records;
-  cfg.recorder = &replay_rec;
-  RunPartitioned(cfg, spec->partition_start, spec->partition_end);
-
-  BlackboxTrigger trig{"explicit", "", "golden test"};
-  EXPECT_EQ(dump.Dump(2), replay_rec.ToJson(*spec, trig).Dump(2));
+  EXPECT_EQ(dump.Dump(2), RecordedDump(*spec, &replay_rec).Dump(2));
 }
 
 // Dump identity across sweep --jobs values: the same partitioned cases
@@ -356,22 +388,12 @@ TEST(Blackbox, DumpIdenticalAcrossSweepJobs) {
     for (const char* platform : {"hyperledger", "ethereum"}) {
       recs->push_back(std::make_unique<FlightRecorder>());
       bench::SweepCase c;
-      auto opts = bench::OptionsFor(platform);
-      EXPECT_TRUE(opts.ok());
-      c.config.options = *opts;
-      c.config.servers = 4;
-      c.config.clients = 2;
-      c.config.rate = 10;
-      c.config.duration = 15;
-      c.config.drain = 5;
-      c.config.warmup = 2;
-      c.config.ycsb_records = 200;
-      c.config.recorder = recs->back().get();
-      c.before = [](bench::MacroRun& run) {
-        sim::Network* net = &run.rplatform().network();
-        run.rsim().At(4.0, [net] { net->Partition({0, 1}); });
-        run.rsim().At(8.0, [net] { net->HealPartition(); });
-      };
+      c.spec = BaseSpec(platform);
+      c.spec.duration = 15;
+      c.spec.drain = 5;
+      c.spec.partition_start = 4.0;
+      c.spec.partition_end = 8.0;
+      c.sinks.recorder = recs->back().get();
       runner.Add(std::move(c));
     }
     EXPECT_TRUE(runner.Run(nullptr));
@@ -397,15 +419,17 @@ TEST(Blackbox, DumpIdenticalAcrossSweepJobs) {
 TEST(Blackbox, BreakSeqStopsSimulationDeterministically) {
   workloads::RegisterAllChaincodes();
   auto run_until = [](uint64_t break_seq, FlightRecorder* rec) {
-    bench::MacroConfig cfg = BaseConfig("hyperledger", rec);
+    RunSpec spec = BaseSpec("hyperledger");
     rec->set_break_seq(break_seq);
-    auto run = bench::MacroRun::Create(cfg);
+    workloads::RunSinks sinks;
+    sinks.recorder = rec;
+    auto run = workloads::RunStack::Create(spec, sinks);
     ASSERT_TRUE(run.ok());
     (*run)->driver().StartAll();
-    (*run)->rsim().RunUntil(cfg.duration + cfg.drain);
+    (*run)->sim().RunUntil(spec.duration + spec.drain);
     if (break_seq > 0) {
-      EXPECT_TRUE((*run)->rsim().stop_requested());
-      EXPECT_LT((*run)->rsim().Now(), cfg.duration);
+      EXPECT_TRUE((*run)->sim().stop_requested());
+      EXPECT_LT((*run)->sim().Now(), spec.duration);
     }
   };
   FlightRecorder full;
@@ -433,13 +457,14 @@ TEST(Blackbox, BreakSeqStopsSimulationDeterministically) {
 TEST(Blackbox, ValidatorRejectsTampering) {
   workloads::RegisterAllChaincodes();
   FlightRecorder rec(64);
-  bench::MacroConfig cfg = BaseConfig("hyperledger", &rec);
-  cfg.duration = 10;
-  cfg.drain = 5;
-  auto run = bench::MacroRun::Create(cfg);
+  RunSpec spec = BaseSpec("hyperledger");
+  spec.duration = 10;
+  spec.drain = 5;
+  workloads::RunSinks sinks;
+  sinks.recorder = &rec;
+  auto run = workloads::RunStack::Create(spec, sinks);
   ASSERT_TRUE(run.ok());
-  (*run)->Run();
-  RunSpec spec = bench::RunSpecFromMacro(cfg);
+  (*run)->Execute();
   BlackboxTrigger trig;
   util::Json good = rec.ToJson(spec, trig);
   ASSERT_TRUE(ValidateBlackbox(good).ok())

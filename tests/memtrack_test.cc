@@ -178,7 +178,7 @@ TEST(MemDump, ValidatorRejectsCurrentAbovePeak) {
 }
 
 // Full blockbench-mem-v1 dumps from a parallel sweep must be
-// byte-identical to the serial ones — each MacroRun owns its Simulation
+// byte-identical to the serial ones — each RunStack owns its Simulation
 // and MemTracker, so worker scheduling cannot leak into the accounting.
 std::vector<std::string> SweepDumps(size_t jobs) {
   bench::BenchArgs args;
@@ -186,17 +186,14 @@ std::vector<std::string> SweepDumps(size_t jobs) {
   bench::SweepRunner runner("memtrack_test", args);
   runner.EnableMemTracking();
   for (const char* platform : {"parity", "hyperledger"}) {
-    auto opts = bench::OptionsFor(platform);
-    EXPECT_TRUE(opts.ok());
-    bench::MacroConfig cfg;
-    cfg.options = *opts;
-    cfg.servers = 4;
-    cfg.clients = 2;
-    cfg.rate = 10;
-    cfg.duration = 10;
-    cfg.drain = 5;
-    cfg.ycsb_records = 200;
-    runner.Add(std::move(cfg), {{"platform", platform}});
+    RunSpec spec = bench::BaseSpec(platform);
+    spec.servers = 4;
+    spec.clients = 2;
+    spec.rate = 10;
+    spec.duration = 10;
+    spec.drain = 5;
+    spec.ycsb_records = 200;
+    runner.Add(std::move(spec), {{"platform", platform}});
   }
   std::vector<std::string> dumps;
   EXPECT_TRUE(runner.Run([](size_t, const bench::SweepOutcome&) {}));
@@ -224,26 +221,23 @@ TEST(MemDump, SweepDumpsAreIdenticalAcrossJobs) {
 /// crashed at t=4, observed by the given sinks (either may be null).
 util::Json ObservedMemDump(const char* platform_name, Tracer* tracer,
                            FlightRecorder* recorder) {
-  auto opts = bench::OptionsFor(platform_name);
-  EXPECT_TRUE(opts.ok());
   MemTracker mt;
-  bench::MacroConfig cfg;
-  cfg.options = *opts;
-  cfg.servers = 4;
-  cfg.clients = 2;
-  cfg.rate = 20;
-  cfg.duration = 10;
-  cfg.drain = 5;
-  cfg.warmup = 2;
-  cfg.ycsb_records = 200;
-  cfg.tracer = tracer;
-  cfg.recorder = recorder;
-  cfg.memtracker = &mt;
-  auto run = bench::MacroRun::Create(cfg);
+  RunSpec spec = bench::BaseSpec(platform_name);
+  spec.servers = 4;
+  spec.clients = 2;
+  spec.rate = 20;
+  spec.duration = 10;
+  spec.drain = 5;
+  spec.warmup = 2;
+  spec.ycsb_records = 200;
+  spec.crashes = {{0, 4.0}};
+  workloads::RunSinks sinks;
+  sinks.tracer = tracer;
+  sinks.recorder = recorder;
+  sinks.memtracker = &mt;
+  auto run = workloads::RunStack::Create(spec, sinks);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
-  sim::Network* net = &(*run)->rplatform().network();
-  (*run)->rsim().At(4.0, [net] { net->Crash(0); });
-  (*run)->Run();
+  (*run)->Execute();
   return mt.ToJson();
 }
 

@@ -418,19 +418,16 @@ TEST(Profiler, ValidateProfileRejectsMalformedDocs) {
 
 // --- End-to-end traces -------------------------------------------------------
 
-bench::MacroConfig PbftConfig() {
-  auto opts = bench::OptionsFor("hyperledger");
-  EXPECT_TRUE(opts.ok());
-  bench::MacroConfig cfg;
-  cfg.options = *opts;
-  cfg.servers = 4;
-  cfg.clients = 2;
-  cfg.rate = 10;
-  cfg.duration = 10;
-  cfg.drain = 5;
-  cfg.warmup = 2;
-  cfg.ycsb_records = 200;
-  return cfg;
+RunSpec SmallSpec(const char* platform_name) {
+  RunSpec spec = bench::BaseSpec(platform_name);
+  spec.servers = 4;
+  spec.clients = 2;
+  spec.rate = 10;
+  spec.duration = 10;
+  spec.drain = 5;
+  spec.warmup = 2;
+  spec.ycsb_records = 200;
+  return spec;
 }
 
 /// The fault a golden run injects: none, a crash of server 0 at t=3, or
@@ -439,21 +436,18 @@ enum class Fault { kNone, kCrash, kPartition };
 
 std::string RunTrace(const char* platform_name, Fault fault) {
   Tracer tracer;
-  bench::MacroConfig cfg = PbftConfig();
-  auto opts = bench::OptionsFor(platform_name);
-  EXPECT_TRUE(opts.ok());
-  cfg.options = *opts;
-  cfg.tracer = &tracer;
-  auto run = bench::MacroRun::Create(cfg);
-  EXPECT_TRUE(run.ok()) << run.status().ToString();
-  sim::Network* net = &(*run)->rplatform().network();
+  RunSpec spec = SmallSpec(platform_name);
   if (fault == Fault::kCrash) {
-    (*run)->rsim().At(3.0, [net] { net->Crash(0); });
+    spec.crashes = {{0, 3.0}};
   } else if (fault == Fault::kPartition) {
-    (*run)->rsim().At(3.0, [net] { net->Partition({0, 1}); });
-    (*run)->rsim().At(6.0, [net] { net->HealPartition(); });
+    spec.partition_start = 3.0;
+    spec.partition_end = 6.0;
   }
-  (*run)->Run();
+  workloads::RunSinks sinks;
+  sinks.tracer = &tracer;
+  auto run = workloads::RunStack::Create(spec, sinks);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  (*run)->Execute();
   return tracer.DumpChromeTrace();
 }
 
@@ -493,7 +487,7 @@ TEST(TraceGolden, Pbft4NodeByteForByte) {
 }
 
 // A sweep must produce identical traces no matter how many worker
-// threads execute it: each MacroRun owns its simulation and tracer.
+// threads execute it: each RunStack owns its simulation and tracer.
 TEST(TraceDeterminism, JobsOneVersusJobsEight) {
   workloads::RegisterAllChaincodes();
   auto run_sweep = [](size_t jobs) {
@@ -502,11 +496,12 @@ TEST(TraceDeterminism, JobsOneVersusJobsEight) {
     args.jobs = jobs;
     bench::SweepRunner runner("obs_jobs_test", args);
     for (double rate : {5.0, 10.0, 20.0}) {
-      bench::MacroConfig cfg = PbftConfig();
-      cfg.rate = rate;
+      bench::SweepCase c;
+      c.spec = SmallSpec("hyperledger");
+      c.spec.rate = rate;
       tracers.push_back(std::make_unique<Tracer>());
-      cfg.tracer = tracers.back().get();
-      runner.Add(std::move(cfg));
+      c.sinks.tracer = tracers.back().get();
+      runner.Add(std::move(c));
     }
     EXPECT_TRUE(runner.Run(nullptr));
     std::vector<std::string> traces;

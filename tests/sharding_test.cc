@@ -338,22 +338,19 @@ std::vector<std::string> ShardedSweepRows(size_t jobs) {
   args.jobs = jobs;
   bench::SweepRunner runner("sharded_sweep_test", args);
   for (size_t shards : {1, 2}) {
-    auto opts = bench::OptionsFor(
+    obs::RunSpec spec = bench::BaseSpec(
         shards > 1 ? "hyperledger@shards=" + std::to_string(shards)
                    : "hyperledger");
-    EXPECT_TRUE(opts.ok());
-    bench::MacroConfig cfg;
-    cfg.options = *opts;
-    cfg.servers = 4;
-    cfg.clients = 2 * shards;
-    cfg.rate = 10;
-    cfg.duration = 10;
-    cfg.drain = 5;
-    cfg.warmup = 2;
-    cfg.workload = bench::WorkloadKind::kSmallbank;
-    cfg.smallbank_accounts = 200;
-    cfg.cross_shard_ratio = shards > 1 ? 0.2 : 0.0;
-    runner.Add(std::move(cfg), {{"shards", std::to_string(shards)}});
+    spec.servers = 4;
+    spec.clients = 2 * shards;
+    spec.rate = 10;
+    spec.duration = 10;
+    spec.drain = 5;
+    spec.warmup = 2;
+    spec.workload = "smallbank";
+    spec.smallbank_accounts = 200;
+    spec.cross_shard = shards > 1 ? 0.2 : 0.0;
+    runner.Add(std::move(spec), {{"shards", std::to_string(shards)}});
   }
   std::vector<std::string> rows;
   bool ok = runner.Run([&](size_t i, const bench::SweepOutcome& o) {

@@ -1,5 +1,5 @@
 // SweepRunner determinism and error handling: a parallel sweep must
-// produce byte-identical report rows to the serial one (each MacroRun
+// produce byte-identical report rows to the serial one (each RunStack
 // owns its Simulation, so thread scheduling can't leak into results),
 // rows must stream in case order, and bad configs must surface as
 // Status instead of aborting the process.
@@ -16,24 +16,28 @@
 namespace bb::bench {
 namespace {
 
+/// A 4-server, 2-client YCSB run of `platform`, short enough for a test.
+obs::RunSpec SmallSpec(const char* platform) {
+  obs::RunSpec spec = BaseSpec(platform);
+  spec.servers = 4;
+  spec.clients = 2;
+  spec.rate = 10;
+  spec.duration = 10;
+  spec.drain = 5;
+  spec.warmup = 2;
+  spec.ycsb_records = 200;
+  return spec;
+}
+
 // Small, fast sweep: 6 points across two platforms and three loads.
 SweepRunner MakeRunner(const BenchArgs& args) {
   SweepRunner runner("sweep_test", args);
   for (const char* platform : {"corda", "hyperledger"}) {
-    auto opts = OptionsFor(platform);
-    EXPECT_TRUE(opts.ok());
     for (double rate : {5.0, 10.0, 20.0}) {
-      MacroConfig cfg;
-      cfg.options = *opts;
-      cfg.servers = 4;
-      cfg.clients = 2;
-      cfg.rate = rate;
-      cfg.duration = 10;
-      cfg.drain = 5;
-      cfg.warmup = 2;
-      cfg.ycsb_records = 200;
-      runner.Add(std::move(cfg), {{"platform", platform},
-                                  {"rate", std::to_string(int(rate))}});
+      obs::RunSpec spec = SmallSpec(platform);
+      spec.rate = rate;
+      runner.Add(std::move(spec), {{"platform", platform},
+                                   {"rate", std::to_string(int(rate))}});
     }
   }
   return runner;
@@ -68,21 +72,20 @@ TEST(SweepRunnerTest, ParallelMatchesSerialByteForByte) {
 }
 
 TEST(SweepRunnerTest, BadPlatformNameIsAnError) {
-  auto opts = OptionsFor("no-such-platform");
-  EXPECT_FALSE(opts.ok());
-  EXPECT_TRUE(opts.status().IsNotFound() ||
-              opts.status().code() == StatusCode::kInvalidArgument)
-      << opts.status().ToString();
+  auto run = workloads::RunStack::Create(SmallSpec("no-such-platform"));
+  EXPECT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument)
+      << run.status().ToString();
 }
 
 TEST(SweepRunnerTest, BadConfigFailsTheRunWithoutAborting) {
   BenchArgs args;
   args.jobs = 1;
   SweepRunner runner("sweep_test_bad", args);
-  MacroConfig cfg;  // default options: never Validate()-clean
-  cfg.options.block_tx_limit = 0;
-  cfg.duration = 1;
-  runner.Add(std::move(cfg));
+  SweepCase c;
+  c.spec.duration = 1;
+  c.options.emplace().block_tx_limit = 0;  // never Validate()-clean
+  runner.Add(std::move(c));
   bool row_seen = false;
   bool ok = runner.Run([&](size_t, const SweepOutcome& o) {
     row_seen = true;
@@ -93,25 +96,16 @@ TEST(SweepRunnerTest, BadConfigFailsTheRunWithoutAborting) {
 }
 
 TEST(SweepRunnerTest, HooksRunAndSeeThePlatform) {
-  auto opts = OptionsFor("corda");
-  ASSERT_TRUE(opts.ok());
   BenchArgs args;
   args.jobs = 2;
   SweepRunner runner("sweep_test_hooks", args);
   std::vector<uint64_t> blocks(2, 0);
   for (int i = 0; i < 2; ++i) {
     SweepCase c;
-    c.config.options = *opts;
-    c.config.servers = 4;
-    c.config.clients = 2;
-    c.config.rate = 10;
-    c.config.duration = 10;
-    c.config.drain = 5;
-    c.config.warmup = 2;
-    c.config.ycsb_records = 200;
-    c.after = [&blocks, i](MacroRun& run, const core::BenchReport&) {
-      blocks[size_t(i)] =
-          run.rplatform().node(0).chain().main_chain_blocks();
+    c.spec = SmallSpec("corda");
+    c.after = [&blocks, i](workloads::RunStack& run,
+                           const core::BenchReport&) {
+      blocks[size_t(i)] = run.platform().node(0).chain().main_chain_blocks();
     };
     runner.Add(std::move(c));
   }

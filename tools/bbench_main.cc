@@ -39,17 +39,22 @@
 //   --until=TIME[,SEQ]    with --replay: stop at virtual TIME, or right
 //                         after message seq SEQ was sent
 //
-// Exit codes (documented here and in --help, nowhere else): 0 run ok,
-// 1 setup or output-write failure, 2 usage error, 3 run completed but
-// the --audit ledger check found a safety-invariant violation.
+// The run flags parse into one obs::RunSpec (a --replay dump's spec is
+// the starting point), which workloads::RunStack builds like any figure
+// row. Exit codes (documented here and in --help, nowhere else): 0 run
+// ok, 1 setup or output-write failure, 2 usage error (a malformed flag
+// value included), 3 run completed but the --audit ledger check found a
+// safety-invariant violation.
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <vector>
+#include <utility>
+#include <variant>
 
 #include "core/driver.h"
 #include "obs/auditor.h"
@@ -57,45 +62,24 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/recorder.h"
+#include "obs/run_spec.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "platform/forensics.h"
-#include "report_common.h"
 #include "platform/platform.h"
 #include "platform/registry.h"
+#include "report_common.h"
 #include "util/flags.h"
-#include "workloads/donothing.h"
-#include "workloads/doubler.h"
-#include "workloads/etherid.h"
-#include "workloads/smallbank.h"
-#include "workloads/wavespresale.h"
-#include "workloads/ycsb.h"
+#include "workloads/run.h"
 
 using namespace bb;
 
 namespace {
 
+/// What a run writes and how it is driven, beside the RunSpec it runs.
 struct Args {
-  std::string platform = "hyperledger";
-  std::string workload = "ycsb";
-  size_t servers = 8;
-  size_t clients = 8;
-  size_t shards = 0;  // 0 = leave the spec's @shards= (or unsharded) alone
-  double cross_shard = 0;
-  double rate = 100;
-  double duration = 120;
-  double warmup = 10;
-  double drain = 30;  // DriverConfig default; a replayed spec may differ
-  uint64_t seed = 42;
-  uint64_t platform_seed = 42;  // normally == seed; replay may split them
-  uint64_t driver_seed = 42;
-  uint64_t ycsb_records = 0;  // 0 = workload default; only replay sets these
-  uint64_t smallbank_accounts = 0;
-  size_t max_outstanding = 0;
-  std::vector<std::pair<size_t, double>> crashes;  // (server, time)
-  double partition_start = -1, partition_end = -1;
-  double delay = 0;
-  double corrupt = 0;
+  obs::RunSpec spec;
+  uint64_t shards = 0;  // 0 = leave the spec's @shards= (or unsharded) alone
   bool timeline = false;
   std::string trace_path;
   bool metrics = false;
@@ -155,45 +139,85 @@ exit codes: 0 run ok; 1 setup or output-write failure; 2 usage error;
 )");
 }
 
+/// Whole-string parses: "4x", "" and "-1" are not counts, and "abc",
+/// "inf" and "1e999" are not values.
+bool ParseUint(const std::string& v, uint64_t* out) {
+  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  unsigned long long n = std::strtoull(v.c_str(), nullptr, 10);
+  if (errno == ERANGE) return false;
+  *out = n;
+  return true;
+}
+
+bool ParseDouble(const std::string& v, double* out) {
+  if (v.empty()) return false;
+  char* end = nullptr;
+  double d = std::strtod(v.c_str(), &end);
+  if (*end != '\0' || !std::isfinite(d)) return false;
+  *out = d;
+  return true;
+}
+
+/// Splits "A<sep>B" and parses both halves; false unless both parse.
+template <typename A, typename B>
+bool ParsePair(const std::string& v, char sep, A* a,
+               bool (*parse_a)(const std::string&, A*), B* b,
+               bool (*parse_b)(const std::string&, B*)) {
+  size_t at = v.find(sep);
+  return at != std::string::npos && parse_a(v.substr(0, at), a) &&
+         parse_b(v.substr(at + 1), b);
+}
+
+/// Applies the flags over `a` in order, so the last occurrence of a flag
+/// wins and every --crash adds one. False on --help, an unknown flag or
+/// a malformed value (named on stderr).
 bool Parse(int argc, char** argv, Args* a) {
-  // Reject typos up front; the util helpers below then extract values
-  // (last occurrence wins, like every bench binary).
-  const char* known_kv[] = {"--platform",        "--workload", "--servers",
-                            "--clients",         "--rate",     "--duration",
-                            "--warmup",          "--seed",     "--max-outstanding",
-                            "--delay",           "--corrupt",  "--crash",
-                            "--partition",       "--trace",    "--sample",
-                            "--audit",           "--shards",   "--cross-shard",
-                            "--profile",         "--metrics",  "--blackbox",
-                            "--replay",          "--until",    "--mem",
-                            "--data-dir"};
+  using Target = std::variant<std::string*, uint64_t*, double*>;
+  const std::pair<const char*, Target> kValueFlags[] = {
+      {"--platform", &a->spec.platform},
+      {"--workload", &a->spec.workload},
+      {"--servers", &a->spec.servers},
+      {"--clients", &a->spec.clients},
+      {"--rate", &a->spec.rate},
+      {"--duration", &a->spec.duration},
+      {"--warmup", &a->spec.warmup},
+      {"--seed", &a->spec.seed},
+      {"--max-outstanding", &a->spec.max_outstanding},
+      {"--shards", &a->shards},
+      {"--cross-shard", &a->spec.cross_shard},
+      {"--delay", &a->spec.delay},
+      {"--corrupt", &a->spec.corrupt},
+      {"--trace", &a->trace_path},
+      {"--sample", &a->sample},
+      {"--audit", &a->audit_path},
+      {"--profile", &a->profile_path},
+      {"--metrics", &a->metrics_path},
+      {"--blackbox", &a->blackbox_path},
+      {"--replay", &a->replay_path},
+      {"--mem", &a->mem_path},
+      {"--data-dir", &a->data_dir},
+  };
   for (int i = 1; i < argc; ++i) {
     std::string s = argv[i];
-    if (s == "--timeline" || s == "--list-platforms" || s == "--metrics") {
+    if (s == "--timeline") {
+      a->timeline = true;
       continue;
     }
-    if (s == "--help" || s == "-h") return false;
-    bool matched = false;
-    for (const char* k : known_kv) {
-      if (s.rfind(std::string(k) + "=", 0) == 0) {
-        matched = true;
-        break;
+    if (s == "--metrics") {
+      a->metrics = true;
+      continue;
+    }
+    if (s == "--list-platforms") {
+      std::fprintf(stderr, "registered platforms:\n");
+      for (const auto& [name, def] :
+           platform::PlatformRegistry::Instance().definitions()) {
+        std::fprintf(stderr, "  %-12s %s\n", name.c_str(),
+                     def.description.c_str());
       }
-    }
-    if (!matched) {
-      std::fprintf(stderr, "unknown flag: %s\n", s.c_str());
-      return false;
-    }
-  }
-
-  if (util::HasFlag(argc, argv, "--list-platforms")) {
-    std::fprintf(stderr, "registered platforms:\n");
-    for (const auto& [name, def] :
-         platform::PlatformRegistry::Instance().definitions()) {
-      std::fprintf(stderr, "  %-12s %s\n", name.c_str(),
-                   def.description.c_str());
-    }
-    std::fprintf(stderr, R"(
+      std::fprintf(stderr, R"(
 stack spec axes ("consensus+tree[/backend]+exec[@shards=S]"):
   consensus    pow | poa | pbft | tendermint | raft
   tree         trie | bucket
@@ -205,148 +229,51 @@ stack spec axes ("consensus+tree[/backend]+exec[@shards=S]"):
                | raft)
 examples: pbft+trie+evm   tendermint+bucket+native   pbft+trie+evm@shards=4
 )");
-    std::exit(0);
-  }
-
-  a->platform = util::FlagValue(argc, argv, "--platform").value_or(a->platform);
-  a->workload = util::FlagValue(argc, argv, "--workload").value_or(a->workload);
-  a->servers = size_t(util::FlagUint(argc, argv, "--servers", a->servers));
-  a->clients = size_t(util::FlagUint(argc, argv, "--clients", a->clients));
-  a->rate = util::FlagDouble(argc, argv, "--rate", a->rate);
-  a->duration = util::FlagDouble(argc, argv, "--duration", a->duration);
-  a->warmup = util::FlagDouble(argc, argv, "--warmup", a->warmup);
-  a->seed = util::FlagUint(argc, argv, "--seed", a->seed);
-  a->max_outstanding = size_t(
-      util::FlagUint(argc, argv, "--max-outstanding", a->max_outstanding));
-  a->shards = size_t(util::FlagUint(argc, argv, "--shards", a->shards));
-  a->cross_shard =
-      util::FlagDouble(argc, argv, "--cross-shard", a->cross_shard);
-  a->delay = util::FlagDouble(argc, argv, "--delay", a->delay);
-  a->corrupt = util::FlagDouble(argc, argv, "--corrupt", a->corrupt);
-  a->timeline = util::HasFlag(argc, argv, "--timeline");
-  a->trace_path = util::FlagValue(argc, argv, "--trace").value_or("");
-  a->metrics_path = util::FlagValue(argc, argv, "--metrics").value_or("");
-  a->metrics =
-      util::HasFlag(argc, argv, "--metrics") || !a->metrics_path.empty();
-  a->mem_path = util::FlagValue(argc, argv, "--mem").value_or("");
-  a->profile_path = util::FlagValue(argc, argv, "--profile").value_or("");
-  a->sample = util::FlagDouble(argc, argv, "--sample", a->sample);
-  a->audit_path = util::FlagValue(argc, argv, "--audit").value_or("");
-  a->blackbox_path = util::FlagValue(argc, argv, "--blackbox").value_or("");
-  a->data_dir = util::FlagValue(argc, argv, "--data-dir").value_or("");
-  if (auto until = util::FlagValue(argc, argv, "--until")) {
-    auto comma = until->find(',');
-    a->until_time = std::atof(until->substr(0, comma).c_str());
-    if (comma != std::string::npos) {
-      a->until_seq = std::strtoull(until->substr(comma + 1).c_str(),
-                                   nullptr, 10);
+      std::exit(0);
+    }
+    if (s == "--help" || s == "-h") return false;
+    size_t eq = s.find('=');
+    std::string name = s.substr(0, eq);
+    std::string v = eq == std::string::npos ? "" : s.substr(eq + 1);
+    const Target* target = nullptr;
+    for (const auto& [flag, t] : kValueFlags) {
+      if (name == flag) target = &t;
+    }
+    bool paired =
+        name == "--crash" || name == "--partition" || name == "--until";
+    if (eq == std::string::npos || (target == nullptr && !paired)) {
+      std::fprintf(stderr, "unknown flag: %s\n", s.c_str());
+      return false;
+    }
+    bool ok = true;
+    if (name == "--crash") {
+      uint64_t id = 0;
+      double t = 0;
+      ok = ParsePair(v, '@', &id, ParseUint, &t, ParseDouble);
+      if (ok) a->spec.crashes.emplace_back(id, t);
+    } else if (name == "--partition") {
+      ok = ParsePair(v, ':', &a->spec.partition_start, ParseDouble,
+                     &a->spec.partition_end, ParseDouble);
+    } else if (name == "--until") {
+      ok = v.find(',') == std::string::npos
+               ? ParseDouble(v, &a->until_time)
+               : ParsePair(v, ',', &a->until_time, ParseDouble,
+                           &a->until_seq, ParseUint);
+    } else if (auto* str = std::get_if<std::string*>(target)) {
+      **str = v;
+    } else if (auto* count = std::get_if<uint64_t*>(target)) {
+      ok = ParseUint(v, *count);
+    } else {
+      ok = ParseDouble(v, std::get<double*>(*target));
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value for %s: '%s'\n", name.c_str(),
+                   v.c_str());
+      return false;
     }
   }
-
-  // --crash is repeatable, so collect every occurrence by hand.
-  for (int i = 1; i < argc; ++i) {
-    std::string s = argv[i];
-    if (s.rfind("--crash=", 0) != 0) continue;
-    std::string v = s.substr(sizeof("--crash=") - 1);
-    auto at = v.find('@');
-    if (at == std::string::npos) return false;
-    a->crashes.emplace_back(size_t(std::atoll(v.substr(0, at).c_str())),
-                            std::atof(v.substr(at + 1).c_str()));
-  }
-  if (auto part = util::FlagValue(argc, argv, "--partition")) {
-    auto colon = part->find(':');
-    if (colon == std::string::npos) return false;
-    a->partition_start = std::atof(part->substr(0, colon).c_str());
-    a->partition_end = std::atof(part->substr(colon + 1).c_str());
-  }
+  if (!a->metrics_path.empty()) a->metrics = true;
   return true;
-}
-
-platform::PlatformOptions PlatformFor(const std::string& name,
-                                      const std::string& data_dir) {
-  auto opts = platform::StackOptionsFromString(name, data_dir);
-  if (!opts.ok()) {
-    std::fprintf(stderr, "unknown platform: %s\n",
-                 opts.status().ToString().c_str());
-    std::exit(2);
-  }
-  return *opts;
-}
-
-std::unique_ptr<core::WorkloadConnector> WorkloadFor(const std::string& name,
-                                                     double cross_shard,
-                                                     uint64_t ycsb_records,
-                                                     uint64_t smallbank_accounts) {
-  if (name == "ycsb") {
-    workloads::YcsbConfig yc;
-    yc.cross_shard_ratio = cross_shard;
-    if (ycsb_records > 0) yc.record_count = ycsb_records;
-    return std::make_unique<workloads::YcsbWorkload>(yc);
-  }
-  if (name == "smallbank") {
-    workloads::SmallbankConfig sc;
-    sc.cross_shard_ratio = cross_shard;
-    if (smallbank_accounts > 0) sc.num_accounts = smallbank_accounts;
-    return std::make_unique<workloads::SmallbankWorkload>(sc);
-  }
-  if (name == "etherid") return std::make_unique<workloads::EtherIdWorkload>();
-  if (name == "doubler") return std::make_unique<workloads::DoublerWorkload>();
-  if (name == "wavespresale")
-    return std::make_unique<workloads::WavesPresaleWorkload>();
-  if (name == "donothing")
-    return std::make_unique<workloads::DoNothingWorkload>();
-  std::fprintf(stderr, "unknown workload: %s\n", name.c_str());
-  std::exit(2);
-}
-
-/// The recorded spec becomes the new Args defaults; Parse() then runs as
-/// usual, so any explicit CLI flag still overrides a replayed field.
-void ApplySpec(const obs::RunSpec& s, Args* a) {
-  a->platform = s.platform;
-  a->workload = s.workload;
-  a->servers = size_t(s.servers);
-  a->clients = size_t(s.clients);
-  a->cross_shard = s.cross_shard;
-  a->rate = s.rate;
-  a->duration = s.duration;
-  a->warmup = s.warmup;
-  a->drain = s.drain;
-  a->max_outstanding = size_t(s.max_outstanding);
-  a->seed = s.seed;
-  a->platform_seed = s.platform_seed;
-  a->driver_seed = s.driver_seed;
-  a->ycsb_records = s.ycsb_records;
-  a->smallbank_accounts = s.smallbank_accounts;
-  for (const auto& [id, t] : s.crashes) a->crashes.emplace_back(size_t(id), t);
-  a->partition_start = s.partition_start;
-  a->partition_end = s.partition_end;
-  a->delay = s.delay;
-  a->corrupt = s.corrupt;
-}
-
-obs::RunSpec SpecFromArgs(const Args& a) {
-  obs::RunSpec s;
-  s.platform = a.platform;  // post --shards rewrite: the full stack spec
-  s.workload = a.workload;
-  s.servers = a.servers;
-  s.clients = a.clients;
-  s.cross_shard = a.cross_shard;
-  s.rate = a.rate;
-  s.duration = a.duration;
-  s.warmup = a.warmup;
-  s.drain = a.drain;
-  s.max_outstanding = a.max_outstanding;
-  s.seed = a.seed;
-  s.platform_seed = a.platform_seed;
-  s.driver_seed = a.driver_seed;
-  s.ycsb_records = a.ycsb_records;
-  s.smallbank_accounts = a.smallbank_accounts;
-  for (const auto& [id, t] : a.crashes) s.crashes.emplace_back(uint64_t(id), t);
-  s.partition_start = a.partition_start;
-  s.partition_end = a.partition_end;
-  s.delay = a.delay;
-  s.corrupt = a.corrupt;
-  return s;
 }
 
 }  // namespace
@@ -368,53 +295,44 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--replay: %s\n", doc.status().ToString().c_str());
       return 1;
     }
+    // The validator parses the embedded spec, so a dump it accepts
+    // carries a spec that parses.
     if (Status vs = obs::ValidateBlackbox(*doc); !vs.ok()) {
       std::fprintf(stderr, "--replay: %s: %s\n", a.replay_path.c_str(),
                    vs.ToString().c_str());
       return 1;
     }
-    auto spec = obs::RunSpec::FromJson(*doc->Get("run"));
-    if (!spec.ok()) {
-      std::fprintf(stderr, "--replay: %s: %s\n", a.replay_path.c_str(),
-                   spec.status().ToString().c_str());
-      return 1;
-    }
-    ApplySpec(*spec, &a);
+    a.spec = *obs::RunSpec::FromJson(*doc->Get("run"));
   }
   if (!Parse(argc, argv, &a)) {
     Usage();
     return 2;
   }
+  obs::RunSpec& spec = a.spec;
   // In a normal run every layer is seeded from --seed. A replayed dump
   // may carry three distinct seeds (the bench harness splits them); an
   // explicit --seed on top of --replay re-unifies them, giving "same
   // scenario, different randomness".
-  if (!replaying || util::FlagValue(argc, argv, "--seed").has_value()) {
-    a.platform_seed = a.seed;
-    a.driver_seed = a.seed;
+  if (!replaying || util::FlagValue(argc, argv, "--seed")) {
+    spec.platform_seed = spec.seed;
+    spec.driver_seed = spec.seed;
   }
-  if (a.until_time >= 0 || a.until_seq > 0) {
-    if (!replaying) {
-      std::fprintf(stderr, "--until requires --replay\n");
-      return 2;
-    }
+  if ((a.until_time >= 0 || a.until_seq > 0) && !replaying) {
+    std::fprintf(stderr, "--until requires --replay\n");
+    return 2;
   }
 
   // --shards overrides whatever the spec says (including removing an
   // existing "@shards=" suffix when --shards=1).
   if (a.shards > 0) {
-    if (size_t at = a.platform.rfind("@shards="); at != std::string::npos) {
-      a.platform.resize(at);
+    if (size_t at = spec.platform.rfind("@shards="); at != std::string::npos) {
+      spec.platform.resize(at);
     }
-    if (a.shards > 1) a.platform += "@shards=" + std::to_string(a.shards);
+    if (a.shards > 1) spec.platform += "@shards=" + std::to_string(a.shards);
   }
 
-  sim::Simulation sim(a.seed);
   std::unique_ptr<obs::Tracer> tracer;
-  if (!a.trace_path.empty()) {
-    tracer = std::make_unique<obs::Tracer>();
-    sim.set_tracer(tracer.get());
-  }
+  if (!a.trace_path.empty()) tracer = std::make_unique<obs::Tracer>();
 
   // The flight recorder arms whenever a dump could be wanted: an explicit
   // --blackbox, any audited run (a violation auto-dumps the black box),
@@ -423,15 +341,15 @@ int main(int argc, char** argv) {
   if (!a.blackbox_path.empty() || !a.audit_path.empty() || replaying) {
     recorder = std::make_unique<obs::FlightRecorder>();
     if (a.until_seq > 0) recorder->set_break_seq(a.until_seq);
-    sim.set_recorder(recorder.get());
   }
 
-  // --mem: attached before platform construction so every node binds its
-  // layer gauges at build time.
   std::unique_ptr<obs::MemTracker> memtracker;
-  if (!a.mem_path.empty()) {
-    memtracker = std::make_unique<obs::MemTracker>();
-    sim.set_memtracker(memtracker.get());
+  if (!a.mem_path.empty()) memtracker = std::make_unique<obs::MemTracker>();
+
+  std::unique_ptr<obs::Sampler> sampler;
+  if (a.sample > 0) {
+    sampler = std::make_unique<obs::Sampler>(
+        obs::Sampler::Config{a.sample, 0.0});
   }
 
   // --profile: the window opens here (before platform construction) and
@@ -453,69 +371,30 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::unique_ptr<platform::Platform> chain_ptr = [&] {
-    BB_PROF_SCOPE("driver.setup");
-    return platform::MakePlatform(&sim, PlatformFor(a.platform, a.data_dir),
-                                  a.servers, a.platform_seed);
-  }();
-  platform::Platform& chain = *chain_ptr;
-  auto workload = WorkloadFor(a.workload, a.cross_shard, a.ycsb_records,
-                              a.smallbank_accounts);
-  Status s = [&] {
-    BB_PROF_SCOPE("driver.setup");
-    return workload->Setup(&chain);
-  }();
-  if (!s.ok()) {
-    std::fprintf(stderr, "setup failed: %s\n", s.ToString().c_str());
-    return 1;
+  auto stack = workloads::RunStack::Create(
+      spec, {tracer.get(), recorder.get(), memtracker.get(), sampler.get()},
+      a.data_dir);
+  if (!stack.ok()) {
+    // A spec the builder refuses is a usage error; a workload whose
+    // setup failed is not.
+    std::fprintf(stderr, "bbench: %s\n", stack.status().ToString().c_str());
+    return stack.status().code() == StatusCode::kInvalidArgument ? 2 : 1;
   }
-
-  if (a.delay > 0) chain.network().InjectDelay(a.delay);
-  if (a.corrupt > 0) chain.network().SetCorruptProbability(a.corrupt);
-  for (auto [id, t] : a.crashes) {
-    if (id >= chain.num_servers()) {
-      std::fprintf(stderr, "--crash server id out of range\n");
-      return 2;
-    }
-    sim.At(t, [&chain, id = id] { chain.network().Crash(sim::NodeId(id)); });
-  }
-  if (a.partition_start >= 0) {
-    std::vector<sim::NodeId> half;
-    for (size_t i = 0; i < chain.num_servers() / 2; ++i) {
-      half.push_back(sim::NodeId(i));
-    }
-    sim.At(a.partition_start,
-           [&chain, half] { chain.network().Partition(half); });
-    sim.At(a.partition_end, [&chain] { chain.network().HealPartition(); });
-  }
-
-  core::DriverConfig dc;
-  dc.num_clients = a.clients;
-  dc.request_rate = a.rate;
-  dc.max_outstanding = a.max_outstanding;
-  dc.duration = a.duration;
-  dc.drain = a.drain;
-  dc.warmup = a.warmup;
-  dc.seed = a.driver_seed;
-  core::Driver driver(&chain, workload.get(), dc);
-
-  std::unique_ptr<obs::Sampler> sampler;
-  if (a.sample > 0) {
-    sampler = std::make_unique<obs::Sampler>(
-        obs::Sampler::Config{a.sample, 0.0});
-    platform::AttachStandardProbes(sampler.get(), &chain);
-    sampler->Schedule(&sim, a.duration + dc.drain);
-  }
+  workloads::RunStack& run = **stack;
+  sim::Simulation& sim = run.sim();
+  platform::Platform& chain = run.platform();
+  core::Driver& driver = run.driver();
 
   std::printf("bbench: %s / %s, %zu servers, %zu clients, %.0f tx/s/client, "
               "%.0f s\n",
-              a.platform.c_str(), a.workload.c_str(), a.servers, a.clients,
-              a.rate, a.duration);
+              spec.platform.c_str(), spec.workload.c_str(),
+              size_t(spec.servers), size_t(spec.clients), spec.rate,
+              spec.duration);
   if (replaying && (a.until_time >= 0 || a.until_seq > 0)) {
     // Replay-to-failure: drive the sim ourselves so the run can stop at
     // the requested virtual time — or earlier, when the recorder's
     // message-seq breakpoint requests a stop from inside Network::Send.
-    double end = a.duration + dc.drain;
+    double end = spec.duration + spec.drain;
     if (a.until_time >= 0 && a.until_time < end) end = a.until_time;
     driver.StartAll();
     sim.RunUntil(end);
@@ -544,8 +423,8 @@ int main(int argc, char** argv) {
   }
 
   auto r = driver.Report();
-  std::printf("\nresults (measured over [%.0f s, %.0f s)):\n", a.warmup,
-              a.duration);
+  std::printf("\nresults (measured over [%.0f s, %.0f s)):\n", spec.warmup,
+              spec.duration);
   std::printf("  throughput    %10.1f tx/s\n", r.throughput);
   std::printf("  latency       mean %.3f s  p50 %.3f s  p95 %.3f s  p99 "
               "%.3f s\n",
@@ -600,8 +479,8 @@ int main(int argc, char** argv) {
     if (!a.metrics_path.empty()) {
       util::Json doc = util::Json::Object();
       doc.Set("schema", "blockbench-metrics-v1");
-      doc.Set("platform", a.platform);
-      doc.Set("workload", a.workload);
+      doc.Set("platform", spec.platform);
+      doc.Set("workload", spec.workload);
       doc.Set("metrics", reg.ToJson());
       std::string text = doc.Dump(2);
       text.push_back('\n');
@@ -618,7 +497,7 @@ int main(int argc, char** argv) {
 
   if (a.timeline) {
     std::printf("\ncommitted per second:\n");
-    for (size_t t = 0; t < size_t(a.duration); t += 5) {
+    for (size_t t = 0; t < size_t(spec.duration); t += 5) {
       double sum = 0;
       for (size_t u = t; u < t + 5; ++u) {
         sum += driver.stats().CommittedInSecond(u);
@@ -649,11 +528,7 @@ int main(int argc, char** argv) {
   bool audit_violated = false;
   obs::BlackboxTrigger trigger;  // kind "explicit" unless the audit fails
   if (!a.audit_path.empty()) {
-    obs::AuditorConfig ac;
-    ac.confirmation_depth = chain.options().confirmation_depth;
-    ac.heal_time = a.partition_start >= 0 ? a.partition_end : -1;
-    ac.end_time = a.duration + dc.drain;
-    ac.num_shards = uint32_t(chain.num_shards());
+    obs::AuditorConfig ac = run.audit_config();
     obs::AuditReport audit = platform::RunAudit(chain, ac);
     std::printf("\nledger audit (%zu nodes):\n%s", chain.num_servers(),
                 audit.RenderTable().c_str());
@@ -682,7 +557,7 @@ int main(int argc, char** argv) {
     std::string bb_path = !a.blackbox_path.empty()
                               ? a.blackbox_path
                               : a.audit_path + ".blackbox.json";
-    Status bs = recorder->WriteJson(bb_path, SpecFromArgs(a), trigger);
+    Status bs = recorder->WriteJson(bb_path, spec, trigger);
     if (!bs.ok()) {
       std::fprintf(stderr, "blackbox write failed: %s\n",
                    bs.ToString().c_str());

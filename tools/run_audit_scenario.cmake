@@ -9,12 +9,20 @@
 #                     reproduce the same violation with a byte-identical
 #                     dump and audit report;
 #   EXPECT=clean      bbench must exit 0 and bbreport audit must confirm
-#                     zero forks plus a post-heal recovery gap.
+#                     zero forks plus a post-heal recovery gap;
+#   EXPECT=figure     the bench FIGURE must leave the black box DUMP of
+#                     an audit violation, and bbench --replay of it must
+#                     find the same violation and re-create DUMP byte for
+#                     byte: a figure row and bbench build the same run.
 #
-# Required -D vars: BBENCH, BBREPORT, PLATFORM, OUT, EXPECT, DURATION,
-#                   PARTITION.
+# Required -D vars: BBENCH, OUT, EXPECT, and FIGURE and DUMP (figure) or
+#                   BBREPORT, PLATFORM, DURATION and PARTITION (the rest).
 
-foreach(v BBENCH BBREPORT PLATFORM OUT EXPECT DURATION PARTITION)
+set(required BBREPORT PLATFORM DURATION PARTITION)
+if(EXPECT STREQUAL "figure")
+  set(required FIGURE DUMP)
+endif()
+foreach(v BBENCH OUT EXPECT ${required})
   if(NOT DEFINED ${v})
     message(FATAL_ERROR "run_audit_scenario: missing -D${v}")
   endif()
@@ -57,6 +65,12 @@ elseif(EXPECT STREQUAL "clean")
   expect_exit(0 "bbreport audit"
               ${BBREPORT} audit --fail-on-violation --max-forked-pct=0
               --require-recovery ${OUT})
+elseif(EXPECT STREQUAL "figure")
+  expect_exit(0 "figure" ${FIGURE} --jobs=4)
+  expect_exit(3 "replay (same violation)"
+              ${BBENCH} --replay=${DUMP} --audit=${OUT})
+  expect_exit(0 "replayed dump differs from ${DUMP}"
+              ${CMAKE_COMMAND} -E compare_files ${DUMP} ${OUT}.blackbox.json)
 else()
   message(FATAL_ERROR "unknown EXPECT '${EXPECT}'")
 endif()
