@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "chain/block.h"
 #include "chain/state_db.h"
@@ -523,6 +524,44 @@ void BM_NetworkSend(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * kBatch);
 }
 BENCHMARK(BM_NetworkSend);
+
+// network_broadcast64: one PBFT-style vote round at 64 nodes. Every node
+// sends one vote to each of the other 63 (one shared payload per sender,
+// as HostBroadcast does), and each receiver pays PBFT's default 200 us
+// per-message CPU, so arrivals queue behind busy windows the way they do
+// in a donothing-pbft64 run. Items are messages delivered.
+void BM_NetworkBroadcast64(benchmark::State& state) {
+  constexpr sim::NodeId kNodes = 64;
+  class Voter : public sim::Node {
+   public:
+    using sim::Node::Node;
+    double HandleMessage(const sim::Message&) override { return 0.0002; }
+  };
+  sim::Simulation sim;
+  sim::Network net(&sim, {});
+  std::vector<std::unique_ptr<Voter>> voters;
+  for (sim::NodeId id = 0; id < kNodes; ++id) {
+    voters.push_back(std::make_unique<Voter>(id, &net));
+  }
+  for (auto _ : state) {
+    for (sim::NodeId from = 0; from < kNodes; ++from) {
+      sim::Payload vote = uint64_t{from};
+      for (sim::NodeId to = 0; to < kNodes; ++to) {
+        if (to == from) continue;
+        sim::Message m;
+        m.from = from;
+        m.to = to;
+        m.kind = sim::MsgKind::kPbftPrepare;
+        m.payload = vote;
+        m.size_bytes = 100;
+        net.Send(std::move(m));
+      }
+    }
+    sim.RunUntil(sim.Now() + 1.0);
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * kNodes * (kNodes - 1));
+}
+BENCHMARK(BM_NetworkBroadcast64);
 
 void BM_NetworkMessageRoundtrip(benchmark::State& state) {
   class Sink : public sim::Node {

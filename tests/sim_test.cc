@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/event.h"
 #include "sim/network.h"
 #include "sim/node.h"
 #include "sim/simulation.h"
@@ -483,6 +486,259 @@ TEST(MsgKindTest, WireNamesArePinnedUniqueAndClassIsPbft) {
     EXPECT_LT(std::string(MsgKindName(kMsgKindsByName[i - 1])),
               std::string(MsgKindName(kMsgKindsByName[i])));
   }
+}
+
+// --- Kernel event order -------------------------------------------------
+//
+// A node's busy window (the CPU seconds its last handler returned) ends
+// at a point in the (time, seq) order; whether an arrival at exactly that
+// time is queued behind the window or handled at once depends on which
+// side of that point its delivery event falls. The tests below pin the
+// observable order so kernel changes can be checked against it.
+
+// Times and latencies are whole ticks of 1/1024 s, exact in a double, so
+// arrivals, crashes and probes land exactly on busy-window ends.
+constexpr double kTick = 1.0 / 1024;
+
+// One observation: a handled message (what = network seq) or an
+// inbox_depth probe (what = kProbeTag | depth).
+struct Observation {
+  double t;
+  NodeId node;
+  uint64_t what;
+};
+constexpr uint64_t kProbeTag = uint64_t{1} << 63;
+
+uint64_t DigestOf(const std::vector<Observation>& log) {
+  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the raw fields
+  auto mix = [&h](const void* p, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      h ^= static_cast<const unsigned char*>(p)[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Observation& o : log) {
+    mix(&o.t, sizeof o.t);
+    mix(&o.node, sizeof o.node);
+    mix(&o.what, sizeof o.what);
+  }
+  return h;
+}
+
+// A node whose handler cost (0 to 3 ticks) and fan-out (0 to 2 sends of
+// 0 to 4 ticks of latency) come from a seeded stream.
+class ScriptedNode : public Node {
+ public:
+  ScriptedNode(NodeId id, Network* net, Rng* rng, size_t cluster,
+               std::vector<Observation>* log, int* send_budget)
+      : Node(id, net), rng_(rng), cluster_(cluster), log_(log),
+        send_budget_(send_budget) {}
+
+  double HandleMessage(const Message& msg) override {
+    log_->push_back({Now(), id(), msg.seq});
+    const double cost = double(rng_->Uniform(4)) * kTick;
+    busy_until_ = Now() + cost;
+    for (uint64_t n = rng_->Uniform(3); n > 0 && *send_budget_ > 0; --n) {
+      --*send_budget_;
+      SendRandom(this, rng_, cluster_);
+    }
+    return cost;
+  }
+
+  // Latency is size_bytes ticks (bandwidth 1024 B/s, no base latency).
+  static void SendRandom(Node* from, Rng* rng, size_t cluster) {
+    Message m;
+    m.from = from->id();
+    m.to = NodeId(rng->Uniform(cluster));
+    m.kind = rng->Bernoulli(0.5) ? MsgKind::kPbftPrepare : MsgKind::kClientTx;
+    m.size_bytes = rng->Uniform(5);
+    from->network()->Send(std::move(m));
+  }
+
+  double busy_until_ = -1;
+
+ private:
+  Rng* rng_;
+  size_t cluster_;
+  std::vector<Observation>* log_;
+  int* send_budget_;
+};
+
+// Counts deliveries that land exactly at the receiver's busy-window end
+// with an empty inbox, split by whether the window was still open.
+struct TieCounter : obs::Sink {
+  std::vector<std::unique_ptr<ScriptedNode>>* nodes = nullptr;
+  int open = 0, closed = 0;
+  void Observe(const obs::Event& e) override {
+    if (e.kind != obs::EventKind::kRecv) return;
+    const ScriptedNode& n = *(*nodes)[e.node];
+    if (n.crashed() || e.t != n.busy_until_) return;
+    const size_t depth = n.inbox_depth();
+    if (depth == 1) ++open;
+    if (depth == 0) ++closed;
+  }
+};
+
+struct ScenarioResult {
+  std::vector<Observation> log;
+  int ties_open = 0, ties_closed = 0, crashes_in_window = 0;
+};
+
+ScenarioResult RunScenario(uint64_t seed) {
+  constexpr size_t kNodes = 5;
+  constexpr int kHorizonTicks = 256;
+  ScenarioResult r;
+  Rng rng(seed);
+  NetworkConfig cfg;
+  cfg.base_latency = 0;
+  cfg.jitter = 0;
+  cfg.bandwidth_bytes_per_sec = 1024;
+  cfg.inbox_capacity = 3;  // refusals read inbox_depth at send and arrival
+  Simulation sim(seed);
+  Network net(&sim, cfg);
+  int send_budget = 600;
+  std::vector<std::unique_ptr<ScriptedNode>> nodes;
+  for (size_t i = 0; i < kNodes; ++i) {
+    nodes.push_back(std::make_unique<ScriptedNode>(
+        NodeId(i), &net, &rng, kNodes, &r.log, &send_budget));
+    nodes.back()->SetInboxClassLimit(2);
+  }
+  TieCounter ties;
+  ties.nodes = &nodes;
+  sim.set_tracer(&ties);
+  auto at_tick = [&](uint64_t tick, EventFn fn) {
+    sim.At(double(tick) * kTick, std::move(fn));
+  };
+  // Client traffic, crashes with restarts 0-8 ticks later, and depth
+  // probes, all on the tick grid.
+  for (int i = 0; i < 120; ++i) {
+    const NodeId from = NodeId(rng.Uniform(kNodes));
+    at_tick(rng.Uniform(kHorizonTicks), [&, from] {
+      if (!net.IsCrashed(from)) {
+        ScriptedNode::SendRandom(nodes[from].get(), &rng, kNodes);
+      }
+    });
+  }
+  for (int i = 0; i < 12; ++i) {
+    const NodeId id = NodeId(rng.Uniform(kNodes));
+    const uint64_t down = rng.Uniform(kHorizonTicks);
+    const uint64_t up = down + rng.Uniform(9);
+    at_tick(down, [&, id] {
+      if (net.IsCrashed(id)) return;
+      if (sim.Now() < nodes[id]->busy_until_) ++r.crashes_in_window;
+      net.Crash(id);
+    });
+    at_tick(up, [&, id] {
+      if (net.IsCrashed(id)) net.Restart(id);
+    });
+  }
+  for (int i = 0; i < 200; ++i) {
+    const NodeId id = NodeId(rng.Uniform(kNodes));
+    at_tick(rng.Uniform(kHorizonTicks), [&, id] {
+      r.log.push_back({sim.Now(), id, kProbeTag | net.InboxDepth(id)});
+    });
+  }
+  sim.RunUntil(double(kHorizonTicks) * kTick);
+  sim.RunToCompletion();
+  sim.set_tracer(nullptr);
+  r.ties_open = ties.open;
+  r.ties_closed = ties.closed;
+  return r;
+}
+
+// Randomized pin of the kernel's observable order: which message each
+// node handles when, and what inbox_depth() reads, across zero-cost
+// handlers, arrivals on both sides of busy-window ends, bounded inboxes
+// and crashes/restarts inside windows. The digest must not move when the
+// kernel changes how it schedules.
+TEST(KernelOrderTest, RandomizedHandlingOrderIsPinned) {
+  std::vector<Observation> all;
+  int ties_open = 0, ties_closed = 0, crashes_in_window = 0;
+  size_t handled = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    ScenarioResult r = RunScenario(seed);
+    ties_open += r.ties_open;
+    ties_closed += r.ties_closed;
+    crashes_in_window += r.crashes_in_window;
+    for (const Observation& o : r.log) handled += (o.what & kProbeTag) == 0;
+    all.insert(all.end(), r.log.begin(), r.log.end());
+  }
+  // The scenarios must exercise what the pin is for.
+  EXPECT_GT(handled, 5000u);
+  EXPECT_GT(ties_open, 20);
+  EXPECT_GT(ties_closed, 20);
+  EXPECT_GT(crashes_in_window, 10);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(DigestOf(all)));
+  EXPECT_STREQ(hex, "8bac039ba1e34ec1");
+}
+
+// inbox_depth() at a busy-window end: a probe scheduled before the
+// handler returned falls inside the window, one scheduled after it does
+// not, even at the same virtual time.
+TEST(KernelOrderTest, InboxDepthAtBusyUntilTie) {
+  NetworkConfig cfg;
+  cfg.base_latency = 0.5;
+  cfg.jitter = 0;
+  cfg.bandwidth_bytes_per_sec = 0;
+  TestNet t(cfg, /*cost=*/0.25);
+  std::vector<std::pair<double, size_t>> depth;
+  auto probe = [&] { depth.emplace_back(t.sim.Now(), t.b.inbox_depth()); };
+  t.net.Send(Msg(0, 1));             // arrives 0.5, busy until 0.75
+  t.sim.At(0.75, probe);             // before the handler: inside
+  t.sim.At(0.6, [&] {
+    probe();                         // mid-window
+    t.sim.At(0.75, probe);           // after the handler: outside
+  });
+  t.sim.At(0.76, probe);
+  t.sim.RunToCompletion();
+  ASSERT_EQ(t.b.received_, 1);
+  EXPECT_EQ(depth, (std::vector<std::pair<double, size_t>>{
+                       {0.6, 1}, {0.75, 1}, {0.75, 0}, {0.76, 0}}));
+}
+
+// The same tie decides a bounded inbox: with room for one message, an
+// arrival ordered before the window's end is refused and one ordered
+// after it is handled at once.
+TEST(KernelOrderTest, ArrivalAtBusyUntilTieUsesWindowOrder) {
+  NetworkConfig cfg;
+  cfg.base_latency = 0;
+  cfg.jitter = 0;
+  cfg.bandwidth_bytes_per_sec = 4;  // latency = size_bytes / 4 s
+  cfg.inbox_capacity = 1;
+  TestNet t(cfg, /*cost=*/0.25);
+  t.net.Send(Msg(0, 1, 2));                           // arrives 0.5
+  t.sim.At(0.25, [&] { t.net.Send(Msg(0, 1, 1)); });  // 0.75, before end
+  t.sim.At(0.6, [&] {
+    // Sent at 0.75 once the window has ended, with no latency.
+    t.sim.At(0.75, [&] { t.net.Send(Msg(2, 1, 0)); });
+  });
+  t.sim.RunToCompletion();
+  EXPECT_EQ(t.b.receive_times_, (std::vector<double>{0.5, 0.75}));
+  EXPECT_EQ(t.net.messages_dropped(), 1u);
+  EXPECT_EQ(t.b.inbox_depth(), 0u);
+}
+
+// A crash inside a busy window closes it: the restarted node handles an
+// arrival at once, before the old window would have ended.
+TEST(KernelOrderTest, CrashClosesBusyWindow) {
+  NetworkConfig cfg;
+  cfg.base_latency = 0.5;
+  cfg.jitter = 0;
+  cfg.bandwidth_bytes_per_sec = 0;
+  TestNet t(cfg, /*cost=*/1.0);
+  t.net.Send(Msg(0, 1));  // arrives 0.5, busy until 1.5
+  t.sim.At(0.6, [&] {
+    EXPECT_EQ(t.b.inbox_depth(), 1u);
+    t.net.Crash(1);
+    EXPECT_EQ(t.b.inbox_depth(), 0u);
+    t.net.Restart(1);
+    EXPECT_EQ(t.b.inbox_depth(), 0u);
+    t.net.Send(Msg(0, 1));  // arrives 1.1, inside the voided window
+  });
+  t.sim.RunToCompletion();
+  EXPECT_EQ(t.b.receive_times_, (std::vector<double>{0.5, 1.1}));
 }
 
 TEST(PayloadDeathTest, ReadWithWrongTypeAborts) {
