@@ -79,14 +79,14 @@ bool Network::Send(Message msg) {
   }
 
   double latency = SampleLatency(msg.size_bytes);
-  NodeId to = msg.to;
   // In-flight bytes are charged to the *receiver*: that is the node
   // whose inbound queue the scale campaign will see balloon under
   // quorum broadcast, and the attribution the mem gates reason about.
   if (auto* mt = sim_->memtracker()) {
-    mt->Track(uint32_t(to), obs::mem::kNetInflight, msg.size_bytes);
+    mt->Track(uint32_t(msg.to), obs::mem::kNetInflight, msg.size_bytes);
   }
-  sim_->After(latency, [this, to, m = std::move(msg)]() mutable {
+  auto deliver = [this, m = std::move(msg)]() mutable {
+    const NodeId to = m.to;
     // Every in-flight outcome (delivery or either drop) releases the
     // receiver's in-flight bytes.
     if (auto* mt = sim_->memtracker()) {
@@ -106,7 +106,11 @@ bool Network::Send(Message msg) {
                   .name = MsgKindName(m.kind)});
     }
     if (!lost) nodes_[to]->Deliver(std::move(m));
-  });
+  };
+  // The delivery is the one event every message schedules: it must not
+  // allocate.
+  static_assert(EventFn::kStoresInline<decltype(deliver)>);
+  sim_->After(latency, std::move(deliver));
   return true;
 }
 

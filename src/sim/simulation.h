@@ -44,11 +44,21 @@ namespace bb::sim {
 using SimTime = double;
 
 /// A move-only type-erased void() callable with inline storage for
-/// captures up to kInlineSize bytes; larger callables fall back to one
-/// heap allocation. The simulation's replacement for std::function.
+/// captures up to kInlineSize bytes aligned to kInlineAlign; larger or
+/// more aligned callables fall back to one heap allocation. The
+/// simulation's replacement for std::function. The buffer fills the
+/// object to 64 bytes next to the ops pointer, which is exactly enough
+/// for a network delivery (`this` plus a 48-byte Message).
 class EventFn {
  public:
-  static constexpr size_t kInlineSize = 48;
+  static constexpr size_t kInlineSize = 56;
+  static constexpr size_t kInlineAlign = alignof(void*);
+
+  /// True when a callable of type Fn is stored inline (no allocation).
+  template <typename Fn>
+  static constexpr bool kStoresInline =
+      sizeof(Fn) <= kInlineSize && alignof(Fn) <= kInlineAlign &&
+      std::is_nothrow_move_constructible_v<Fn>;
 
   EventFn() = default;
 
@@ -58,9 +68,7 @@ class EventFn {
                 std::is_invocable_v<std::decay_t<F>&>>>
   EventFn(F&& f) {  // NOLINT: implicit wrap, like std::function
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (kStoresInline<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &kInlineOps<Fn>;
     } else {
@@ -127,8 +135,9 @@ class EventFn {
   }
 
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char buf_[kInlineSize];
+  alignas(kInlineAlign) unsigned char buf_[kInlineSize];
 };
+static_assert(sizeof(EventFn) == 64, "EventFn is one cache line");
 
 /// The event loop. Events fire in (time, insertion order) order, so
 /// same-time events are FIFO and runs are fully deterministic.
