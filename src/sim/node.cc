@@ -19,6 +19,7 @@ void Node::set_crashed(bool c) {
     inbox_.clear();
     class_queued_ = 0;
     processing_ = false;
+    idle_window_ = false;
     OnCrash();
   } else {
     OnRestart();
@@ -36,7 +37,23 @@ void Node::Deliver(Message msg) {
     ++class_queued_;
   }
   inbox_.push_back(std::move(msg));
-  if (!processing_) ProcessNext();
+  if (processing_) return;
+  if (InIdleWindow()) {
+    // The CPU is still busy: the continuation the last handler did not
+    // schedule is needed after all, at the place it reserved.
+    ContinueAt(busy_until_, busy_seq_);
+  } else {
+    idle_window_ = false;
+    ProcessNext();
+  }
+}
+
+void Node::ContinueAt(SimTime t, uint64_t seq) {
+  processing_ = true;
+  idle_window_ = false;
+  sim()->AtSeq(t, seq, [this, epoch = crash_epoch_] {
+    if (epoch == crash_epoch_) ProcessNext();
+  });
 }
 
 void Node::ProcessNext() {
@@ -55,11 +72,19 @@ void Node::ProcessNext() {
   double cost = HandleMessage(msg);
   assert(cost >= 0);
   meter_.AddCpu(Now(), cost);
-  // The node is busy for `cost`; the next queued message starts after,
-  // unless a crash in between voided this chain.
-  sim()->After(cost, [this, epoch = crash_epoch_] {
-    if (epoch == crash_epoch_) ProcessNext();
-  });
+  // The node is busy for `cost`; the next message starts after, unless a
+  // crash in between voids this chain. With nothing queued, only the
+  // continuation's place is kept.
+  const SimTime busy_until = Now() + cost;
+  const uint64_t seq = sim()->ReserveSeq(busy_until);
+  if (inbox_.empty()) {
+    processing_ = false;
+    idle_window_ = true;
+    busy_until_ = busy_until;
+    busy_seq_ = seq;
+  } else {
+    ContinueAt(busy_until, seq);
+  }
 }
 
 bool Node::Send(NodeId to, MsgKind kind, Payload payload,

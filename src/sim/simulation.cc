@@ -128,6 +128,7 @@ void Simulation::Dispatch() {
   EventFn fn = std::move(slab_[h.slot]);
   free_.push_back(h.slot);
   now_ = h.time;
+  current_seq_ = h.seq;
   ++events_executed_;
   if (memtracker_ != nullptr) {
     memtracker_->Untrack(obs::MemTracker::kGlobalNode, obs::mem::kSimEvents,
@@ -139,6 +140,15 @@ void Simulation::Dispatch() {
 void Simulation::At(SimTime t, EventFn fn) {
   assert(t >= now_ && "cannot schedule in the past");
   Push(Handle{t, next_seq_++, AllocSlot(std::move(fn))});
+  if (memtracker_ != nullptr) {
+    memtracker_->Track(obs::MemTracker::kGlobalNode, obs::mem::kSimEvents,
+                       kEventSlotBytes);
+  }
+}
+
+void Simulation::AtSeq(SimTime t, uint64_t seq, EventFn fn) {
+  assert(Ahead(t, seq) && seq < next_seq_ && "seq must be reserved, unpassed");
+  Push(Handle{t, seq, AllocSlot(std::move(fn))});
   if (memtracker_ != nullptr) {
     memtracker_->Track(obs::MemTracker::kGlobalNode, obs::mem::kSimEvents,
                        kEventSlotBytes);
@@ -160,7 +170,11 @@ void Simulation::RunUntil(SimTime end) {
     Dispatch();
     if (stop_requested_) return;  // breakpoint hit: clock stays at Now()
   }
-  if (now_ < end) now_ = end;
+  // Every event up to `end` has fired, reserved places included.
+  if (end >= now_) {
+    now_ = end;
+    PassAll();
+  }
 }
 
 void Simulation::RunToCompletion() {
@@ -169,6 +183,8 @@ void Simulation::RunToCompletion() {
     Dispatch();
     if (stop_requested_) return;
   }
+  if (reserved_until_ > now_) now_ = reserved_until_;
+  PassAll();
 }
 
 void Simulation::Clear() {
@@ -185,6 +201,7 @@ void Simulation::Clear() {
   slab_.clear();
   free_.clear();
   horizon_ = now_;
+  reserved_until_ = now_;
 }
 
 void Simulation::set_memtracker(obs::MemTracker* memtracker) {

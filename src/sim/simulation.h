@@ -5,18 +5,25 @@
 // makes 32-node, multi-minute experiments deterministic and laptop-fast.
 //
 // The event loop is the single hottest path in the whole framework (a
-// 32-node PBFT run dispatches millions of events), so it avoids the two
+// 64-node PBFT run dispatches millions of events), so it avoids the two
 // classic costs of the naive priority_queue<std::function> design:
 //   * callables live in a small-buffer-optimized EventFn inside a slab
 //     of recycled slots — no per-event heap allocation for closures up
-//     to 48 bytes, and closures are never moved by queue reordering;
+//     to 56 bytes (a network delivery, `this` plus a Message, fits), and
+//     closures are never moved by queue reordering;
 //   * ordering works on 24-byte POD handles in a two-level structure: a
 //     near-term binary heap plus an unsorted far-term overflow list
 //     behind an adaptive horizon, tuned for the mostly-monotonic
 //     schedule pattern (most events land a few milliseconds ahead of
 //     Now, timers land seconds ahead).
-// Events still fire in exact (time, insertion-seq) order, so runs are
-// bit-for-bit identical to the previous kernel.
+// It also runs fewer events: ReserveSeq hands out an insertion seq
+// without scheduling anything, and AtSeq fills that place later. A node
+// whose handler leaves its inbox empty reserves its busy-window
+// continuation this way and schedules it only if a message arrives
+// before the window ends (sim/node.h), so idle continuations never run.
+// Events fire in exact (time, insertion-seq) order, reserved places
+// included, so every run handles the same messages in the same order as
+// a kernel that scheduled each continuation.
 
 #ifndef BLOCKBENCH_SIM_SIMULATION_H_
 #define BLOCKBENCH_SIM_SIMULATION_H_
@@ -154,6 +161,29 @@ class Simulation {
   /// Schedules fn after a delay (>= 0) from Now().
   void After(SimTime delay, EventFn fn);
 
+  /// Hands out the insertion seq an event scheduled now at time t would
+  /// get, without scheduling one: the caller keeps the place (t, seq) in
+  /// the event order and may fill it later with AtSeq. RunToCompletion
+  /// advances the clock past every reserved time, as it would past the
+  /// event.
+  uint64_t ReserveSeq(SimTime t) {
+    if (t > reserved_until_) reserved_until_ = t;
+    return next_seq_++;
+  }
+  /// Schedules fn at a place (t, seq) from ReserveSeq that the run has
+  /// not passed yet.
+  void AtSeq(SimTime t, uint64_t seq, EventFn fn);
+  /// The seq of the event being dispatched (or, between events, of the
+  /// last one). With Now() it marks how far the run has got: an event at
+  /// (t, seq) has fired iff t < Now(), or t == Now() and seq <=
+  /// current_seq(). When RunUntil or RunToCompletion returns without a
+  /// stop, every seq handed out so far counts as passed.
+  uint64_t current_seq() const { return current_seq_; }
+  /// True while (t, seq) lies ahead of the run.
+  bool Ahead(SimTime t, uint64_t seq) const {
+    return t > now_ || (t == now_ && seq > current_seq_);
+  }
+
   /// Runs events until the queue is empty or Now() would exceed `end`.
   /// Events at exactly `end` are executed.
   void RunUntil(SimTime end);
@@ -225,8 +255,15 @@ class Simulation {
   /// Runs the earliest event (advancing the clock to its timestamp).
   void Dispatch();
 
+  /// Marks every seq handed out so far as passed at Now().
+  void PassAll() { current_seq_ = next_seq_ - 1; }
+
   SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
+  /// Seqs start at 1 so current_seq_ = 0 means "none passed yet".
+  uint64_t next_seq_ = 1;
+  uint64_t current_seq_ = 0;
+  /// Latest time handed to ReserveSeq.
+  SimTime reserved_until_ = 0;
   uint64_t events_executed_ = 0;
 
   /// Near-term events, binary min-heap on (time, seq).
