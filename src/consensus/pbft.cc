@@ -138,7 +138,7 @@ bool Pbft::ProposeOne() {
   inst.block = ptr;
   inst.digest = ptr->HashOf();
   inst.view = view_;
-  inst.prepares.insert(host_->node_id());
+  inst.prepares.Insert(VoteIndex(host_->node_id()));
   inst.sent_prepare = true;
   inst.t_preprepare = host_->HostNow();
   last_proposed_seq_ = seq;
@@ -217,10 +217,11 @@ void Pbft::OnPrePrepare(sim::NodeId from, const PrePrepareMsg& m,
   inst.digest = digest;
   inst.view = m.view;
   if (inst.t_preprepare < 0) inst.t_preprepare = host_->HostNow();
-  inst.prepares.insert(from);  // pre-prepare doubles as the leader's prepare
+  // The pre-prepare doubles as the leader's prepare.
+  inst.prepares.Insert(VoteIndex(from));
   if (!inst.sent_prepare) {
     inst.sent_prepare = true;
-    inst.prepares.insert(host_->node_id());
+    inst.prepares.Insert(VoteIndex(host_->node_id()));
     host_->HostBroadcast(MsgKind::kPbftPrepare,
                          PhaseMsg{view_, m.seq, inst.digest}, kPhaseMsgBytes);
   }
@@ -233,7 +234,7 @@ void Pbft::OnPrepare(sim::NodeId from, const PhaseMsg& m) {
   Instance& inst = instances_[m.seq];
   if (inst.block != nullptr && inst.digest != m.digest) return;
   inst.view = m.view;
-  inst.prepares.insert(from);
+  inst.prepares.Insert(VoteIndex(from));
   MaybeSendCommit(m.seq);
 }
 
@@ -247,7 +248,7 @@ void Pbft::MaybeSendCommit(uint64_t seq) {
     return;
   }
   inst.sent_commit = true;
-  inst.commits.insert(host_->node_id());
+  inst.commits.Insert(VoteIndex(host_->node_id()));
   inst.t_prepared = host_->HostNow();
   if (auto* hook = host_->host_sim()->hook()) {
     hook->Emit({.kind = obs::EventKind::kPhase,
@@ -266,7 +267,7 @@ void Pbft::OnCommit(sim::NodeId from, const PhaseMsg& m) {
   Instance& inst = instances_[m.seq];
   if (inst.block != nullptr && inst.digest != m.digest) return;
   inst.view = m.view;
-  inst.commits.insert(from);
+  inst.commits.Insert(VoteIndex(from));
 }
 
 void Pbft::MaybeExecute(double* cpu) {

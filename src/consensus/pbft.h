@@ -20,6 +20,7 @@
 #ifndef BLOCKBENCH_CONSENSUS_PBFT_H_
 #define BLOCKBENCH_CONSENSUS_PBFT_H_
 
+#include <cassert>
 #include <deque>
 #include <map>
 #include <set>
@@ -77,6 +78,12 @@ class Pbft : public Engine {
   uint64_t blocks_proposed() const { return blocks_proposed_; }
   bool IsLeader() const;
 
+  /// Logical bytes of one in-flight instance record, as Fabric v0.6's
+  /// vote log holds it: block reference, digest, view, two vote-set
+  /// headers, phase flags and phase timestamps. Fixed, like the
+  /// obs::mem constants; the votes are charged per entry on top.
+  static constexpr uint64_t kInstanceBytes = 176;
+
   /// Vote sets are O(N) per in-flight instance and instances arrive at
   /// O(N) rate under quorum broadcast — this is the O(N^2) per-node
   /// growth the memory-scaling gates expect PBFT to show. Unexecuted
@@ -85,7 +92,7 @@ class Pbft : public Engine {
   uint64_t BookkeepingBytes() const override {
     uint64_t b = 0;
     for (const auto& [seq, inst] : instances_) {
-      b += obs::mem::kMapEntryBytes + sizeof(Instance);
+      b += obs::mem::kMapEntryBytes + kInstanceBytes;
       b += (inst.prepares.size() + inst.commits.size()) *
            obs::mem::kSetEntryBytes;
       if (inst.block != nullptr && !inst.executed) b += inst.block->SizeBytes();
@@ -146,12 +153,35 @@ class Pbft : public Engine {
   };
 
  private:
+  /// The replicas that voted in one phase: one bit per replica, indexed
+  /// from the group's first node id, with its own count. Groups of up to
+  /// 64 replicas need no allocation.
+  class VoteSet {
+   public:
+    void Insert(size_t replica) {
+      uint64_t& word = replica < 64 ? low_ : HighWord(replica / 64 - 1);
+      const uint64_t bit = uint64_t{1} << (replica % 64);
+      count_ += (word & bit) == 0;
+      word |= bit;
+    }
+    size_t size() const { return count_; }
+
+   private:
+    uint64_t& HighWord(size_t i) {
+      if (i >= high_.size()) high_.resize(i + 1);
+      return high_[i];
+    }
+    uint64_t low_ = 0;
+    std::vector<uint64_t> high_;
+    size_t count_ = 0;
+  };
+
   struct Instance {
     BlockPtr block;         // set once pre-prepare arrives
     Hash256 digest;
     uint64_t view = 0;
-    std::set<sim::NodeId> prepares;
-    std::set<sim::NodeId> commits;
+    VoteSet prepares;
+    VoteSet commits;
     bool sent_prepare = false;
     bool sent_commit = false;
     bool executed = false;
@@ -165,6 +195,12 @@ class Pbft : public Engine {
     return sim::NodeId(host_->peer_base() + view % host_->num_nodes());
   }
   uint64_t ExecHeight() const { return host_->chain_store().head_height(); }
+  /// A replica's bit in the vote sets.
+  size_t VoteIndex(sim::NodeId id) const {
+    assert(id >= host_->peer_base() &&
+           id < host_->peer_base() + host_->num_nodes());
+    return id - host_->peer_base();
+  }
 
   void TryPropose();
   /// Proposes a single batch; false when the pool yields nothing.
