@@ -91,6 +91,14 @@ struct BenchArgs {
   }
 };
 
+/// Prints the flag summary every bench binary shares.
+inline void PrintBenchUsage(const char* bench) {
+  std::fprintf(stderr,
+               "usage: %s [--full] [--jobs=N] [--json=PATH] "
+               "[--profile=PREFIX] [--mem=PREFIX]\n",
+               bench);
+}
+
 inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string s = argv[i];
@@ -99,16 +107,22 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
         s.rfind("--mem=", 0) != 0 &&
         s.rfind("--benchmark_", 0) != 0) {  // google-benchmark passthrough
       std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], s.c_str());
-      std::fprintf(stderr,
-                   "usage: %s [--full] [--jobs=N] [--json=PATH] "
-                   "[--profile=PREFIX] [--mem=PREFIX]\n",
-                   argv[0]);
+      PrintBenchUsage(argv[0]);
       std::exit(2);
     }
   }
   BenchArgs args;
   args.full = util::HasFlag(argc, argv, "--full");
-  args.jobs = size_t(util::FlagUint(argc, argv, "--jobs", 0));
+  if (auto jobs = util::FlagValue(argc, argv, "--jobs")) {
+    uint64_t n = 0;
+    if (!util::ParseUint(*jobs, &n)) {
+      std::fprintf(stderr, "%s: bad value for --jobs: '%s'\n", argv[0],
+                   jobs->c_str());
+      PrintBenchUsage(argv[0]);
+      std::exit(2);
+    }
+    args.jobs = size_t(n);
+  }
   args.json_path = util::FlagValue(argc, argv, "--json").value_or("");
   args.profile_prefix =
       util::FlagValue(argc, argv, "--profile").value_or("");
@@ -120,10 +134,7 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
 /// code for main().
 inline int UsageError(const char* bench, const Status& status) {
   std::fprintf(stderr, "%s: %s\n", bench, status.ToString().c_str());
-  std::fprintf(stderr,
-               "usage: %s [--full] [--jobs=N] [--json=PATH] "
-               "[--profile=PREFIX] [--mem=PREFIX]\n",
-               bench);
+  PrintBenchUsage(bench);
   return 2;
 }
 

@@ -7,6 +7,8 @@
 #ifndef BLOCKBENCH_UTIL_FLAGS_H_
 #define BLOCKBENCH_UTIL_FLAGS_H_
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -33,6 +35,29 @@ inline std::optional<std::string> FlagValue(int argc, char** argv,
     if (arg.rfind(prefix, 0) == 0) value = arg.substr(prefix.size());
   }
   return value;
+}
+
+/// Whole-string parses for flag values that must be well formed: "4x",
+/// "" and "-1" are not counts, and "abc", "inf" and "1e999" are not
+/// values. False leaves *out unchanged.
+inline bool ParseUint(const std::string& v, uint64_t* out) {
+  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  unsigned long long n = std::strtoull(v.c_str(), nullptr, 10);
+  if (errno == ERANGE) return false;
+  *out = n;
+  return true;
+}
+
+inline bool ParseDouble(const std::string& v, double* out) {
+  if (v.empty()) return false;
+  char* end = nullptr;
+  double d = std::strtod(v.c_str(), &end);
+  if (*end != '\0' || !std::isfinite(d)) return false;
+  *out = d;
+  return true;
 }
 
 /// "--key=N" parsed as uint64, or `fallback` when absent/malformed.

@@ -46,8 +46,6 @@
 // value included), 3 run completed but the --audit ledger check found a
 // safety-invariant violation.
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -139,27 +137,8 @@ exit codes: 0 run ok; 1 setup or output-write failure; 2 usage error;
 )");
 }
 
-/// Whole-string parses: "4x", "" and "-1" are not counts, and "abc",
-/// "inf" and "1e999" are not values.
-bool ParseUint(const std::string& v, uint64_t* out) {
-  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  errno = 0;
-  unsigned long long n = std::strtoull(v.c_str(), nullptr, 10);
-  if (errno == ERANGE) return false;
-  *out = n;
-  return true;
-}
-
-bool ParseDouble(const std::string& v, double* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  double d = std::strtod(v.c_str(), &end);
-  if (*end != '\0' || !std::isfinite(d)) return false;
-  *out = d;
-  return true;
-}
+using util::ParseDouble;
+using util::ParseUint;
 
 /// Splits "A<sep>B" and parses both halves; false unless both parse.
 template <typename A, typename B>
