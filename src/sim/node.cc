@@ -43,7 +43,6 @@ void Node::Deliver(Message msg) {
     // schedule is needed after all, at the place it reserved.
     ContinueAt(busy_until_, busy_seq_);
   } else {
-    idle_window_ = false;
     ProcessNext();
   }
 }
