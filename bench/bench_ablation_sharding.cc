@@ -141,16 +141,7 @@ int main(int argc, char** argv) {
     doc.Set("full", args.full);
     doc.Set("jobs", jobs);
     doc.Set("rows", std::move(rows));
-    std::string text = doc.Dump(2);
-    text.push_back('\n');
-    std::FILE* f = std::fopen(args.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "ablation_sharding: cannot write %s\n",
-                   args.json_path.c_str());
-      return 1;
-    }
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
+    if (!WriteJsonFile("ablation_sharding", doc, args.json_path)) return 1;
   }
   return ok ? 0 : 1;
 }

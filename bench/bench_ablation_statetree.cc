@@ -121,22 +121,6 @@ int main(int argc, char** argv) {
                 (unsigned long long)n);
   }
 
-  if (!args.json_path.empty()) {
-    util::Json doc = util::Json::Object();
-    doc.Set("schema", "blockbench-sweep-v1");
-    doc.Set("bench", "ablation_statetree");
-    doc.Set("full", args.full);
-    doc.Set("rows", std::move(rows));
-    std::string text = doc.Dump(2);
-    text.push_back('\n');
-    std::FILE* f = std::fopen(args.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "ablation_statetree: cannot write %s\n",
-                   args.json_path.c_str());
-      return 1;
-    }
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  }
+  if (!WriteSweepRows("ablation_statetree", args, std::move(rows))) return 1;
   return 0;
 }

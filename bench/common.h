@@ -1,8 +1,8 @@
 // Shared harness for the figure benchmarks: each sweep point is an
 // obs::RunSpec that workloads::RunStack builds and runs, and the points
 // fan out across a thread pool (each RunStack owns its Simulation, so
-// points never share state). Every bench binary built on this header
-// understands:
+// points never share state). `bbench figure NAME` (the figure table in
+// bench/figures.cc) and the bespoke figure mains understand:
 //   --full         the long (paper-scale) sweep
 //   --jobs=N       worker threads (default: hardware concurrency)
 //   --json=PATH    machine-readable results (schema: blockbench-sweep-v1,
@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -99,34 +100,41 @@ inline void PrintBenchUsage(const char* bench) {
                bench);
 }
 
+/// Parses argv[1..] (the last occurrence of a flag wins); argv[0] names
+/// the command in messages. An unknown flag, a malformed --jobs or an
+/// empty path is a usage error: exit 2.
 inline BenchArgs ParseBenchArgs(int argc, char** argv) {
+  BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     std::string s = argv[i];
-    if (s != "--full" && s.rfind("--jobs=", 0) != 0 &&
-        s.rfind("--json=", 0) != 0 && s.rfind("--profile=", 0) != 0 &&
-        s.rfind("--mem=", 0) != 0 &&
-        s.rfind("--benchmark_", 0) != 0) {  // google-benchmark passthrough
-      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], s.c_str());
+    std::string flag = s.substr(0, s.find('='));
+    std::string v = s.substr(std::min(s.size(), flag.size() + 1));
+    std::string* path = flag == "--json"      ? &args.json_path
+                        : flag == "--profile" ? &args.profile_prefix
+                        : flag == "--mem"     ? &args.mem_prefix
+                                              : nullptr;
+    uint64_t jobs = 0;
+    std::string error;
+    if (s == "--full") {
+      args.full = true;
+    } else if (flag == s || (flag != "--jobs" && path == nullptr)) {
+      error = "unknown flag " + s;
+    } else if (path == nullptr) {  // --jobs
+      if (!util::ParseUint(v, &jobs)) {
+        error = "bad value for --jobs: '" + v + "'";
+      }
+      args.jobs = size_t(jobs);
+    } else if (v.empty()) {
+      error = "empty value for " + flag;
+    } else {
+      *path = v;
+    }
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
       PrintBenchUsage(argv[0]);
       std::exit(2);
     }
   }
-  BenchArgs args;
-  args.full = util::HasFlag(argc, argv, "--full");
-  if (auto jobs = util::FlagValue(argc, argv, "--jobs")) {
-    uint64_t n = 0;
-    if (!util::ParseUint(*jobs, &n)) {
-      std::fprintf(stderr, "%s: bad value for --jobs: '%s'\n", argv[0],
-                   jobs->c_str());
-      PrintBenchUsage(argv[0]);
-      std::exit(2);
-    }
-    args.jobs = size_t(n);
-  }
-  args.json_path = util::FlagValue(argc, argv, "--json").value_or("");
-  args.profile_prefix =
-      util::FlagValue(argc, argv, "--profile").value_or("");
-  args.mem_prefix = util::FlagValue(argc, argv, "--mem").value_or("");
   return args;
 }
 
@@ -138,27 +146,20 @@ inline int UsageError(const char* bench, const Status& status) {
   return 2;
 }
 
-/// One sweep point: a run spec plus optional hooks that run on the
-/// worker thread (extra scheduling before Run, metric extraction after).
-struct SweepCase {
-  /// Row identity in the JSON output, e.g. {{"platform","ethereum"},
-  /// {"n","8"}}. Purely descriptive for the text table.
-  std::vector<std::pair<std::string, std::string>> labels;
-  obs::RunSpec spec;
-  /// Set by the benches that edit the options resolved from
-  /// spec.platform (fig15's block sizes, the signing ablation); the
-  /// stack is then built over these.
-  std::optional<platform::PlatformOptions> options;
-  /// This case's own observers; the runner adds a memtracker when
-  /// memory tracking is on.
-  workloads::RunSinks sinks;
-  /// Runs after the stack is built and before it runs.
-  std::function<void(workloads::RunStack&)> before;
-  /// Runs after Run() — pull histograms/meters/chain state out while
-  /// the platform is still alive. Touch only this case's storage: hooks
-  /// for different cases run concurrently.
-  std::function<void(workloads::RunStack&, const core::BenchReport&)> after;
-};
+/// Writes `doc` to `path`; on a failed open, write or close, names the
+/// error on stderr and returns false.
+inline bool WriteJsonFile(const char* bench, const util::Json& doc,
+                          const std::string& path) {
+  Status s = doc.WriteFile(path);
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s: json write failed: %s\n", bench,
+                 s.ToString().c_str());
+  }
+  return s.ok();
+}
+
+/// A measured series: (x label, value) points in x order.
+using Series = std::vector<std::pair<std::string, double>>;
 
 /// Everything one sweep point produced.
 struct SweepOutcome {
@@ -182,6 +183,47 @@ struct SweepOutcome {
   util::Json mem;
   /// Consensus groups of the built platform (0 when the build failed).
   size_t num_shards = 0;
+  /// What the case's after hook measured beyond the report, by name
+  /// (blocks/s, orphans, time series). Printed by the figure tables;
+  /// never part of the sweep JSON.
+  std::map<std::string, double> values;
+  std::map<std::string, Series> series;
+};
+
+/// A bespoke main's blockbench-sweep-v1 document over `rows`, written to
+/// --json when given; false when the write fails.
+inline bool WriteSweepRows(const char* bench, const BenchArgs& args,
+                           util::Json rows) {
+  if (args.json_path.empty()) return true;
+  util::Json doc = util::Json::Object();
+  doc.Set("schema", "blockbench-sweep-v1");
+  doc.Set("bench", bench);
+  doc.Set("full", args.full);
+  doc.Set("rows", std::move(rows));
+  return WriteJsonFile(bench, doc, args.json_path);
+}
+
+/// One sweep point: a run spec plus optional hooks that run on the
+/// worker thread (extra scheduling before Run, metric extraction after).
+struct SweepCase {
+  /// Row identity in the JSON output, e.g. {{"platform","ethereum"},
+  /// {"n","8"}}. Purely descriptive for the text table.
+  std::vector<std::pair<std::string, std::string>> labels;
+  obs::RunSpec spec;
+  /// Set by the benches that edit the options resolved from
+  /// spec.platform (fig15's block sizes, the signing ablation); the
+  /// stack is then built over these.
+  std::optional<platform::PlatformOptions> options;
+  /// This case's own observers; the runner adds a memtracker when
+  /// memory tracking is on.
+  workloads::RunSinks sinks;
+  /// Runs after the stack is built and before it runs.
+  std::function<void(workloads::RunStack&)> before;
+  /// Runs after Run(), with the report in `out` — pull histograms,
+  /// meters and chain state into out.values / out.series while the
+  /// platform is still alive. Touch only this case's storage: hooks for
+  /// different cases run concurrently.
+  std::function<void(workloads::RunStack&, SweepOutcome& out)> after;
 };
 
 /// Runs a set of independent sweep points, `--jobs` at a time,
@@ -207,8 +249,6 @@ class SweepRunner {
     c.labels = std::move(labels);
     return Add(std::move(c));
   }
-
-  size_t size() const { return cases_.size(); }
 
   /// Runs every case and streams `row(index, outcome)` on the calling
   /// thread in case order (row i prints as soon as cases 0..i are done).
@@ -267,31 +307,15 @@ class SweepRunner {
         ok = false;
       }
     }
-    // Profiles first: WriteProfiles() stores each case's wall_profile
-    // rollup, which WriteJson() then embeds in the sweep rows.
-    if (!profilers_.empty() && !WriteProfiles()) ok = false;
-    if (!memtrackers_.empty() && !args_.mem_prefix.empty() &&
-        !WriteMemDumps()) {
-      ok = false;
-    }
+    // Dumps first: WriteDumps() stores each case's wall_profile rollup,
+    // which WriteJson() then embeds in the sweep rows.
+    if (!WriteDumps()) ok = false;
     if (!args_.json_path.empty() && !WriteJson()) ok = false;
     return ok;
   }
 
+  const std::vector<SweepCase>& cases() const { return cases_; }
   const std::vector<SweepOutcome>& outcomes() const { return outcomes_; }
-  double wall_seconds() const { return wall_seconds_; }
-
-  /// This case's aggregated wall profiler (null unless --profile).
-  const obs::Profiler* profiler(size_t i) const {
-    return i < profilers_.size() ? profilers_[i].get() : nullptr;
-  }
-  bool profiling() const { return !args_.profile_prefix.empty(); }
-  std::string ProfilePath(size_t i) const {
-    return args_.profile_prefix + "-" + std::to_string(i) + ".prof.json";
-  }
-  std::string FoldedPath(size_t i) const {
-    return args_.profile_prefix + "-" + std::to_string(i) + ".folded";
-  }
 
   /// Forces memory tracking for every case even without --mem (benches
   /// whose purpose is the memory baseline). Call before Run().
@@ -302,9 +326,6 @@ class SweepRunner {
   /// This case's memory tracker (null unless mem_enabled()).
   const obs::MemTracker* memtracker(size_t i) const {
     return i < memtrackers_.size() ? memtrackers_[i].get() : nullptr;
-  }
-  std::string MemPath(size_t i) const {
-    return args_.mem_prefix + "-" + std::to_string(i) + ".mem.json";
   }
 
  private:
@@ -336,7 +357,7 @@ class SweepRunner {
     out.report = (*run)->Execute();
     {
       BB_PROF_SCOPE("driver.collect");
-      if (c.after) c.after(**run, out.report);
+      if (c.after) c.after(**run, out);
       if (c.sinks.sampler != nullptr) out.timeline = c.sinks.sampler->ToJson();
     }
     if (!memtrackers_.empty() && memtrackers_[i] != nullptr) {
@@ -357,34 +378,31 @@ class SweepRunner {
     }
   }
 
-  /// Writes PREFIX-<i>.prof.json / PREFIX-<i>.folded for every case and
-  /// stores the compact rollup in the outcome (after workers joined).
-  bool WriteProfiles() {
+  /// After the workers joined: writes each case's PREFIX-<i>.prof.json
+  /// and PREFIX-<i>.folded (--profile, keeping the compact rollup in the
+  /// outcome) and PREFIX-<i>.mem.json (--mem).
+  bool WriteDumps() {
     bool ok = true;
-    for (size_t i = 0; i < profilers_.size(); ++i) {
-      if (profilers_[i] == nullptr) continue;
-      outcomes_[i].wall_profile = profilers_[i]->ToSweepJson();
-      Status s = profilers_[i]->WriteJson(ProfilePath(i));
-      if (s.ok()) s = profilers_[i]->WriteFolded(FoldedPath(i));
-      if (!s.ok()) {
-        std::fprintf(stderr, "%s: profile write failed: %s\n",
-                     bench_name_.c_str(), s.ToString().c_str());
-        ok = false;
+    auto check = [&](const char* what, const Status& s) {
+      if (s.ok()) return;
+      std::fprintf(stderr, "%s: %s write failed: %s\n", bench_name_.c_str(),
+                   what, s.ToString().c_str());
+      ok = false;
+    };
+    for (size_t i = 0; i < cases_.size(); ++i) {
+      std::string n = "-" + std::to_string(i);
+      if (i < profilers_.size() && profilers_[i] != nullptr) {
+        outcomes_[i].wall_profile = profilers_[i]->ToSweepJson();
+        Status s = profilers_[i]->WriteJson(args_.profile_prefix + n +
+                                            ".prof.json");
+        if (s.ok()) s = profilers_[i]->WriteFolded(args_.profile_prefix + n +
+                                                   ".folded");
+        check("profile", s);
       }
-    }
-    return ok;
-  }
-
-  /// Writes PREFIX-<i>.mem.json for every case (after workers joined).
-  bool WriteMemDumps() {
-    bool ok = true;
-    for (size_t i = 0; i < memtrackers_.size(); ++i) {
-      if (memtrackers_[i] == nullptr) continue;
-      Status s = memtrackers_[i]->WriteJson(MemPath(i));
-      if (!s.ok()) {
-        std::fprintf(stderr, "%s: mem dump write failed: %s\n",
-                     bench_name_.c_str(), s.ToString().c_str());
-        ok = false;
+      if (i < memtrackers_.size() && memtrackers_[i] != nullptr &&
+          !args_.mem_prefix.empty()) {
+        check("mem dump",
+              memtrackers_[i]->WriteJson(args_.mem_prefix + n + ".mem.json"));
       }
     }
     return ok;
@@ -448,17 +466,7 @@ class SweepRunner {
       rows.Push(std::move(r));
     }
     doc.Set("rows", std::move(rows));
-    std::string text = doc.Dump(2);
-    text.push_back('\n');
-    std::FILE* f = std::fopen(args_.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "%s: cannot write %s\n", bench_name_.c_str(),
-                   args_.json_path.c_str());
-      return false;
-    }
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    return true;
+    return WriteJsonFile(bench_name_.c_str(), doc, args_.json_path);
   }
 
   std::string bench_name_;

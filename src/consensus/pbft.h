@@ -103,7 +103,7 @@ class Pbft : public Engine {
     // The retained certificate log (executed sequences up to the stable
     // checkpoint): per node O(checkpoint window * N) — the footprint
     // term that makes the cluster-wide PBFT curve O(N^2) in the
-    // bench_fig_memscale baseline.
+    // fig_memscale baseline.
     b += cert_log_.size() *
          (obs::mem::kMapEntryBytes + sizeof(RetainedCert));
     b += cert_vote_total_ * obs::mem::kSetEntryBytes;

@@ -10,7 +10,7 @@
 // majority-ack commit. Byzantine behaviour is NOT tolerated — a
 // corrupted/forged message is trusted if well-formed, which is exactly
 // the property the Byzantine engines pay O(N^2) traffic to avoid. The
-// `bench_consensus_compare` and fault-mode benches show both sides.
+// `bbench figure consensus_compare` and fault-mode benches show both sides.
 
 #ifndef BLOCKBENCH_CONSENSUS_RAFT_H_
 #define BLOCKBENCH_CONSENSUS_RAFT_H_

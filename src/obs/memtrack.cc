@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "util/bufwriter.h"
-
 namespace bb::obs {
 
 namespace {
@@ -161,12 +159,7 @@ util::Json MemTracker::ToSweepJson() const {
 }
 
 Status MemTracker::WriteJson(const std::string& path) const {
-  util::Json doc = ToJson();
-  util::BufferedWriter writer;
-  BB_RETURN_IF_ERROR(writer.Open(path));
-  writer.Append(doc.Dump(2));
-  writer.Append("\n");
-  return writer.Close();
+  return ToJson().WriteFile(path);
 }
 
 // --- Validation --------------------------------------------------------------

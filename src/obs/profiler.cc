@@ -412,12 +412,7 @@ Status Profiler::WritePerfettoCounters(const std::string& path) const {
 }
 
 Status Profiler::WriteJson(const std::string& path) const {
-  util::Json doc = ToJson();
-  util::BufferedWriter writer;
-  BB_RETURN_IF_ERROR(writer.Open(path));
-  writer.Append(doc.Dump(2));
-  writer.Append("\n");
-  return writer.Close();
+  return ToJson().WriteFile(path);
 }
 
 // --- Report rendering (bbreport prof) ----------------------------------------

@@ -251,14 +251,7 @@ util::Json FlightRecorder::ToJson(const RunSpec& run,
 
 Status FlightRecorder::WriteJson(const std::string& path, const RunSpec& run,
                                  const BlackboxTrigger& trigger) const {
-  std::string text = ToJson(run, trigger).Dump(2);
-  text.push_back('\n');
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::NotFound("cannot write " + path);
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) return Status::Internal("short write: " + path);
-  return Status::Ok();
+  return ToJson(run, trigger).WriteFile(path);
 }
 
 // --- Document-side helpers (bbreport blackbox, tests) ------------------------

@@ -1,8 +1,7 @@
-// Tiny argv helpers shared by the bench binaries and the bbench CLI:
-// exact-match boolean flags ("--full") and "--key=value" flags
-// ("--jobs=8", "--json=out.json"). No registry, no allocation beyond
-// the returned value — just enough parsing for ~25 small mains to agree
-// on one syntax.
+// Tiny argv helpers: "--key=value" lookups ("--seed=7",
+// "--json=out.json") and the whole-string value parsers that bbench and
+// the figure flags use. No registry, no allocation beyond the returned
+// value.
 
 #ifndef BLOCKBENCH_UTIL_FLAGS_H_
 #define BLOCKBENCH_UTIL_FLAGS_H_
@@ -15,14 +14,6 @@
 #include <string>
 
 namespace bb::util {
-
-/// True when the exact flag (e.g. "--full") is among the args.
-inline bool HasFlag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
 
 /// Returns the value of a "--key=value" flag given its key (e.g.
 /// "--jobs"), or nullopt when absent. The last occurrence wins.

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "util/bufwriter.h"
+
 namespace bb::util {
 namespace {
 
@@ -272,6 +274,14 @@ std::string Json::Dump(int indent) const {
   std::string out;
   DumpTo(&out, indent, 0);
   return out;
+}
+
+Status Json::WriteFile(const std::string& path) const {
+  BufferedWriter writer;
+  BB_RETURN_IF_ERROR(writer.Open(path));
+  writer.Append(Dump(2));
+  writer.Append('\n');
+  return writer.Close();
 }
 
 Result<Json> Json::Parse(const std::string& text) {

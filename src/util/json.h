@@ -76,6 +76,9 @@ class Json {
   /// Serializes the document. indent=0 -> compact one-liner; otherwise
   /// pretty-printed with that many spaces per level.
   std::string Dump(int indent = 0) const;
+  /// Writes Dump(2) and a newline to `path` through a BufferedWriter:
+  /// the first open, write or close error, so a full disk fails it.
+  Status WriteFile(const std::string& path) const;
 
   /// Parses a complete JSON document (trailing garbage is an error).
   static Result<Json> Parse(const std::string& text);

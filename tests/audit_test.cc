@@ -323,7 +323,7 @@ TEST(AuditDeterminism, JobsOneVersusJobsEight) {
       c.spec.partition_start = 10.0;
       c.spec.partition_end = 30.0;
       c.after = [audits, ci](workloads::RunStack& run,
-                             const core::BenchReport&) {
+                             bench::SweepOutcome&) {
         AuditorConfig ac = run.audit_config();
         (*audits)[ci] =
             platform::RunAudit(run.platform(), ac).ToJson(ac).Dump(2);

@@ -99,19 +99,21 @@ TEST(SweepRunnerTest, HooksRunAndSeeThePlatform) {
   BenchArgs args;
   args.jobs = 2;
   SweepRunner runner("sweep_test_hooks", args);
-  std::vector<uint64_t> blocks(2, 0);
   for (int i = 0; i < 2; ++i) {
     SweepCase c;
     c.spec = SmallSpec("corda");
-    c.after = [&blocks, i](workloads::RunStack& run,
-                           const core::BenchReport&) {
-      blocks[size_t(i)] = run.platform().node(0).chain().main_chain_blocks();
+    c.after = [](workloads::RunStack& run, SweepOutcome& out) {
+      EXPECT_GT(out.report.submitted, 0u);
+      out.values["blocks"] =
+          double(run.platform().node(0).chain().main_chain_blocks());
     };
     runner.Add(std::move(c));
   }
   EXPECT_TRUE(runner.Run(nullptr));
-  EXPECT_GT(blocks[0], 0u);
-  EXPECT_EQ(blocks[0], blocks[1]);  // identical configs, identical runs
+  const auto& o = runner.outcomes();
+  EXPECT_GT(o[0].values.at("blocks"), 0);
+  // Identical configs, identical runs.
+  EXPECT_EQ(o[0].values.at("blocks"), o[1].values.at("blocks"));
 }
 
 TEST(SweepRunnerTest, JsonOutputParsesAndMatchesSchema) {

@@ -7,6 +7,12 @@
 //   bbench --platform=hyperledger --workload=ycsb --servers=8 ...
 //     --clients=8 --rate=100 --duration=120
 //
+// or runs one of the paper's sweep figures from the figure table
+// (bench/figures.cc), named by its sweep JSON's "bench" field:
+//
+//   bbench figure fig7_scalability [--full] [--jobs=N] [--json=PATH]
+//     [--profile=PREFIX] [--mem=PREFIX]
+//
 // Optional fault/attack injection:
 //   --crash=ID@T          crash server ID at time T (repeatable)
 //   --partition=T0:T1     split the network in half during [T0, T1)
@@ -53,7 +59,9 @@
 #include <string>
 #include <utility>
 #include <variant>
+#include <vector>
 
+#include "bench/figures.h"
 #include "core/driver.h"
 #include "obs/auditor.h"
 #include "obs/memtrack.h"
@@ -95,6 +103,8 @@ struct Args {
 
 void Usage() {
   std::fprintf(stderr, R"(usage: bbench [options]
+       bbench figure NAME [--full] [--jobs=N] [--json=PATH]
+                          [--profile=PREFIX] [--mem=PREFIX]
   --platform=NAME or a layer-stack spec "consensus+tree[/backend]+exec"
              (e.g. --platform=hyperledger or --platform=pbft+trie+evm;
               append "@shards=S" for a sharded stack;
@@ -134,7 +144,31 @@ void Usage() {
 
 exit codes: 0 run ok; 1 setup or output-write failure; 2 usage error;
             3 run completed but --audit found a safety violation
-)");
+            (figure: 0 ok; 1 a failed run, write, dump or shape check)
+figures (NAME):)");
+  const std::vector<bench::Figure>& figures = bench::Figures();
+  for (size_t i = 0; i < figures.size(); ++i) {
+    std::fprintf(stderr, "%s%s", i % 4 ? " " : "\n  ", figures[i].name);
+  }
+  std::fprintf(stderr, "\n");
+}
+
+/// `bbench figure NAME [flags]`: runs one entry of the figure table.
+int FigureMain(int argc, char** argv) {
+  const bench::Figure* fig = argc > 2 ? bench::FindFigure(argv[2]) : nullptr;
+  if (fig == nullptr) {
+    std::fprintf(stderr, "bbench figure: %s%s\n",
+                 argc > 2 ? "unknown figure " : "missing NAME",
+                 argc > 2 ? argv[2] : "");
+    Usage();
+    return 2;
+  }
+  // Flag messages name the command: "bbench figure fig7_scalability".
+  std::string command = std::string("bbench figure ") + fig->name;
+  std::vector<char*> args = {command.data()};
+  args.insert(args.end(), argv + 3, argv + argc);
+  return bench::RunFigure(
+      *fig, bench::ParseBenchArgs(int(args.size()), args.data()));
 }
 
 using util::ParseDouble;
@@ -258,6 +292,9 @@ examples: pbft+trie+evm   tendermint+bucket+native   pbft+trie+evm@shards=4
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 1 && std::string(argv[1]) == "figure") {
+    return FigureMain(argc, argv);
+  }
   Args a;
   // --replay pre-pass: load the dump before Parse() so its recorded run
   // spec seeds the defaults and explicit flags keep the last word.
@@ -461,15 +498,11 @@ int main(int argc, char** argv) {
       doc.Set("platform", spec.platform);
       doc.Set("workload", spec.workload);
       doc.Set("metrics", reg.ToJson());
-      std::string text = doc.Dump(2);
-      text.push_back('\n');
-      std::FILE* mf = std::fopen(a.metrics_path.c_str(), "w");
-      if (mf == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", a.metrics_path.c_str());
+      if (Status ws = doc.WriteFile(a.metrics_path); !ws.ok()) {
+        std::fprintf(stderr, "metrics write failed: %s\n",
+                     ws.ToString().c_str());
         return 1;
       }
-      std::fwrite(text.data(), 1, text.size(), mf);
-      std::fclose(mf);
       std::printf("metrics -> %s\n", a.metrics_path.c_str());
     }
   }
@@ -511,15 +544,10 @@ int main(int argc, char** argv) {
     obs::AuditReport audit = platform::RunAudit(chain, ac);
     std::printf("\nledger audit (%zu nodes):\n%s", chain.num_servers(),
                 audit.RenderTable().c_str());
-    std::string text = audit.ToJson(ac).Dump(2);
-    text.push_back('\n');
-    std::FILE* f = std::fopen(a.audit_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", a.audit_path.c_str());
+    if (Status ws = audit.ToJson(ac).WriteFile(a.audit_path); !ws.ok()) {
+      std::fprintf(stderr, "audit write failed: %s\n", ws.ToString().c_str());
       return 1;
     }
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
     std::printf("audit report -> %s\n", a.audit_path.c_str());
     if (!audit.ok()) {
       audit_violated = true;

@@ -883,7 +883,7 @@ class BlackboxReport : public Report {
 //
 // Inputs are mem dumps (validated, attributed, --gate-peak-bytes) or
 // blockbench-sweep-v1 documents whose rows carry "mem" blocks and
-// "platform"/"n" labels (bench_fig_memscale). --gate-scaling fits
+// "platform"/"n" labels (fig_memscale). --gate-scaling fits
 // log(mem.peak_node_bytes) against log(n) per platform by least squares
 // and fails when a platform's exponent exceeds the bound; the
 // quorum-broadcast BFT platforms are expected super-linear and exempt.

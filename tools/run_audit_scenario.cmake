@@ -10,8 +10,8 @@
 #                     dump and audit report;
 #   EXPECT=clean      bbench must exit 0 and bbreport audit must confirm
 #                     zero forks plus a post-heal recovery gap;
-#   EXPECT=figure     the bench FIGURE must leave the black box DUMP of
-#                     an audit violation, and bbench --replay of it must
+#   EXPECT=figure     bbench figure FIGURE must leave the black box DUMP
+#                     of an audit violation, and bbench --replay of it must
 #                     find the same violation and re-create DUMP byte for
 #                     byte: a figure row and bbench build the same run.
 #
@@ -66,7 +66,7 @@ elseif(EXPECT STREQUAL "clean")
               ${BBREPORT} audit --fail-on-violation --max-forked-pct=0
               --require-recovery ${OUT})
 elseif(EXPECT STREQUAL "figure")
-  expect_exit(0 "figure" ${FIGURE} --jobs=4)
+  expect_exit(0 "figure" ${BBENCH} figure ${FIGURE} --jobs=4)
   expect_exit(3 "replay (same violation)"
               ${BBENCH} --replay=${DUMP} --audit=${OUT})
   expect_exit(0 "replayed dump differs from ${DUMP}"
