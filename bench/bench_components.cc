@@ -21,6 +21,7 @@
 #include "storage/memkv.h"
 #include "storage/merkle_tree.h"
 #include "storage/patricia_trie.h"
+#include "util/flat_id_table.h"
 #include "util/random.h"
 #include "util/sha256.h"
 #include "vm/assembler.h"
@@ -159,6 +160,65 @@ void BM_TxPoolGossipFanout(benchmark::State& state) {
                           int64_t(kBatch * kRounds));
 }
 BENCHMARK(BM_TxPoolGossipFanout);
+
+// The replica id sets at ycsb-pbft16's size: 16 replicas, each with a pool
+// and a committed-id set that already hold the 28,000 ids 16 clients
+// minted as (client+1)<<40 | seq. Each round gossips 200 fresh
+// transactions, interleaved across the clients, to every replica (a
+// committed-set probe, then Add), and the block that carries them
+// commits everywhere (committed-set inserts, RemoveCommitted).
+// BM_TxPoolGossipFanout's ids 1..2000 fit in L1; these sets do not.
+void BM_TxPoolSeenProbe(benchmark::State& state) {
+  const size_t kReplicas = 16;
+  const uint64_t kClients = 16;
+  const uint64_t kResidentPerClient = 28000 / kClients;
+  const size_t kBatch = 200;
+  const size_t kRounds = 10;
+  auto id_of = [&](uint64_t n) {
+    return (n % kClients + 1) << 40 | (n / kClients);
+  };
+  std::vector<chain::TxPtr> resident;
+  resident.reserve(kClients * kResidentPerClient);
+  for (uint64_t n = 0; n < kClients * kResidentPerClient; ++n) {
+    chain::Transaction tx;
+    tx.id = id_of(n);
+    resident.push_back(chain::Share(std::move(tx)));
+  }
+  std::vector<chain::TxPtr> stream;
+  stream.reserve(kBatch * kRounds);
+  for (size_t i = 0; i < kBatch * kRounds; ++i) {
+    stream.push_back(BenchTx(id_of(resident.size() + i)));
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<chain::TxPool> pools(kReplicas);
+    std::vector<util::FlatIdSet> committed(kReplicas);
+    for (size_t r = 0; r < kReplicas; ++r) {
+      pools[r].RemoveCommitted(resident);
+      for (const auto& tx : resident) committed[r].insert(tx->id);
+    }
+    state.ResumeTiming();
+    size_t next = 0;
+    for (size_t round = 0; round < kRounds; ++round) {
+      for (size_t i = 0; i < kBatch; ++i, ++next) {
+        for (size_t r = 0; r < kReplicas; ++r) {
+          if (committed[r].count(stream[next]->id) == 0) {
+            pools[r].Add(stream[next]);
+          }
+        }
+      }
+      auto batch = pools[0].TakeBatch(kBatch);
+      for (size_t r = 0; r < kReplicas; ++r) {
+        for (const auto& tx : batch) committed[r].insert(tx->id);
+        pools[r].RemoveCommitted(batch);
+      }
+      benchmark::DoNotOptimize(batch.data());
+    }
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) *
+                          int64_t(kBatch * kRounds));
+}
+BENCHMARK(BM_TxPoolSeenProbe);
 
 // Both trie benchmarks run over MemKv without a node cache, as every
 // platform builds its trie, and with fig12's Ethereum cache.
