@@ -74,7 +74,9 @@ class TxPool {
   size_t live_ = 0;                    // live entries in order_
   uint64_t slot_bytes_ = 0;            // wire bytes of occupied slots
   util::FlatIdMap<uint32_t> in_queue_;  // id -> slot for pending txs
-  util::SeenIdWindow seen_;             // bounded dedup of admitted ids
+  // Bounded dedup of admitted and committed ids: two bitmap generations,
+  // one bit per id while ids come in dense client runs.
+  util::SeenIdWindow seen_;
 };
 
 }  // namespace bb::chain

@@ -173,6 +173,9 @@ class PlatformNode : public sim::Node, public consensus::ConsensusHost {
   uint64_t exec_height_ = 0;
   Hash256 exec_block_hash_;
   std::unordered_map<Hash256, Hash256, Hash256Hasher> block_state_roots_;
+  /// Ids of canonically executed transactions; only a rollback clears
+  /// one. A paged bitmap, so a run's dense client ids cost a bit each
+  /// (64 B per 512-id page); no mem gauge counts it.
   util::FlatIdSet committed_ids_;
   ExecMemo* exec_memo_ = nullptr;
   uint64_t exec_memo_hits_ = 0;

@@ -495,7 +495,7 @@ TEST(FlatIdSetTest, InsertEraseCount) {
   EXPECT_TRUE(s.empty());
   EXPECT_TRUE(s.insert(42));
   EXPECT_FALSE(s.insert(42));
-  EXPECT_TRUE(s.insert(0));  // zero key uses the sentinel slot
+  EXPECT_TRUE(s.insert(0));  // bit 0 of page 0
   EXPECT_EQ(s.size(), 2u);
   EXPECT_EQ(s.count(42), 1u);
   EXPECT_EQ(s.count(0), 1u);
@@ -506,23 +506,65 @@ TEST(FlatIdSetTest, InsertEraseCount) {
   EXPECT_TRUE(s.empty());
 }
 
-TEST(FlatIdSetTest, MatchesStdSetUnderRandomChurn) {
-  // Backward-shift deletion is the easiest thing to get wrong in an open
-  // addressing table; churn with clustered keys to exercise it.
+TEST(FlatIdSetTest, PageBoundariesAndExtremeIds) {
+  const uint64_t kInserted[] = {511, 1024, 0, UINT64_MAX};
+  // Their neighbours, across each page boundary, are never inserted.
+  const uint64_t kAbsent[] = {510, 512, 1023, 1025, 1, UINT64_MAX - 1};
   util::FlatIdSet s;
-  std::set<uint64_t> ref;
-  Rng rng(99);
-  for (int i = 0; i < 20000; ++i) {
-    uint64_t id = rng.Uniform(512);  // small space forces collisions
-    if (rng.Bernoulli(0.5)) {
-      EXPECT_EQ(s.insert(id), ref.insert(id).second);
-    } else {
-      EXPECT_EQ(s.erase(id), ref.erase(id) > 0);
+  for (uint64_t id : kInserted) EXPECT_TRUE(s.insert(id)) << id;
+  EXPECT_EQ(s.size(), 4u);
+  for (uint64_t id : kInserted) EXPECT_EQ(s.count(id), 1u) << id;
+  for (uint64_t id : kAbsent) EXPECT_EQ(s.count(id), 0u) << id;
+  EXPECT_TRUE(s.insert(512));
+  EXPECT_TRUE(s.insert(1023));
+  EXPECT_EQ(s.erase(511), 1u);
+  EXPECT_EQ(s.count(512), 1u);
+  EXPECT_EQ(s.erase(UINT64_MAX), 1u);
+  EXPECT_EQ(s.count(UINT64_MAX), 0u);
+  EXPECT_TRUE(s.insert(UINT64_MAX));  // erase, then insert again
+  EXPECT_TRUE(s.insert(511));
+  EXPECT_FALSE(s.insert(511));
+  EXPECT_EQ(s.size(), 6u);
+}
+
+TEST(FlatIdSetTest, ClearThenReuse) {
+  util::FlatIdSet s;
+  for (uint64_t seq = 0; seq < 2000; ++seq) s.insert(uint64_t(3) << 40 | seq);
+  s.clear();
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.count(uint64_t(3) << 40 | 7), 0u);
+  EXPECT_TRUE(s.insert(uint64_t(3) << 40 | 7));
+  EXPECT_TRUE(s.insert(9));
+  EXPECT_EQ(s.size(), 2u);
+  EXPECT_EQ(s.count(uint64_t(3) << 40 | 7), 1u);
+  EXPECT_EQ(s.count(uint64_t(3) << 40 | 8), 0u);
+}
+
+TEST(FlatIdSetTest, MatchesStdSetUnderRandomChurn) {
+  // Two id spaces: 0..511, one page; and ids minted as (client+1)<<40 |
+  // seq by 4 clients, four pages each.
+  using NextId = uint64_t (*)(Rng&);
+  NextId dense = [](Rng& rng) { return rng.Uniform(512); };
+  NextId clients = [](Rng& rng) {
+    uint64_t client = rng.Uniform(4);
+    return (client + 1) << 40 | rng.Uniform(2048);
+  };
+  for (NextId next_id : {dense, clients}) {
+    util::FlatIdSet s;
+    std::set<uint64_t> ref;
+    Rng rng(99);
+    std::vector<uint64_t> drawn;
+    for (int i = 0; i < 20000; ++i) {
+      uint64_t id = next_id(rng);
+      drawn.push_back(id);
+      if (rng.Bernoulli(0.5)) {
+        EXPECT_EQ(s.insert(id), ref.insert(id).second);
+      } else {
+        EXPECT_EQ(s.erase(id), ref.erase(id) > 0);
+      }
+      ASSERT_EQ(s.size(), ref.size()) << i;
     }
-  }
-  EXPECT_EQ(s.size(), ref.size());
-  for (uint64_t id = 0; id < 512; ++id) {
-    EXPECT_EQ(s.count(id), ref.count(id)) << id;
+    for (uint64_t id : drawn) EXPECT_EQ(s.count(id), ref.count(id)) << id;
   }
 }
 
