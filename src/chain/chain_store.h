@@ -47,7 +47,9 @@ class ChainStore {
   BlockPtr GetBlockPtr(const Hash256& hash) const;
 
   const Hash256& head() const { return head_; }
-  uint64_t head_height() const { return HeightOf(head_); }
+  /// O(1): UpdateCanonical extends canonical_ to the head whenever the
+  /// head moves.
+  uint64_t head_height() const { return canonical_.size() - 1; }
   uint64_t HeightOf(const Hash256& hash) const;
   uint64_t CumulativeWeightOf(const Hash256& hash) const;
 

@@ -327,6 +327,7 @@ TEST(ChainStoreTest, LinearExtension) {
     EXPECT_TRUE(r.head_changed);
     h = cs.head();
     EXPECT_EQ(cs.head_height(), uint64_t(i));
+    EXPECT_EQ(cs.head_height(), cs.HeightOf(cs.head()));
   }
   EXPECT_EQ(cs.main_chain_blocks(), 5u);
   EXPECT_EQ(cs.orphaned_blocks(), 0u);
@@ -351,6 +352,7 @@ TEST(ChainStoreTest, HeavierForkWins) {
   auto r = cs.AddBlock(heavy);
   EXPECT_TRUE(r.head_changed);
   EXPECT_EQ(cs.head(), heavy->HashOf());
+  EXPECT_EQ(cs.head_height(), cs.HeightOf(cs.head()));
   EXPECT_EQ(cs.orphaned_blocks(), 1u);
   EXPECT_EQ(cs.reorgs(), 1u);
 }
@@ -386,8 +388,21 @@ TEST(ChainStoreTest, OrphanBufferAttachesOutOfOrder) {
   EXPECT_TRUE(r1.attached);
   EXPECT_TRUE(r1.head_changed);
   EXPECT_EQ(cs.head_height(), 3u);
+  EXPECT_EQ(cs.head_height(), cs.HeightOf(cs.head()));
   EXPECT_EQ(cs.head(), b3->HashOf());
   EXPECT_EQ(cs.pending_orphans(), 0u);
+}
+
+TEST(ChainStoreTest, InvalidHeightDropped) {
+  ChainStore cs((Block()));
+  BlockPtr b1 = MakeBlock(cs.head(), 1, 1);
+  cs.AddBlock(b1);
+  auto r = cs.AddBlock(MakeBlock(b1->HashOf(), 5, 2, 100));
+  EXPECT_FALSE(r.head_changed);
+  EXPECT_EQ(cs.invalid_blocks(), 1u);
+  EXPECT_EQ(cs.head(), b1->HashOf());
+  EXPECT_EQ(cs.head_height(), 1u);
+  EXPECT_EQ(cs.head_height(), cs.HeightOf(cs.head()));
 }
 
 TEST(ChainStoreTest, CanonicalRangeReturnsOrderedBlocks) {
@@ -431,6 +446,7 @@ TEST(ChainStoreTest, DeepReorg) {
     hb = b->HashOf();
   }
   EXPECT_EQ(cs.head_height(), 5u);
+  EXPECT_EQ(cs.head_height(), cs.HeightOf(cs.head()));
   EXPECT_EQ(cs.head(), hb);
   EXPECT_EQ(cs.orphaned_blocks(), 3u);
   EXPECT_EQ(cs.CanonicalAt(1)->header.nonce, 200u);
