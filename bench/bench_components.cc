@@ -167,7 +167,8 @@ BENCHMARK(BM_TxPoolGossipFanout);
 // transactions, interleaved across the clients, to every replica (a
 // committed-set probe, then Add), and the block that carries them
 // commits everywhere (committed-set inserts, RemoveCommitted).
-// BM_TxPoolGossipFanout's ids 1..2000 fit in L1; these sets do not.
+// BM_TxPoolGossipFanout's 2,000 ids keep every set small; these sets
+// start at 28,000 ids each.
 void BM_TxPoolSeenProbe(benchmark::State& state) {
   const size_t kReplicas = 16;
   const uint64_t kClients = 16;
