@@ -2,7 +2,7 @@
 // obs::RunSpec that workloads::RunStack builds and runs, and the points
 // fan out across a thread pool (each RunStack owns its Simulation, so
 // points never share state). `bbench figure NAME` (the figure table in
-// bench/figures.cc) and the bespoke figure mains understand:
+// bench/figures.cc) understands:
 //   --full         the long (paper-scale) sweep
 //   --jobs=N       worker threads (default: hardware concurrency)
 //   --json=PATH    machine-readable results (schema: blockbench-sweep-v1,
@@ -15,6 +15,9 @@
 //                  PREFIX-<i>.mem.json (blockbench-mem-v1) and embeds a
 //                  "mem" section in each sweep-v1 row. Logical bytes on
 //                  virtual time — deterministic, safe in golden digests.
+// A figure that measures its rows itself (a run function: real VM runs,
+// real storage I/O, the H-Store baseline) has no sweep points to profile
+// or account, and rejects --profile and --mem.
 
 #ifndef BLOCKBENCH_BENCH_COMMON_H_
 #define BLOCKBENCH_BENCH_COMMON_H_
@@ -190,18 +193,19 @@ struct SweepOutcome {
   std::map<std::string, Series> series;
 };
 
-/// A bespoke main's blockbench-sweep-v1 document over `rows`, written to
-/// --json when given; false when the write fails.
-inline bool WriteSweepRows(const char* bench, const BenchArgs& args,
-                           util::Json rows) {
-  if (args.json_path.empty()) return true;
-  util::Json doc = util::Json::Object();
-  doc.Set("schema", "blockbench-sweep-v1");
-  doc.Set("bench", bench);
-  doc.Set("full", args.full);
-  doc.Set("rows", std::move(rows));
-  return WriteJsonFile(bench, doc, args.json_path);
-}
+/// One row a figure measured itself rather than through a RunStack (see
+/// Figure::run): its labels, a status ("Ok", or why the row has no
+/// metrics block, e.g. "OOM") and named numbers. The metrics of an Ok
+/// row are its sweep row's "metrics"; those of any other row sit beside
+/// its status (fig12's "written" before the out-of-memory point).
+/// `values` are printed in the figure's tables only, like
+/// SweepOutcome::values.
+struct Row {
+  std::vector<std::pair<std::string, std::string>> labels;
+  std::string status = "Ok";
+  std::vector<std::pair<std::string, double>> metrics;
+  std::map<std::string, double> values;
+};
 
 /// One sweep point: a run spec plus optional hooks that run on the
 /// worker thread (extra scheduling before Run, metric extraction after).
@@ -240,6 +244,9 @@ class SweepRunner {
     cases_.push_back(std::move(c));
     return cases_.size() - 1;
   }
+
+  /// A row measured outside the grid; written after the grid's rows.
+  void Add(Row row) { rows_.push_back(std::move(row)); }
 
   /// Convenience for the common "just run this spec" case.
   size_t Add(obs::RunSpec spec,
@@ -437,12 +444,16 @@ class SweepRunner {
       r.Set("config", std::move(config));
       r.Set("status", o.status.ToString());
       if (o.status.ok()) {
+        // A row that committed nothing has no latency: null, not 0.
+        auto latency = [&o](double v) {
+          return o.report.committed == 0 ? util::Json() : util::Json(v);
+        };
         util::Json metrics = util::Json::Object();
         metrics.Set("throughput", o.report.throughput);
-        metrics.Set("latency_mean", o.report.latency_mean);
-        metrics.Set("latency_p50", o.report.latency_p50);
-        metrics.Set("latency_p95", o.report.latency_p95);
-        metrics.Set("latency_p99", o.report.latency_p99);
+        metrics.Set("latency_mean", latency(o.report.latency_mean));
+        metrics.Set("latency_p50", latency(o.report.latency_p50));
+        metrics.Set("latency_p95", latency(o.report.latency_p95));
+        metrics.Set("latency_p99", latency(o.report.latency_p99));
         metrics.Set("submitted", o.report.submitted);
         metrics.Set("committed", o.report.committed);
         metrics.Set("rejected", o.report.rejected);
@@ -465,6 +476,18 @@ class SweepRunner {
       }
       rows.Push(std::move(r));
     }
+    for (const Row& row : rows_) {
+      util::Json r = util::Json::Object();
+      util::Json labels = util::Json::Object();
+      for (const auto& [k, v] : row.labels) labels.Set(k, v);
+      r.Set("labels", std::move(labels));
+      r.Set("status", row.status);
+      util::Json metrics = util::Json::Object();
+      util::Json& into = row.status == "Ok" ? metrics : r;
+      for (const auto& [k, v] : row.metrics) into.Set(k, v);
+      if (row.status == "Ok") r.Set("metrics", std::move(metrics));
+      rows.Push(std::move(r));
+    }
     doc.Set("rows", std::move(rows));
     return WriteJsonFile(bench_name_.c_str(), doc, args_.json_path);
   }
@@ -473,6 +496,7 @@ class SweepRunner {
   BenchArgs args_;
   std::vector<SweepCase> cases_;
   std::vector<SweepOutcome> outcomes_;
+  std::vector<Row> rows_;
   // One profiler per case when --profile is set; each slot is written
   // only by the worker running that case, read after the join.
   std::vector<std::unique_ptr<obs::Profiler>> profilers_;

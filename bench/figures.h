@@ -1,14 +1,17 @@
-// The paper's sweep figures as data. Each entry names a figure (its
-// sweep JSON's "bench" field), builds its grid of SweepCases from
-// BaseSpec, and says what to print: one row per case, series and pivot
-// tables over what the cases' after hooks measured, a ledger audit per
-// case, and the shapes the run must show. `bbench figure NAME` runs one:
+// The paper's figures as data. Each entry names a figure (its sweep
+// JSON's "bench" field), builds its grid of SweepCases from BaseSpec
+// and/or measures rows of its own with a run function, and says what to
+// print: one row per case or row, series and pivot tables over what the
+// cases' after hooks measured, a ledger audit per case, and the shapes
+// the run must show. `bbench figure NAME` runs one:
 //
 //   bbench figure fig7_scalability [--full] [--jobs=N] [--json=PATH]
 //                 [--profile=PREFIX] [--mem=PREFIX]
 //
-// The figures that are not grids of runs (fig11, fig12, fig13_analytics,
-// fig14_hstore and two ablations) stay bespoke mains in bench/.
+// Run functions measure what is not a grid of RunStack runs: real VM
+// executions (fig11), real trie and store I/O (fig12, the statetree
+// ablation), queries over a preloaded chain (fig13_analytics) and the
+// H-Store baseline (fig14_hstore, beside its grid of chain runs).
 
 #ifndef BLOCKBENCH_BENCH_FIGURES_H_
 #define BLOCKBENCH_BENCH_FIGURES_H_
@@ -64,7 +67,18 @@ struct Check {
 struct Figure {
   const char* name;  // the sweep JSON's "bench" field
   const char* title;
-  std::vector<SweepCase> (*cases)(bool full);
+  /// The grid of RunStack runs; null for a figure that only measures
+  /// rows of its own.
+  std::vector<SweepCase> (*cases)(bool full) = nullptr;
+  /// Measures rows that are not RunStack runs, one at a time on the
+  /// calling thread whatever --jobs says (several of them time their
+  /// work, and in parallel would measure contention), before the grid
+  /// runs. Its rows print in the figure's columns (a row's metrics and
+  /// values are read as SweepOutcome::values; a row that is not Ok
+  /// carries its status as a label) and pivots, and follow the grid's
+  /// rows in the sweep JSON. A failure fails the figure. Such a figure
+  /// rejects --profile and --mem.
+  Status (*run)(bool full, std::vector<Row>* rows) = nullptr;
   std::vector<Column> columns = {};  // one row per case, after its labels
   std::vector<SeriesTable> series = {};
   std::vector<Pivot> pivots = {};
@@ -81,7 +95,8 @@ const std::vector<Figure>& Figures();
 /// The figure called `name`, or null.
 const Figure* FindFigure(const std::string& name);
 /// Runs `fig` and prints its tables; the exit code for main() (0 ok,
-/// 1 a failed case, output write, black-box dump or check).
+/// 1 a failed case or run function, output write, black-box dump or
+/// check; 2 --profile or --mem given to a figure with a run function).
 int RunFigure(const Figure& fig, const BenchArgs& args);
 
 }  // namespace bb::bench

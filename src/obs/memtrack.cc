@@ -34,6 +34,13 @@ util::Json CounterToJson(const MemTracker::Counter& c, bool peak_is_sum) {
   return j;
 }
 
+/// Peak bytes per committed transaction; null when nothing committed
+/// (or the count is unknown), where 0 would read as the best value.
+util::Json BytesPerTx(uint64_t peak, uint64_t committed) {
+  if (committed == 0) return util::Json();
+  return double(peak) / double(committed);
+}
+
 /// Reads one counter object back; field naming as in CounterToJson.
 bool CounterFromJson(const util::Json& j, MemTracker::Counter* c,
                      bool peak_is_sum) {
@@ -73,8 +80,7 @@ util::Json MemTracker::ToJson() const {
   doc.Set("schema", "blockbench-mem-v1");
   doc.Set("committed_txs", committed_);
   doc.Set("cluster", CounterToJson(cluster_, false));
-  doc.Set("bytes_per_committed_tx",
-          committed_ > 0 ? double(cluster_.peak) / double(committed_) : 0.0);
+  doc.Set("bytes_per_committed_tx", BytesPerTx(cluster_.peak, committed_));
 
   // Aggregate per-subsystem column sums across every node (real +
   // global). "peak_sum" is the sum of per-node HWMs — an attribution
@@ -153,8 +159,7 @@ util::Json MemTracker::ToSweepJson() const {
   }
   j.Set("subsystem_peak_sum", std::move(subsys));
   j.Set("committed_txs", committed_);
-  j.Set("bytes_per_committed_tx",
-        committed_ > 0 ? double(cluster_.peak) / double(committed_) : 0.0);
+  j.Set("bytes_per_committed_tx", BytesPerTx(cluster_.peak, committed_));
   return j;
 }
 

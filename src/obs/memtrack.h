@@ -183,7 +183,8 @@ class MemTracker {
   size_t num_nodes() const { return nodes_.size(); }
 
   /// Committed-transaction count for bytes-per-committed-tx in exports;
-  /// set by the harness after the run (0 = unknown).
+  /// set by the harness after the run (0 = none or unknown: the exports
+  /// then write bytes_per_committed_tx as null).
   void set_committed(uint64_t committed) { committed_ = committed; }
   uint64_t committed() const { return committed_; }
 

@@ -1,12 +1,16 @@
-// The figure table, checked without running it: every entry builds its
-// cases in quick and full mode, every case resolves to a platform the
-// builder accepts and a spec that round-trips, labels tell cases apart,
-// and what the printers and checks look up by label exists. One small
-// run checks that an unmet shape check fails the figure.
+// The figure table, checked without running it: every entry has a grid
+// of cases, a run function or both, builds its cases in quick and full
+// mode, every case resolves to a platform the builder accepts and a spec
+// that round-trips, labels tell cases apart, and what the printers and
+// checks look up by label exists. Small runs check that an unmet shape
+// check fails the figure, and how a run function's rows are written and
+// which flags such a figure refuses.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <set>
 #include <string>
 
@@ -39,12 +43,23 @@ TEST(FigureTable, NamesAreUniqueAndFound) {
     EXPECT_TRUE(names.insert(f.name).second) << f.name;
     EXPECT_EQ(FindFigure(f.name), &f);
   }
-  EXPECT_GE(names.size(), 18u);
+  EXPECT_GE(names.size(), 24u);
   EXPECT_EQ(FindFigure("fig99_nosuch"), nullptr);
+}
+
+TEST(FigureTable, EveryEntryHasCasesOrARunFunction) {
+  for (const Figure& f : Figures()) {
+    SCOPED_TRACE(f.name);
+    EXPECT_TRUE(f.cases != nullptr || f.run != nullptr);
+    // Only fig14_hstore has both: its chain grid and the H-Store rows.
+    EXPECT_EQ(f.cases != nullptr && f.run != nullptr,
+              std::string(f.name) == "fig14_hstore");
+  }
 }
 
 TEST(FigureTable, EveryCaseResolvesAndIsLabelledUniquely) {
   for (const Figure& f : Figures()) {
+    if (f.cases == nullptr) continue;
     for (bool full : {false, true}) {
       SCOPED_TRACE(std::string(f.name) + (full ? " --full" : ""));
       std::vector<SweepCase> cases = f.cases(full);
@@ -72,6 +87,9 @@ TEST(FigureTable, TablesAndChecksNameLabelsTheCasesCarry) {
   for (const Figure& f : Figures()) {
     SCOPED_TRACE(f.name);
     EXPECT_TRUE(!f.columns.empty() || !f.series.empty() || !f.pivots.empty());
+    // A run function's rows print through the columns only.
+    EXPECT_TRUE(f.run == nullptr || !f.columns.empty());
+    if (f.cases == nullptr) continue;
     for (bool full : {false, true}) {
       std::vector<SweepCase> cases = f.cases(full);
       for (const SeriesTable& t : f.series) {
@@ -117,6 +135,76 @@ TEST(FigureTable, AShapeCheckBelowItsBoundFailsTheRun) {
   EXPECT_EQ(RunFigure(fig, args), 1);
   fig.checks.front().min = 1.0;
   EXPECT_EQ(RunFigure(fig, args), 0);
+}
+
+/// The "seconds" a run function's row measured.
+Column Seconds() {
+  return {"s", "%.1f", [](const SweepOutcome& o) {
+            auto it = o.values.find("seconds");
+            return it == o.values.end() ? NAN : it->second;
+          }};
+}
+
+// Two rows of a run function: one Ok, one out of memory after 7 writes.
+Status TwoRows(bool, std::vector<Row>* rows) {
+  rows->push_back({{{"n", "1"}}, "Ok", {{"seconds", 0.5}, {"bytes", 64}}, {}});
+  rows->push_back({{{"n", "2"}}, "OOM", {{"written", 7}}, {}});
+  return Status::Ok();
+}
+
+Status Fails(bool, std::vector<Row>* rows) {
+  rows->push_back({{{"n", "1"}}, "Ok", {{"seconds", 0.5}}, {}});
+  return Status::Internal("stack failed");
+}
+
+TEST(FigureTable, RunFunctionRowsAreSweepRows) {
+  Figure fig{.name = "rows_test",
+             .title = "rows test",
+             .run = TwoRows,
+             .columns = {Seconds()}};
+  BenchArgs args;
+  args.json_path = ::testing::TempDir() + "/rows_test.json";
+  ASSERT_EQ(RunFigure(fig, args), 0);
+  std::FILE* f = std::fopen(args.json_path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string text;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  std::remove(args.json_path.c_str());
+  auto doc = util::Json::Parse(text);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->Get("schema")->AsString(), "blockbench-sweep-v1");
+  EXPECT_EQ(doc->Get("bench")->AsString(), "rows_test");
+  const auto& rows = doc->Get("rows")->items();
+  ASSERT_EQ(rows.size(), 2u);
+  // An Ok row's numbers are its metrics, in order.
+  EXPECT_EQ(rows[0].Dump(),
+            R"({"labels":{"n":"1"},"status":"Ok",)"
+            R"("metrics":{"seconds":0.5,"bytes":64}})");
+  // Any other row's sit beside its status.
+  EXPECT_EQ(rows[1].Dump(),
+            R"({"labels":{"n":"2"},"status":"OOM","written":7})");
+}
+
+TEST(FigureTable, AFailedRunFunctionFailsTheFigure) {
+  Figure fig{.name = "fails_test", .title = "fails test", .run = Fails,
+             .columns = {Seconds()}};
+  EXPECT_EQ(RunFigure(fig, BenchArgs{}), 1);
+}
+
+// A run function's rows are not RunStack runs: there is nothing to
+// profile or account, so the flags are refused rather than ignored.
+TEST(FigureTable, ARunFunctionRefusesProfileAndMem) {
+  Figure fig{.name = "refuses_test", .title = "refuses test", .run = TwoRows,
+             .columns = {Seconds()}};
+  BenchArgs profile;
+  profile.profile_prefix = ::testing::TempDir() + "/refused";
+  EXPECT_EQ(RunFigure(fig, profile), 2);
+  BenchArgs mem;
+  mem.mem_prefix = ::testing::TempDir() + "/refused";
+  EXPECT_EQ(RunFigure(fig, mem), 2);
 }
 
 }  // namespace

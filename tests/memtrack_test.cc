@@ -125,6 +125,30 @@ TEST(MemDump, ValidatorAcceptsARealDump) {
   EXPECT_TRUE(s.ok()) << s.message();
 }
 
+// A run that commits nothing has no bytes per committed transaction:
+// both exports write null, where 0 would read as the best value, and
+// the dump still validates and renders.
+TEST(MemDump, NothingCommittedWritesNullBytesPerTx) {
+  MemTracker mt;
+  mt.Track(0, mem::kPoolSlots, 1000, 10);
+  util::Json dump = mt.ToJson();
+  ASSERT_NE(dump.Get("bytes_per_committed_tx"), nullptr);
+  EXPECT_TRUE(dump.Get("bytes_per_committed_tx")->is_null());
+  util::Json sweep = mt.ToSweepJson();
+  ASSERT_NE(sweep.Get("bytes_per_committed_tx"), nullptr);
+  EXPECT_TRUE(sweep.Get("bytes_per_committed_tx")->is_null());
+  Status s = ValidateMemDump(dump);
+  EXPECT_TRUE(s.ok()) << s.message();
+  EXPECT_EQ(RenderMemAttribution(dump).find("per committed tx"),
+            std::string::npos);
+
+  mt.set_committed(4);
+  EXPECT_EQ(mt.ToJson().Get("bytes_per_committed_tx")->AsDouble(),
+            double(mt.cluster().peak) / 4);
+  EXPECT_EQ(mt.ToSweepJson().Get("bytes_per_committed_tx")->AsDouble(),
+            double(mt.cluster().peak) / 4);
+}
+
 TEST(MemDump, ValidatorRejectsWrongSchemaTag) {
   util::Json dump = SampleDump();
   dump.Set("schema", "blockbench-mem-v0");

@@ -116,6 +116,19 @@ TEST(SweepRunnerTest, HooksRunAndSeeThePlatform) {
   EXPECT_EQ(o[0].values.at("blocks"), o[1].values.at("blocks"));
 }
 
+/// Parses the document at `path` and removes the file.
+Result<util::Json> TakeJson(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::NotFound(path);
+  std::string text;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  std::remove(path.c_str());
+  return util::Json::Parse(text);
+}
+
 TEST(SweepRunnerTest, JsonOutputParsesAndMatchesSchema) {
   std::string path = ::testing::TempDir() + "/sweep_test.json";
   BenchArgs args;
@@ -124,16 +137,7 @@ TEST(SweepRunnerTest, JsonOutputParsesAndMatchesSchema) {
   SweepRunner runner = MakeRunner(args);
   ASSERT_TRUE(runner.Run(nullptr));
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  std::remove(path.c_str());
-
-  auto doc = util::Json::Parse(text);
+  auto doc = TakeJson(path);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   ASSERT_TRUE(doc->is_object());
   EXPECT_EQ(doc->Get("schema")->AsString(), "blockbench-sweep-v1");
@@ -148,6 +152,36 @@ TEST(SweepRunnerTest, JsonOutputParsesAndMatchesSchema) {
     ASSERT_NE(row.Get("sim"), nullptr);
     EXPECT_GT(row.Get("sim")->Get("events")->AsUint(), 0u);
   }
+}
+
+// A row that committed nothing has no latency: its latency metrics are
+// null, where 0 would read as the best value on the axis.
+TEST(SweepRunnerTest, NothingCommittedWritesNullLatencies) {
+  std::string path = ::testing::TempDir() + "/sweep_test_empty.json";
+  BenchArgs args;
+  args.jobs = 1;
+  args.json_path = path;
+  SweepRunner runner("sweep_test_empty", args);
+  obs::RunSpec stalled = SmallSpec("hyperledger");
+  stalled.crashes = {{2, 0.0}, {3, 0.0}};  // 2 of 4 PBFT servers: no quorum
+  runner.Add(std::move(stalled), {{"run", "stalled"}});
+  runner.Add(SmallSpec("hyperledger"), {{"run", "live"}});
+  ASSERT_TRUE(runner.Run(nullptr));
+  ASSERT_EQ(runner.outcomes()[0].report.committed, 0u);
+  ASSERT_GT(runner.outcomes()[1].report.committed, 0u);
+
+  auto doc = TakeJson(path);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const auto& rows = doc->Get("rows")->items();
+  ASSERT_EQ(rows.size(), 2u);
+  for (const char* key :
+       {"latency_mean", "latency_p50", "latency_p95", "latency_p99"}) {
+    SCOPED_TRACE(key);
+    ASSERT_NE(rows[0].Get("metrics")->Get(key), nullptr);
+    EXPECT_TRUE(rows[0].Get("metrics")->Get(key)->is_null());
+    EXPECT_TRUE(rows[1].Get("metrics")->Get(key)->is_number());
+  }
+  EXPECT_EQ(rows[0].Get("metrics")->Get("throughput")->AsDouble(), 0.0);
 }
 
 }  // namespace

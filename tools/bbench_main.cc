@@ -7,7 +7,7 @@
 //   bbench --platform=hyperledger --workload=ycsb --servers=8 ...
 //     --clients=8 --rate=100 --duration=120
 //
-// or runs one of the paper's sweep figures from the figure table
+// or runs one of the paper's figures from the figure table
 // (bench/figures.cc), named by its sweep JSON's "bench" field:
 //
 //   bbench figure fig7_scalability [--full] [--jobs=N] [--json=PATH]
@@ -144,7 +144,9 @@ void Usage() {
 
 exit codes: 0 run ok; 1 setup or output-write failure; 2 usage error;
             3 run completed but --audit found a safety violation
-            (figure: 0 ok; 1 a failed run, write, dump or shape check)
+            (figure: 0 ok; 1 a failed run, write, dump or shape check;
+             2 also for --profile or --mem on a figure that measures
+             its rows itself, such as fig11_cpuheavy)
 figures (NAME):)");
   const std::vector<bench::Figure>& figures = bench::Figures();
   for (size_t i = 0; i < figures.size(); ++i) {
