@@ -328,6 +328,65 @@ void BM_BucketReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_BucketReplay);
 
+// One consensus group of bucket-tree replicas: a recorder commits each
+// block and 15 takers replay its log. The blocks stream Smallbank-shaped
+// writes over BucketBlocks' 20k accounts: balance overwrites, with one
+// write in 16 a delete (of a key that may already be gone), so that
+// later overwrites bring deleted keys back.
+struct FanoutReplicas {
+  static constexpr int kTakers = 15;
+  static constexpr int kBlocks = 64;
+
+  FanoutReplicas() {
+    for (int i = 0; i <= kTakers; ++i) {
+      stores.push_back(std::make_unique<storage::MemKv>());
+      dbs.push_back(std::make_unique<chain::BucketStateDb>(stores.back().get()));
+    }
+    chain::StateDb::WriteSet genesis;
+    for (int i = 0; i < BucketBlocks::kKeys; ++i) {
+      genesis[BucketBlocks::Key(i)] = {true, "i100000"};
+    }
+    CommitEverywhere(genesis);
+    Rng rng(9);
+    for (int b = 0; b < kBlocks; ++b) {
+      chain::StateDb::WriteSet& w = blocks.emplace_back();
+      while (w.size() < size_t(BucketBlocks::kWrites)) {
+        const std::string key =
+            BucketBlocks::Key(int(rng.Uniform(BucketBlocks::kKeys)));
+        if (rng.Uniform(16) == 0) {
+          w[key] = {false, {}};
+        } else {
+          w[key] = {true, "i" + std::to_string(rng.Range(1, 999999))};
+        }
+      }
+    }
+  }
+
+  void CommitEverywhere(const chain::StateDb::WriteSet& writes) {
+    chain::StateDb::CommitLog log;
+    benchmark::DoNotOptimize(dbs[0]->Commit(writes, &log));
+    for (int i = 1; i <= kTakers; ++i) {
+      benchmark::DoNotOptimize(dbs[size_t(i)]->Replay(writes, log));
+    }
+  }
+
+  std::vector<std::unique_ptr<storage::MemKv>> stores;
+  /// dbs[0] records, the others take.
+  std::vector<std::unique_ptr<chain::BucketStateDb>> dbs;
+  std::vector<chain::StateDb::WriteSet> blocks;
+};
+
+void BM_BucketFanout(benchmark::State& state) {
+  FanoutReplicas group;
+  size_t next = 0;
+  for (auto _ : state) {
+    group.CommitEverywhere(group.blocks[next]);
+    next = (next + 1) % group.blocks.size();
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * BucketBlocks::kWrites);
+}
+BENCHMARK(BM_BucketFanout);
+
 void BM_MemKvPut(benchmark::State& state) {
   storage::MemKv kv;
   uint64_t i = 0;
