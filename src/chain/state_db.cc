@@ -132,6 +132,11 @@ BucketStateDb::BucketStateDb(storage::KvStore* store, size_t num_buckets)
   root_ = tree_.RootHash();
 }
 
+BucketStateDb::BucketStateDb(storage::GroupKv* store, size_t num_buckets)
+    : BucketStateDb(static_cast<storage::KvStore*>(store), num_buckets) {
+  group_ = store;
+}
+
 Result<Hash256> BucketStateDb::Apply(const WriteSet& writes) {
   BB_PROF_SCOPE("storage.bucket_commit");
   Status s;
@@ -143,6 +148,7 @@ Result<Hash256> BucketStateDb::Apply(const WriteSet& writes) {
   // The store is mutated in place, so writes before a refused one stay:
   // the root always describes what the store holds.
   root_ = tree_.RootHash();
+  if (group_ != nullptr) group_->Seal();
   if (!s.ok()) return s;
   return root_;
 }
@@ -151,6 +157,7 @@ Result<Hash256> BucketStateDb::ApplyAndLog(const WriteSet& writes,
                                            CommitLog* log) {
   assert(!log->recorded && log->deltas.empty());
   log->deltas.reserve(writes.size());
+  const uint64_t from = group_ != nullptr ? group_->cursor() : 0;
   tree_.set_delta_log(&log->deltas);
   auto root = Apply(writes);
   tree_.set_delta_log(nullptr);
@@ -160,7 +167,41 @@ Result<Hash256> BucketStateDb::ApplyAndLog(const WriteSet& writes,
   }
   log->recorded = true;
   log->root = *root;
+  if (group_ != nullptr && !group_->diverged()) {
+    log->group = group_->store();
+    log->group_from = from;
+    log->group_to = group_->cursor();
+  }
   return root;
+}
+
+bool BucketStateDb::TakeFromGroup(const WriteSet& writes,
+                                  const CommitLog& log) {
+  charges_.clear();
+  auto delta = log.deltas.begin();
+  for (const auto& [key, w] : writes) {
+    const int64_t old_bytes = int64_t(delta->old_size);
+    if (w.present) {
+      const int64_t value_bytes = int64_t(w.value.size());
+      charges_.push_back(delta->present
+                             ? storage::GroupKv::Charge{value_bytes - old_bytes, 0}
+                             : storage::GroupKv::Charge{
+                                   int64_t(key.size()) + value_bytes, 1});
+    } else if (delta->present) {
+      charges_.push_back({-(int64_t(key.size()) + old_bytes), -1});
+    }
+    ++delta;
+  }
+  if (!group_->Take(log.group, log.group_from, log.group_to, charges_)) {
+    return false;
+  }
+  delta = log.deltas.begin();
+  for (const auto& [key, w] : writes) {
+    // A delete of an absent key changed nothing.
+    if (w.present || delta->present) tree_.AddDelta(*delta);
+    ++delta;
+  }
+  return true;
 }
 
 Result<Hash256> BucketStateDb::ReplayLog(const WriteSet& writes,
@@ -168,6 +209,14 @@ Result<Hash256> BucketStateDb::ReplayLog(const WriteSet& writes,
   // Profiled as a commit: every replica still commits every block.
   BB_PROF_SCOPE("storage.bucket_commit");
   assert(log.deltas.size() == writes.size());
+  if (group_ != nullptr && !group_->diverged() &&
+      TakeFromGroup(writes, log)) {
+    tree_.AdoptRoot(log.root);
+    root_ = log.root;
+    return root_;
+  }
+  // Not in the group (any more): the same store writes, on the view's
+  // private copy.
   auto delta = log.deltas.begin();
   for (const auto& [key, w] : writes) {
     Status s = w.present ? tree_.ReplayPut(key, w.value, *delta)

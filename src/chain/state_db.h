@@ -21,6 +21,7 @@
 
 #include "obs/metrics.h"
 #include "storage/bucket_tree.h"
+#include "storage/group_store.h"
 #include "storage/kvstore.h"
 #include "storage/node_pool.h"
 #include "storage/patricia_trie.h"
@@ -50,6 +51,12 @@ class StateDb {
     std::vector<storage::NodePool::Id> puts;
     /// Bucket tree: each write's digest delta, in write order.
     std::vector<storage::BucketMerkleTree::Delta> deltas;
+    /// Bucket tree over a group store (storage/group_store.h): the store
+    /// the writes went into, null when they did not, and the recorder's
+    /// group commit before and after them.
+    const storage::GroupStore* group = nullptr;
+    uint64_t group_from = 0;
+    uint64_t group_to = 0;
     Hash256 root;
     uint64_t node_reads = 0;
     uint64_t bytes_written = 0;
@@ -193,6 +200,10 @@ class TrieStateDb : public StateDb {
 class BucketStateDb : public StateDb {
  public:
   explicit BucketStateDb(storage::KvStore* store, size_t num_buckets = 1024);
+  /// A bucket tree whose entries are a view of its consensus group's
+  /// shared store: a replica at the recorder's group commit takes a
+  /// logged commit with no store writes (CommitLog).
+  explicit BucketStateDb(storage::GroupKv* store, size_t num_buckets = 1024);
 
   Hash256 current_root() const override { return root_; }
   Status ResetTo(const Hash256&) override {
@@ -219,9 +230,18 @@ class BucketStateDb : public StateDb {
                             const CommitLog& log) override;
 
  private:
+  /// Takes a logged commit into the group view: charges each write's
+  /// logged byte change and adds its delta. False, with the view
+  /// diverged, when the view cannot take it.
+  bool TakeFromGroup(const WriteSet& writes, const CommitLog& log);
+
   storage::KvStore* store_;
+  /// The same store when it is a group view; null otherwise.
+  storage::GroupKv* group_ = nullptr;
   storage::BucketMerkleTree tree_;
   Hash256 root_;
+  /// TakeFromGroup's charges, kept to reuse the allocation.
+  std::vector<storage::GroupKv::Charge> charges_;
 };
 
 /// Adapts (StateDb, contract namespace) to the VM's HostInterface.

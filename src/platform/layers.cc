@@ -1,7 +1,6 @@
 #include "platform/layers.h"
 
 #include "storage/diskkv.h"
-#include "storage/memkv.h"
 
 namespace bb::platform {
 
@@ -42,43 +41,50 @@ Hash256 DataLayer::empty_state_root() const {
 
 Result<std::unique_ptr<DataLayer>> DataLayer::Make(
     const PlatformOptions& options, const std::string& node_tag,
-    storage::NodePool* pool) {
+    SharedStores shared) {
   auto layer = std::unique_ptr<DataLayer>(new DataLayer());
   layer->tree_kind_ = options.stack.state_tree;
   layer->backend_kind_ = options.stack.storage;
 
-  if (options.stack.state_tree == StateTreeKind::kPatriciaTrie &&
-      options.stack.storage == StorageBackendKind::kMemKv) {
-    if (pool == nullptr) {
-      layer->own_pool_ = std::make_unique<storage::NodePool>();
-      pool = layer->own_pool_.get();
+  if (options.stack.storage == StorageBackendKind::kMemKv) {
+    switch (options.stack.state_tree) {
+      case StateTreeKind::kPatriciaTrie: {
+        if (shared.pool == nullptr) {
+          layer->own_pool_ = std::make_unique<storage::NodePool>();
+          shared.pool = layer->own_pool_.get();
+        }
+        auto view = std::make_unique<storage::PoolKv>(
+            shared.pool, options.state_mem_capacity);
+        layer->state_ = std::make_unique<chain::TrieStateDb>(view.get());
+        layer->store_ = std::move(view);
+        break;
+      }
+      case StateTreeKind::kBucketTree: {
+        if (shared.bucket == nullptr) {
+          layer->own_bucket_ = std::make_unique<storage::GroupStore>();
+          shared.bucket = layer->own_bucket_.get();
+        }
+        auto view = std::make_unique<storage::GroupKv>(
+            shared.bucket, options.state_mem_capacity);
+        layer->state_ = std::make_unique<chain::BucketStateDb>(view.get());
+        layer->store_ = std::move(view);
+        break;
+      }
     }
-    auto view =
-        std::make_unique<storage::PoolKv>(pool, options.state_mem_capacity);
-    layer->state_ = std::make_unique<chain::TrieStateDb>(view.get());
-    layer->store_ = std::move(view);
     return layer;
   }
 
-  switch (options.stack.storage) {
-    case StorageBackendKind::kMemKv:
-      layer->store_ =
-          std::make_unique<storage::MemKv>(options.state_mem_capacity);
-      break;
-    case StorageBackendKind::kDiskKv: {
-      if (options.data_dir.empty()) {
-        return Status::InvalidArgument(
-            "diskkv storage backend requires a data_dir");
-      }
-      std::string path = options.data_dir + "/state";
-      if (!node_tag.empty()) path += "_" + node_tag;
-      path += ".kv";
-      auto disk = storage::DiskKv::Open(path);
-      if (!disk.ok()) return disk.status();
-      layer->store_ = std::move(*disk);
-      break;
-    }
+  // A diskkv replica keeps its own log.
+  if (options.data_dir.empty()) {
+    return Status::InvalidArgument(
+        "diskkv storage backend requires a data_dir");
   }
+  std::string path = options.data_dir + "/state";
+  if (!node_tag.empty()) path += "_" + node_tag;
+  path += ".kv";
+  auto disk = storage::DiskKv::Open(path);
+  if (!disk.ok()) return disk.status();
+  layer->store_ = std::move(*disk);
 
   switch (options.stack.state_tree) {
     case StateTreeKind::kPatriciaTrie:
@@ -188,15 +194,15 @@ Status NoopExecution::Invoke(const std::string& name, const vm::TxContext&,
 
 Result<std::unique_ptr<LayerStack>> LayerStack::Build(
     const PlatformOptions& options, uint64_t seed,
-    const std::string& node_tag, storage::NodePool* pool) {
-  return LayerStackBuilder(options).Build(seed, node_tag, pool);
+    const std::string& node_tag, SharedStores shared) {
+  return LayerStackBuilder(options).Build(seed, node_tag, shared);
 }
 
 Result<std::unique_ptr<LayerStack>> LayerStackBuilder::Build(
-    uint64_t seed, const std::string& node_tag, storage::NodePool* pool) {
+    uint64_t seed, const std::string& node_tag, SharedStores shared) {
   if (consensus_ == nullptr) consensus_ = ConsensusLayer::Make(options_, seed);
   if (data_ == nullptr) {
-    auto data = DataLayer::Make(options_, node_tag, pool);
+    auto data = DataLayer::Make(options_, node_tag, shared);
     if (!data.ok()) return data.status();
     data_ = std::move(*data);
   }

@@ -27,6 +27,7 @@
 #include "chain/state_db.h"
 #include "consensus/engine.h"
 #include "platform/options.h"
+#include "storage/group_store.h"
 #include "storage/kvstore.h"
 #include "storage/node_pool.h"
 #include "vm/interpreter.h"
@@ -62,6 +63,16 @@ class ConsensusLayer {
 
 // --- Data layer --------------------------------------------------------------
 
+/// The stores a replica shares with the other replicas of its platform.
+/// A null one gives it a private store of that kind.
+struct SharedStores {
+  /// Trie nodes, one pool per platform (storage/node_pool.h).
+  storage::NodePool* pool = nullptr;
+  /// Bucket-tree entries, one store per consensus group
+  /// (storage/group_store.h).
+  storage::GroupStore* bucket = nullptr;
+};
+
 /// Owns one node's chain store and world state: the storage backend
 /// (memkv / diskkv) and the authenticated structure over it (Patricia
 /// trie with versioned reads, or the in-place bucket tree).
@@ -82,11 +93,12 @@ class DataLayer {
   /// Builds the backend + tree selected by options.stack. Fails when the
   /// disk backend cannot open its log under options.data_dir. `node_tag`
   /// keeps per-node disk files apart ("node3"). A trie over memkv keeps
-  /// its nodes in `pool`, shared with the platform's other replicas (a
-  /// private pool when null); every other stack has a private store.
+  /// its nodes in `shared.pool`, and a bucket tree over memkv is a view
+  /// of `shared.bucket`; either is private when null. A diskkv stack
+  /// has a private store.
   static Result<std::unique_ptr<DataLayer>> Make(
       const PlatformOptions& options, const std::string& node_tag,
-      storage::NodePool* pool = nullptr);
+      SharedStores shared = {});
 
  private:
   DataLayer() : chain_(chain::Block{}) {}  // all-zero genesis on every node
@@ -95,6 +107,7 @@ class DataLayer {
   StorageBackendKind backend_kind_ = StorageBackendKind::kMemKv;
   chain::ChainStore chain_;
   std::unique_ptr<storage::NodePool> own_pool_;
+  std::unique_ptr<storage::GroupStore> own_bucket_;
   std::unique_ptr<storage::KvStore> store_;
   std::unique_ptr<chain::StateDb> state_;
 };
@@ -239,11 +252,11 @@ class LayerStack {
   const DataLayer& data() const { return *data_; }
   ExecutionLayer& execution() { return *execution_; }
 
-  /// Builds all three layers from options.stack; `pool` as for
+  /// Builds all three layers from options.stack; `shared` as for
   /// DataLayer::Make.
   static Result<std::unique_ptr<LayerStack>> Build(
       const PlatformOptions& options, uint64_t seed,
-      const std::string& node_tag = "", storage::NodePool* pool = nullptr);
+      const std::string& node_tag = "", SharedStores shared = {});
 
  private:
   std::unique_ptr<ConsensusLayer> consensus_;
@@ -274,7 +287,7 @@ class LayerStackBuilder {
 
   Result<std::unique_ptr<LayerStack>> Build(uint64_t seed,
                                             const std::string& node_tag = "",
-                                            storage::NodePool* pool = nullptr);
+                                            SharedStores shared = {});
 
  private:
   PlatformOptions options_;

@@ -15,10 +15,10 @@ using sim::MsgKind;
 
 PlatformNode::PlatformNode(sim::NodeId id, sim::Network* network,
                            PlatformOptions options, uint64_t seed,
-                           storage::NodePool* pool)
+                           SharedStores shared)
     : sim::Node(id, network), options_(std::move(options)) {
   auto stack =
-      LayerStack::Build(options_, seed, "node" + std::to_string(id), pool);
+      LayerStack::Build(options_, seed, "node" + std::to_string(id), shared);
   if (!stack.ok()) {
     // Platform::Validate() rejects bad specs before nodes are built, so
     // only environment failures (disk backend I/O) reach here.

@@ -26,10 +26,10 @@ namespace bb::platform {
 
 class PlatformNode : public sim::Node, public consensus::ConsensusHost {
  public:
-  /// A trie over memkv keeps its nodes in `pool`, which the platform's
-  /// replicas share (a private pool when null; see DataLayer::Make).
+  /// A state over memkv lives in the stores the platform's replicas
+  /// share (private ones when null; see DataLayer::Make).
   PlatformNode(sim::NodeId id, sim::Network* network, PlatformOptions options,
-               uint64_t seed, storage::NodePool* pool = nullptr);
+               uint64_t seed, SharedStores shared = {});
   ~PlatformNode() override;
 
   // --- Setup (before Start) ------------------------------------------------

@@ -1,5 +1,6 @@
 #include "platform/platform.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -20,10 +21,17 @@ Platform::Platform(sim::Simulation* sim, PlatformOptions options,
     std::abort();
   }
   network_ = std::make_unique<sim::Network>(sim_, options_.net);
+  // A ShardedPlatform's shards are consecutive runs of servers, one
+  // consensus group each.
+  const size_t shards = std::max<size_t>(1, options_.num_shards);
+  const size_t per_shard =
+      std::max<size_t>(1, (num_servers + shards - 1) / shards);
+  for (size_t s = 0; s < shards; ++s) bucket_stores_.emplace_back();
   Rng seeder(seed);
   for (size_t i = 0; i < num_servers; ++i) {
     nodes_.push_back(std::make_unique<PlatformNode>(
-        sim::NodeId(i), network_.get(), options_, seeder.Next(), &node_pool_));
+        sim::NodeId(i), network_.get(), options_, seeder.Next(),
+        SharedStores{&node_pool_, &bucket_stores_[i / per_shard]}));
   }
   for (auto& n : nodes_) {
     n->set_num_peers(num_servers);

@@ -5,6 +5,7 @@
 #ifndef BLOCKBENCH_PLATFORM_PLATFORM_H_
 #define BLOCKBENCH_PLATFORM_PLATFORM_H_
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,6 +102,11 @@ class Platform {
   const ExecMemo& exec_memo() const { return exec_memo_; }
   /// The trie nodes the servers share (see storage/node_pool.h).
   const storage::NodePool& node_pool() const { return node_pool_; }
+  /// The bucket-tree entries the servers of one shard (consensus group)
+  /// share (see storage/group_store.h).
+  const storage::GroupStore& bucket_store(size_t shard) const {
+    return bucket_stores_.at(shard);
+  }
 
  protected:
   sim::Simulation* sim_;
@@ -110,6 +116,11 @@ class Platform {
   /// The trie nodes of every server whose state is a trie over memkv
   /// (see storage/node_pool.h). Declared before nodes_, which view it.
   storage::NodePool node_pool_;
+  /// One per consensus group: the bucket-tree entries of the group's
+  /// servers whose state is a bucket tree over memkv (see
+  /// storage/group_store.h). A deque never moves them; declared before
+  /// nodes_, whose views attach to them.
+  std::deque<storage::GroupStore> bucket_stores_;
   /// PreloadState's writes, until FinalizeGenesis commits them.
   chain::StateDb::WriteSet genesis_;
   std::vector<std::unique_ptr<PlatformNode>> nodes_;

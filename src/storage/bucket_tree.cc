@@ -58,7 +58,8 @@ Status BucketMerkleTree::Put(Slice key, Slice value) {
   BB_RETURN_IF_ERROR(store_->Put(key, value));
   Hash256 delta = EntryDigest(key, value);
   if (s.ok()) DigestSub(&delta, EntryDigest(key, old_));
-  Applied({uint32_t(BucketOf(key)), delta});
+  Applied({uint32_t(BucketOf(key)), delta,
+           s.ok() ? uint32_t(old_.size()) : 0, s.ok()});
   return Status::Ok();
 }
 
@@ -75,7 +76,7 @@ Status BucketMerkleTree::Delete(Slice key) {
   BB_RETURN_IF_ERROR(store_->Delete(key));
   Hash256 delta = Hash256::Zero();
   DigestSub(&delta, EntryDigest(key, old_));
-  Applied({uint32_t(BucketOf(key)), delta});
+  Applied({uint32_t(BucketOf(key)), delta, uint32_t(old_.size()), true});
   return Status::Ok();
 }
 

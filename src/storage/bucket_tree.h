@@ -13,10 +13,12 @@
 // O(1) instead of rehashing the whole bucket.
 //
 // A write's effect on the digests is one Delta: its bucket and the
-// entry digest it added (new minus old, mod 2^256). A tree that logged
-// its writes' deltas lets another tree over the same contents replay
-// them: the same store ops, each delta added, the logged root adopted,
-// with no reads of old values, no entry hashing and no root rebuild.
+// entry digest it added (new minus old, mod 2^256), with the size of the
+// value it replaced. A tree that logged its writes' deltas lets another
+// tree over the same contents replay them: the same store ops (or none,
+// when the two share a storage::GroupStore), each delta added, the
+// logged root adopted, with no reads of old values, no entry hashing and
+// no root rebuild.
 
 #ifndef BLOCKBENCH_STORAGE_BUCKET_TREE_H_
 #define BLOCKBENCH_STORAGE_BUCKET_TREE_H_
@@ -32,10 +34,13 @@ namespace bb::storage {
 
 class BucketMerkleTree {
  public:
-  /// What one write added to the bucket digests.
+  /// What one write added to the bucket digests, and what it found:
+  /// whether the key was present and its old value's size.
   struct Delta {
     uint32_t bucket;
     Hash256 digest;
+    uint32_t old_size = 0;
+    bool present = false;
   };
 
   /// `store` holds the actual key/value state; not owned.
@@ -53,6 +58,9 @@ class BucketMerkleTree {
   /// nothing; a Delete of an absent key returns NotFound.
   Status ReplayPut(Slice key, Slice value, const Delta& delta);
   Status ReplayDelete(Slice key, const Delta& delta);
+  /// Adds the delta of a write another tree logged, which this tree's
+  /// store took without a store op (storage::GroupKv::Take).
+  void AddDelta(const Delta& delta) { Applied(delta); }
 
   /// Root over all bucket digests. Rebuilds the (small) Merkle tree over
   /// buckets if any digest changed since the last call.
