@@ -18,6 +18,7 @@
 #include "sim/node.h"
 #include "storage/bucket_tree.h"
 #include "storage/diskkv.h"
+#include "storage/group_store.h"
 #include "storage/memkv.h"
 #include "storage/merkle_tree.h"
 #include "storage/patricia_trie.h"
@@ -328,8 +329,9 @@ void BM_BucketReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_BucketReplay);
 
-// One consensus group of bucket-tree replicas: a recorder commits each
-// block and 15 takers replay its log. The blocks stream Smallbank-shaped
+// One consensus group of bucket-tree replicas, each a view of the
+// group's store: a recorder commits each block and 15 takers replay its
+// log. The blocks stream Smallbank-shaped
 // writes over BucketBlocks' 20k accounts: balance overwrites, with one
 // write in 16 a delete (of a key that may already be gone), so that
 // later overwrites bring deleted keys back.
@@ -339,7 +341,7 @@ struct FanoutReplicas {
 
   FanoutReplicas() {
     for (int i = 0; i <= kTakers; ++i) {
-      stores.push_back(std::make_unique<storage::MemKv>());
+      stores.push_back(std::make_unique<storage::GroupKv>(&group));
       dbs.push_back(std::make_unique<chain::BucketStateDb>(stores.back().get()));
     }
     chain::StateDb::WriteSet genesis;
@@ -370,18 +372,20 @@ struct FanoutReplicas {
     }
   }
 
-  std::vector<std::unique_ptr<storage::MemKv>> stores;
+  /// Declared before the views, which detach from it.
+  storage::GroupStore group;
+  std::vector<std::unique_ptr<storage::GroupKv>> stores;
   /// dbs[0] records, the others take.
   std::vector<std::unique_ptr<chain::BucketStateDb>> dbs;
   std::vector<chain::StateDb::WriteSet> blocks;
 };
 
 void BM_BucketFanout(benchmark::State& state) {
-  FanoutReplicas group;
+  FanoutReplicas replicas;
   size_t next = 0;
   for (auto _ : state) {
-    group.CommitEverywhere(group.blocks[next]);
-    next = (next + 1) % group.blocks.size();
+    replicas.CommitEverywhere(replicas.blocks[next]);
+    next = (next + 1) % replicas.blocks.size();
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * BucketBlocks::kWrites);
 }

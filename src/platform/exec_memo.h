@@ -7,14 +7,19 @@
 // The first replica to apply a block from a root executes it and records
 // the outputs here; any other replica whose state sits at the same root
 // takes them instead: it adds the recorded CPU and counters and commits
-// the recorded write set into its own store. Where it can, the taker
+// the recorded write set into its own state. Where it can, the taker
 // replays the recorder's logged commit instead of running its own tree
 // (see StateDb::Replay): a trie over memkv keeps its nodes in the
 // platform's shared storage::NodePool and adopts the logged node ids; a
-// bucket tree makes the same store writes and adds the logged digest
-// deltas, with no entry hashing and no root rebuild. Each replica keeps
-// its own store, root, byte accounting, tree counters and capacity, so
-// these come out as if it had executed.
+// bucket tree over memkv is a view of its consensus group's
+// storage::GroupStore, which the recorder's commit already wrote, so the
+// taker moves its view's cursor, charges the logged byte changes and
+// adds the logged digest deltas; a bucket tree over diskkv makes the
+// same writes on its own log and adds the deltas. Either way there is no
+// entry hashing and no root rebuild. Each replica keeps its own root,
+// byte accounting, tree counters and capacity, so these come out as if
+// it had executed; a group view that cannot follow the group's commits
+// continues on a private copy.
 //
 // The table belongs to one Platform: replicas of one simulation share
 // it and nothing else does, so parallel sweep jobs share no state.

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -18,6 +19,7 @@
 #include "chain/state_db.h"
 #include "obs/memtrack.h"
 #include "storage/diskkv.h"
+#include "storage/group_store.h"
 #include "storage/memkv.h"
 #include "util/random.h"
 
@@ -207,6 +209,121 @@ TEST(BucketReplayTest, RefusedRecorderLogsNothing) {
   EXPECT_EQ(taker.current_root(), recorder.current_root());
   EXPECT_EQ(kv2.num_entries(), 1u);
   EXPECT_EQ(taker.updates(), 1u);
+}
+
+// --- Views of one group store ------------------------------------------------
+
+/// A replica whose state is a view of the group's store, kept beside a
+/// private MemKv that applies every write set itself.
+struct GroupReplica {
+  GroupReplica(storage::GroupStore* store, uint64_t capacity, uint32_t node,
+               obs::MemTracker* mt, obs::MemTracker* ref_mt)
+      : kv(store, capacity),
+        ref_kv(capacity),
+        db(&kv, kBuckets),
+        ref(&ref_kv, kBuckets) {
+    kv.set_mem_gauge({mt, node, obs::mem::kStorageState});
+    ref_kv.set_mem_gauge({ref_mt, node, obs::mem::kStorageState});
+  }
+
+  storage::GroupKv kv;
+  storage::MemKv ref_kv;
+  BucketStateDb db, ref;
+};
+
+void ExpectSameGroup(const GroupReplica& r, uint32_t node,
+                     const obs::MemTracker& mt, const obs::MemTracker& ref_mt,
+                     const std::string& tag) {
+  EXPECT_EQ(r.db.current_root(), r.ref.current_root()) << tag;
+  EXPECT_EQ(RebuiltRoot(r.kv), r.db.current_root()) << tag;
+  EXPECT_EQ(r.kv.size_bytes(), r.ref_kv.size_bytes()) << tag;
+  EXPECT_EQ(r.kv.live_bytes(), r.ref_kv.live_bytes()) << tag;
+  EXPECT_EQ(r.kv.num_entries(), r.ref_kv.num_entries()) << tag;
+  EXPECT_EQ(r.db.updates(), r.ref.updates()) << tag;
+  EXPECT_EQ(Contents(r.kv), Contents(r.ref_kv)) << tag;
+  for (int k = 0; k < 48; ++k) {
+    const std::string key = StateDb::FullKey("ns", "k" + std::to_string(k));
+    std::string got, want;
+    Status g = r.kv.Get(key, &got), w = r.ref_kv.Get(key, &want);
+    EXPECT_EQ(g.code(), w.code()) << tag << " " << k;
+    EXPECT_EQ(got, want) << tag << " " << k;
+  }
+  ExpectSameCounter(mt, ref_mt, node, tag);
+}
+
+// One group: 0 records every commit; 1 lags and catches up every few
+// commits, reading at its old cursor meanwhile; 2's capacity fills
+// part-way through a taken set; 3 follows one commit behind until it
+// commits a write set of its own from its old root. Each view must match
+// a private MemKv applying the same write sets.
+TEST(BucketReplayTest, GroupViewsMatchTheirOwnApply) {
+  for (uint64_t seed : {3, 4, 5, 6}) {
+    Rng rng(seed);
+    obs::MemTracker mt, ref_mt;
+    storage::GroupStore store;
+    GroupReplica recorder(&store, 0, 0, &mt, &ref_mt);
+    GroupReplica lagger(&store, 0, 1, &mt, &ref_mt);
+    GroupReplica tight(&store, 6'000, 2, &mt, &ref_mt);
+    GroupReplica forker(&store, 0, 3, &mt, &ref_mt);
+    GroupReplica* all[] = {&recorder, &lagger, &tight, &forker};
+    struct Logged {
+      Hash256 pre_root;
+      StateDb::WriteSet writes;
+      StateDb::CommitLog log;
+    };
+    std::deque<Logged> logs;
+    size_t lagger_next = 0, forker_next = 0;
+    auto take = [](GroupReplica& r, const Logged& l) {
+      auto got = r.db.current_root() == l.pre_root ? r.db.Replay(l.writes, l.log)
+                                                   : r.db.Commit(l.writes);
+      auto want = r.ref.Commit(l.writes);
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    };
+    int grouped_takes = 0;
+    for (int round = 0; round < 150; ++round) {
+      const std::string tag =
+          "seed " + std::to_string(seed) + " round " + std::to_string(round);
+      Logged& l = logs.emplace_back();
+      l.pre_root = recorder.db.current_root();
+      l.writes = RandomWrites(rng);
+      ASSERT_TRUE(recorder.db.Commit(l.writes, &l.log).ok()) << tag;
+      ASSERT_TRUE(recorder.ref.Commit(l.writes).ok()) << tag;
+      grouped_takes += l.log.group != nullptr;
+      take(tight, l);
+      if (round % 5 == 4) {
+        while (lagger_next < logs.size()) take(lagger, logs[lagger_next++]);
+      }
+      if (round == 40) {
+        // Its own write set from a root the group has left.
+        const StateDb::WriteSet own = RandomWrites(rng);
+        EXPECT_EQ(forker.db.Commit(own).ok(), forker.ref.Commit(own).ok())
+            << tag;
+        EXPECT_TRUE(forker.kv.diverged() || own.empty()) << tag;
+      } else {
+        while (forker_next + 1 < logs.size()) take(forker, logs[forker_next++]);
+      }
+      for (uint32_t node = 0; node < 4; ++node) {
+        ExpectSameGroup(*all[node], node, mt, ref_mt,
+                        tag + " node " + std::to_string(node));
+      }
+      // Every view that follows the group has passed commit `low`: no key
+      // keeps more than one version at or below it.
+      uint64_t low = store.head();
+      for (GroupReplica* r : all) {
+        if (!r->kv.diverged()) low = std::min(low, r->kv.cursor());
+      }
+      std::map<std::string, int> at_or_below;
+      store.ScanVersions([&](Slice key, uint64_t commit, bool) {
+        if (commit <= low) ++at_or_below[key.ToString()];
+      });
+      for (const auto& [key, n] : at_or_below) EXPECT_EQ(n, 1) << tag;
+    }
+    EXPECT_FALSE(recorder.kv.diverged()) << "seed " << seed;
+    EXPECT_FALSE(lagger.kv.diverged()) << "seed " << seed;
+    EXPECT_TRUE(tight.kv.diverged()) << "seed " << seed << ": 2 must fill up";
+    EXPECT_GT(grouped_takes, 100) << "seed " << seed;
+    EXPECT_EQ(store.num_views(), forker.kv.diverged() ? 2u : 3u);
+  }
 }
 
 }  // namespace

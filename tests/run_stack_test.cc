@@ -197,6 +197,27 @@ bool CheckMutant(const util::Json& doc) {
   return true;
 }
 
+// Hyperledger's replicas hold their bucket state once: at the end of a
+// run the group store keeps one version per key, as many keys as one
+// replica's view holds, and all four replicas still follow it.
+TEST(RunStack, BucketReplicasShareOneStore) {
+  RegisterAllChaincodes();
+  obs::RunSpec spec = SmallSpec("hyperledger");
+  spec.workload = "ycsb";
+  auto run = RunStack::Create(spec);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_GT((*run)->Execute().committed, 0u);
+  platform::Platform& p = (*run)->platform();
+  const storage::GroupStore& store = p.bucket_store(0);
+  const size_t entries = p.node(0).stack().data().store().num_entries();
+  EXPECT_GT(entries, 0u);
+  EXPECT_EQ(store.num_views(), 4u);
+  EXPECT_EQ(store.num_keys(), entries);
+  size_t versions = 0;
+  store.ScanVersions([&](Slice, uint64_t, bool) { ++versions; });
+  EXPECT_EQ(versions, entries);
+}
+
 TEST(RunSpecFuzz, MutatedDumpsAreRejectedOrBuild) {
   RegisterAllChaincodes();
   util::Json golden = GoldenPbftDump();
