@@ -215,8 +215,8 @@ Result<Hash256> BucketStateDb::ReplayLog(const WriteSet& writes,
     root_ = log.root;
     return root_;
   }
-  // Not in the group (any more): the same store writes, on the view's
-  // private copy.
+  // Otherwise the same store writes: on a private store, or on the
+  // private copy of a view that left its group.
   auto delta = log.deltas.begin();
   for (const auto& [key, w] : writes) {
     Status s = w.present ? tree_.ReplayPut(key, w.value, *delta)
