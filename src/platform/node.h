@@ -102,9 +102,9 @@ class PlatformNode : public sim::Node, public consensus::ConsensusHost {
   void ExportMetrics(obs::MetricsRegistry* reg) const;
   /// Peers whose id is the server set (set by Platform during setup).
   void set_num_peers(size_t n) { num_peers_ = n; }
-  /// Narrows this node's consensus group to ids [base, base + n): a
-  /// ShardedPlatform assigns each node to its shard's group. Unsharded
-  /// platforms keep the default [0, num_servers).
+  /// Sets this node's consensus group to ids [base, base + n): Platform
+  /// assigns each node its group, all servers when unsharded and its
+  /// shard's servers when sharded.
   void set_peer_group(sim::NodeId base, size_t n) {
     peer_base_ = base;
     num_peers_ = n;

@@ -11,7 +11,14 @@ namespace bb::platform {
 
 Platform::Platform(sim::Simulation* sim, PlatformOptions options,
                    size_t num_servers, uint64_t seed)
-    : sim_(sim), options_(std::move(options)), exec_memo_(num_servers) {
+    : Platform(sim, std::move(options), num_servers, num_servers, seed) {}
+
+Platform::Platform(sim::Simulation* sim, PlatformOptions options,
+                   size_t num_servers, size_t servers_per_group, uint64_t seed)
+    : sim_(sim),
+      options_(std::move(options)),
+      servers_per_group_(std::max<size_t>(1, servers_per_group)),
+      exec_memo_(num_servers) {
   // Fail loudly on inconsistent layer combinations instead of silently
   // falling back — every stack a Platform runs has passed Validate().
   Status valid = options_.Validate();
@@ -21,21 +28,17 @@ Platform::Platform(sim::Simulation* sim, PlatformOptions options,
     std::abort();
   }
   network_ = std::make_unique<sim::Network>(sim_, options_.net);
-  // A ShardedPlatform's shards are consecutive runs of servers, one
-  // consensus group each.
-  const size_t shards = std::max<size_t>(1, options_.num_shards);
-  const size_t per_shard =
-      std::max<size_t>(1, (num_servers + shards - 1) / shards);
-  for (size_t s = 0; s < shards; ++s) bucket_stores_.emplace_back();
   Rng seeder(seed);
   for (size_t i = 0; i < num_servers; ++i) {
-    nodes_.push_back(std::make_unique<PlatformNode>(
+    const size_t group = i / servers_per_group_;
+    if (group == bucket_stores_.size()) bucket_stores_.emplace_back();
+    auto node = std::make_unique<PlatformNode>(
         sim::NodeId(i), network_.get(), options_, seeder.Next(),
-        SharedStores{&node_pool_, &bucket_stores_[i / per_shard]}));
-  }
-  for (auto& n : nodes_) {
-    n->set_num_peers(num_servers);
-    n->set_exec_memo(&exec_memo_);
+        SharedStores{&node_pool_, &bucket_stores_[group]});
+    node->set_peer_group(sim::NodeId(group * servers_per_group_),
+                         servers_per_group_);
+    node->set_exec_memo(&exec_memo_);
+    nodes_.push_back(std::move(node));
   }
 }
 
@@ -83,9 +86,13 @@ Status Platform::PreloadState(const std::string& contract,
 
 Status Platform::FinalizeGenesis() {
   const chain::StateDb::WriteSet genesis = std::exchange(genesis_, {});
-  chain::StateDb::CommitLog log;
-  for (auto& n : nodes_) {
-    BB_RETURN_IF_ERROR(n->FinalizeGenesis(genesis, &log));
+  // One log per consensus group, as a group shares one bucket store.
+  for (size_t base = 0; base < nodes_.size(); base += servers_per_group_) {
+    chain::StateDb::CommitLog log;
+    const size_t end = std::min(nodes_.size(), base + servers_per_group_);
+    for (size_t i = base; i < end; ++i) {
+      BB_RETURN_IF_ERROR(nodes_[i]->FinalizeGenesis(genesis, &log));
+    }
   }
   return Status::Ok();
 }

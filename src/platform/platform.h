@@ -35,7 +35,7 @@ class Platform {
   /// Number of independent consensus groups.
   virtual size_t num_shards() const { return 1; }
   /// Servers per consensus group (== num_servers() when unsharded).
-  virtual size_t servers_per_shard() const { return nodes_.size(); }
+  size_t servers_per_shard() const { return servers_per_group_; }
   /// Which shard a state key hashes to (always 0 when unsharded).
   virtual uint32_t ShardOfKey(const std::string& key) const {
     (void)key;
@@ -79,8 +79,9 @@ class Platform {
   /// Buffers one genesis write for every server.
   Status PreloadState(const std::string& contract, const std::string& key,
                       const std::string& value);
-  /// Commits the buffered genesis writes on every server: the first
-  /// commits them and the others replay its commit where they can.
+  /// Commits the buffered genesis writes on every server: in each
+  /// consensus group the first commits them and the others replay its
+  /// commit where they can.
   Status FinalizeGenesis();
   /// Commits one block of transactions on every node, bypassing
   /// consensus (historical-chain preloading). Every node's block shares
@@ -109,8 +110,15 @@ class Platform {
   }
 
  protected:
+  /// Servers 0..num_servers-1 in consecutive consensus groups of
+  /// `servers_per_group` (a ShardedPlatform's shards): each server's
+  /// peers, its bucket store and its genesis log follow the group.
+  Platform(sim::Simulation* sim, PlatformOptions options, size_t num_servers,
+           size_t servers_per_group, uint64_t seed);
+
   sim::Simulation* sim_;
   PlatformOptions options_;
+  size_t servers_per_group_;
   std::unique_ptr<sim::Network> network_;
   ExecMemo exec_memo_;
   /// The trie nodes of every server whose state is a trie over memkv

@@ -200,16 +200,12 @@ ShardedPlatform::ShardedPlatform(sim::Simulation* sim, PlatformOptions options,
     // `options` is deliberately copied (not moved) into the base: the
     // num_servers argument also reads it, and argument evaluation order
     // is unspecified.
-    : Platform(sim, options, options.num_shards * servers_per_shard, seed),
-      shards_(options.num_shards),
-      per_shard_(servers_per_shard) {
-  // Carve the flat node array into per-shard consensus groups and wire
-  // every server to the 2PC coordinator.
-  for (size_t i = 0; i < num_servers(); ++i) {
-    nodes_[i]->set_peer_group(sim::NodeId((i / per_shard_) * per_shard_),
-                              per_shard_);
-    nodes_[i]->set_xs_notify(coordinator_id());
-  }
+    : Platform(sim, options, options.num_shards * servers_per_shard,
+               servers_per_shard, seed),
+      shards_(options.num_shards) {
+  // The base carved the flat node array into per-shard consensus
+  // groups; wire every server to the 2PC coordinator.
+  for (auto& n : nodes_) n->set_xs_notify(coordinator_id());
   coordinator_ =
       std::make_unique<ShardCoordinator>(coordinator_id(), network_.get(), this);
 }
@@ -219,7 +215,7 @@ ShardedPlatform::~ShardedPlatform() = default;
 uint64_t ShardedPlatform::CanonicalBlocks() const {
   uint64_t total = 0;
   for (size_t s = 0; s < shards_; ++s) {
-    total += nodes_[s * per_shard_]->chain().main_chain_blocks();
+    total += nodes_[s * servers_per_shard()]->chain().main_chain_blocks();
   }
   return total;
 }

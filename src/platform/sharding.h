@@ -103,7 +103,6 @@ class ShardedPlatform : public Platform {
   ~ShardedPlatform() override;
 
   size_t num_shards() const override { return shards_; }
-  size_t servers_per_shard() const override { return per_shard_; }
   uint32_t ShardOfKey(const std::string& key) const override {
     return HashKey(key) % uint32_t(shards_);
   }
@@ -120,8 +119,8 @@ class ShardedPlatform : public Platform {
   }
   sim::NodeId ServerInShard(uint32_t shard,
                             size_t client_index) const override {
-    return sim::NodeId(size_t(shard) * per_shard_ +
-                       (client_index / shards_) % per_shard_);
+    return sim::NodeId(size_t(shard) * servers_per_shard() +
+                       (client_index / shards_) % servers_per_shard());
   }
   uint64_t CanonicalBlocks() const override;
 
@@ -141,7 +140,6 @@ class ShardedPlatform : public Platform {
 
  private:
   size_t shards_;
-  size_t per_shard_;
   std::unique_ptr<ShardCoordinator> coordinator_;
 };
 

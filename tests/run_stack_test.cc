@@ -197,25 +197,34 @@ bool CheckMutant(const util::Json& doc) {
   return true;
 }
 
-// Hyperledger's replicas hold their bucket state once: at the end of a
-// run the group store keeps one version per key, as many keys as one
-// replica's view holds, and all four replicas still follow it.
+// Hyperledger's replicas hold their bucket state once per consensus
+// group: at the end of a run each shard's store keeps one version per
+// key, as many keys as one of its replicas' views holds, and every
+// replica of the shard still follows it.
 TEST(RunStack, BucketReplicasShareOneStore) {
   RegisterAllChaincodes();
-  obs::RunSpec spec = SmallSpec("hyperledger");
-  spec.workload = "ycsb";
-  auto run = RunStack::Create(spec);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_GT((*run)->Execute().committed, 0u);
-  platform::Platform& p = (*run)->platform();
-  const storage::GroupStore& store = p.bucket_store(0);
-  const size_t entries = p.node(0).stack().data().store().num_entries();
-  EXPECT_GT(entries, 0u);
-  EXPECT_EQ(store.num_views(), 4u);
-  EXPECT_EQ(store.num_keys(), entries);
-  size_t versions = 0;
-  store.ScanVersions([&](Slice, uint64_t, bool) { ++versions; });
-  EXPECT_EQ(versions, entries);
+  for (const char* platform : {"hyperledger", "hyperledger@shards=2"}) {
+    obs::RunSpec spec = SmallSpec(platform);
+    spec.workload = "ycsb";
+    auto run = RunStack::Create(spec);
+    ASSERT_TRUE(run.ok()) << platform << ": " << run.status().ToString();
+    EXPECT_GT((*run)->Execute().committed, 0u) << platform;
+    platform::Platform& p = (*run)->platform();
+    const size_t per_shard = p.servers_per_shard();
+    EXPECT_EQ(per_shard, 4u) << platform;
+    for (size_t shard = 0; shard < p.num_shards(); ++shard) {
+      const storage::GroupStore& store = p.bucket_store(shard);
+      const size_t entries =
+          p.node(shard * per_shard).stack().data().store().num_entries();
+      EXPECT_GT(entries, 0u) << platform << " shard " << shard;
+      EXPECT_EQ(store.num_views(), per_shard)
+          << platform << " shard " << shard;
+      EXPECT_EQ(store.num_keys(), entries) << platform << " shard " << shard;
+      size_t versions = 0;
+      store.ScanVersions([&](Slice, uint64_t, bool) { ++versions; });
+      EXPECT_EQ(versions, entries) << platform << " shard " << shard;
+    }
+  }
 }
 
 TEST(RunSpecFuzz, MutatedDumpsAreRejectedOrBuild) {
