@@ -109,9 +109,23 @@ def base_name(function):
     return function[:cut]
 
 
+def without_templates(function):
+    """The name with every <...> argument list removed."""
+    out, depth = [], 0
+    for c in function:
+        if c == "<":
+            depth += 1
+        elif c == ">" and depth > 0:
+            depth -= 1
+        elif depth == 0:
+            out.append(c)
+    return "".join(out)
+
+
 def matches(function, want):
     if want.endswith("::"):  # any function of that class or namespace
-        return function.startswith(want) or "::" + want in function
+        bare = without_templates(function)
+        return bare.startswith(want) or "::" + want in bare
     return function == want or function.endswith("::" + want)
 
 
